@@ -90,6 +90,19 @@ class TestCollect:
         assert filecmp.cmp(tmp_path / "a" / "metadata.json", tmp_path / "b" / "metadata.json",
                            shallow=False)
 
+    def test_golden_fingerprint(self, tmp_path):
+        # pins the persisted output of a seeded run, so a numeric drift in
+        # collection or persistence fails here rather than passing as
+        # "same result twice"
+        import hashlib
+
+        from headlearn.default_head import load_default_head
+
+        d = collect(load_default_head(), CollectionProtocol(n_target_frames=60, rng_seed=0))
+        save_dataset(d, tmp_path / "d")
+        digest = hashlib.sha256((tmp_path / "d" / "frames.csv").read_bytes()).hexdigest()
+        assert digest == "1d46d4a3bd0d1574ae6425e0120e7434a179c0fed7e0d60182c5e21f87884882"
+
 
 class TestSplit:
     def test_partition_sizes(self, default_dataset):
