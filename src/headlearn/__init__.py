@@ -16,11 +16,11 @@ from .analysis import (
 from .dataset import (
     CollectionProtocol,
     Dataset,
-    FrameRecord,
     HumanFrame,
     collect,
     ingest_openface_csv,
     load_dataset,
+    parse_openface_lines,
     save_dataset,
     split,
 )

@@ -194,7 +194,6 @@ def compare_representations(
     epochs: int = 2000,
     pca_candidates: Sequence[int] = DEFAULT_PCA_CANDIDATES,
     prune_threshold: float = 0.2,
-    n_jobs: int = 1,
 ) -> ComparisonReport:
     """Train and evaluate the four representation/model pairs on one split.
 
@@ -229,7 +228,7 @@ def compare_representations(
     au_mlp = fit_pipeline(
         train, "au", regressor="mlp",
         prune_threshold=prune_threshold, grid=grid, epochs=epochs,
-        seed=split_seed, n_jobs=n_jobs,
+        seed=split_seed,
     )
     values[:, 1] = evaluate_pipeline(au_mlp, test)
 

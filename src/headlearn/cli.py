@@ -12,6 +12,8 @@ The default head configuration can be overridden globally with the
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -26,6 +28,7 @@ from .dataset import (
     collect,
     ingest_openface_csv,
     load_dataset,
+    parse_openface_lines,
     save_dataset,
     split,
 )
@@ -134,7 +137,6 @@ def cmd_fit(args) -> int:
         ridge_lambda=args.ridge_lambda,
         pca_k=args.pca_k,
         seed=args.seed,
-        n_jobs=args.jobs,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -179,7 +181,7 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     d = load_dataset(args.dataset)
     report = compare_representations(
-        d, args.seed, test_fraction=args.test_fraction, epochs=args.epochs, n_jobs=args.jobs
+        d, args.seed, test_fraction=args.test_fraction, epochs=args.epochs
     )
     print(report.to_text())
     if args.out:
@@ -251,27 +253,19 @@ def cmd_retarget(args) -> int:
 
 def cmd_stream(args) -> int:
     model = load_model(args.model)
-    if args.csv:
-        frames = ingest_openface_csv(args.csv, confidence_threshold=0.0)
-    else:
-        # stdin carries a complete OpenFace CSV; low-confidence rows stay in
-        # the stream so hold-last can fill them.
-        import tempfile
-
-        data = sys.stdin.read()
-        with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False) as tmp:
-            tmp.write(data)
-            tmp_path = tmp.name
-        try:
-            frames = ingest_openface_csv(tmp_path, confidence_threshold=0.0)
-        finally:
-            os.unlink(tmp_path)
-    for frame, command in zip(
-        frames,
-        stream(model, frames, smoothing_window=args.window, confidence_threshold=args.threshold),
-    ):
-        sys.stdout.write(f"{frame.timestamp}," + _command_line(command) + "\n")
-        sys.stdout.flush()
+    source = open(args.csv, newline="") if args.csv else contextlib.nullcontext(sys.stdin)
+    with source as fh:
+        # rows are parsed as they arrive; low-confidence rows stay in the
+        # stream so hold-last can fill them
+        frames, stamped = itertools.tee(
+            parse_openface_lines(fh, confidence_threshold=0.0, source=args.csv or "<stdin>")
+        )
+        commands = stream(
+            model, frames, smoothing_window=args.window, confidence_threshold=args.threshold
+        )
+        for frame, command in zip(stamped, commands):
+            sys.stdout.write(f"{frame.timestamp}," + _command_line(command) + "\n")
+            sys.stdout.flush()
     return EXIT_OK
 
 
@@ -305,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pca-k", type=int, help="override the per-kind default")
     sp.add_argument("--test-fraction", type=float, default=0.2)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_fit)
 
@@ -323,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--test-fraction", type=float, default=0.2)
     sp.add_argument("--epochs", type=int, default=2000)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_compare)
 

@@ -23,6 +23,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -44,6 +45,8 @@ from .geometry import (
 )
 from .simulator import (
     CHANNELS,
+    COMMAND_MAX,
+    COMMAND_MIN,
     ActuatorCommand,
     HeadConfig,
     HeadSimulator,
@@ -95,22 +98,10 @@ class CollectionProtocol:
 
 
 @dataclass
-class FrameRecord:
-    """One learning sample: command plus its averaged observed features."""
-
-    frame_index: int
-    role: str
-    command: ActuatorCommand
-    landmarks_aligned: np.ndarray
-    aus: np.ndarray
-    pose: Pose
-
-
-@dataclass
 class Dataset:
     """Target rows with all three feature representations, plus provenance."""
 
-    records: list[FrameRecord]
+    frame_ids: np.ndarray    # (n,) int index of each row's held expression
     aus: np.ndarray          # (n, 17)
     landmarks: np.ndarray    # (n, 204) flattened aligned landmarks
     distances: np.ndarray    # (n, 2278) recomputed from `landmarks`
@@ -118,7 +109,7 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.frame_ids)
 
     def features(self, kind: str) -> np.ndarray:
         if kind == "au":
@@ -141,6 +132,11 @@ def _neutral_block_sizes(n_targets: int, neutral_fraction: float) -> list[int]:
     total = round(n_targets * neutral_fraction / (1.0 - neutral_fraction))
     base, extra = divmod(total, n_targets)
     return [base + 1 if i < extra else base for i in range(n_targets)]
+
+
+def _distances(landmarks: np.ndarray) -> np.ndarray:
+    """Pairwise-distance rows for flattened (n, 204) landmark rows."""
+    return np.array([pairwise_distances(r.reshape(N_LANDMARKS, 3)) for r in landmarks])
 
 
 def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
@@ -189,7 +185,6 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
 
     target_frames = [f for role, f in stream if role == ROLE_TARGET]
     w = protocol.au_window
-    records: list[FrameRecord] = []
     au_rows, lm_rows = [], []
     for row_idx in range(protocol.n_target_frames):
         block = target_frames[row_idx * w: (row_idx + 1) * w]
@@ -197,28 +192,16 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
         block_aus = [
             extract_aus(head.au_defs, pts, baseline, rng_au) for pts in block_aligned
         ]
-        au_row = window_average(np.asarray(block_aus), w)[0]
-        lm_row = np.mean(block_aligned, axis=0)
-        au_rows.append(au_row)
-        lm_rows.append(lm_row.reshape(-1))
-        records.append(FrameRecord(
-            frame_index=row_idx,
-            role=ROLE_TARGET,
-            command=block[0].command,
-            landmarks_aligned=lm_row,
-            aus=au_row,
-            pose=block[-1].pose,
-        ))
+        au_rows.append(window_average(np.asarray(block_aus), w)[0])
+        lm_rows.append(np.mean(block_aligned, axis=0).reshape(-1))
 
     landmarks = np.asarray(lm_rows)
     dataset = Dataset(
-        records=records,
+        frame_ids=np.arange(protocol.n_target_frames),
         aus=np.asarray(au_rows),
         landmarks=landmarks,
-        distances=np.array([
-            pairwise_distances(r.reshape(N_LANDMARKS, 3)) for r in landmarks
-        ]),
-        commands=np.array([r.command.as_array() for r in records]),
+        distances=_distances(landmarks),
+        commands=np.array([t.as_array() for t in targets]),
         meta={
             "schema": DATASET_SCHEMA,
             "head_config_sha256": head.sha256(),
@@ -248,7 +231,7 @@ def split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset
         meta["split"] = {"part": part, "test_fraction": test_fraction, "seed": seed}
         meta["n_rows"] = int(idx.size)
         return Dataset(
-            records=[d.records[i] for i in idx],
+            frame_ids=d.frame_ids[idx],
             aus=d.aus[idx],
             landmarks=d.landmarks[idx],
             distances=d.distances[idx],
@@ -279,14 +262,11 @@ def save_dataset(d: Dataset, path: str | Path) -> None:
     with (out / "frames.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for rec in d.records:
-            pts = rec.landmarks_aligned
-            row = [rec.frame_index, rec.role]
-            row += [rec.command.values[ch] for ch in CHANNELS]
-            row += [repr(float(v)) for v in pts[:, 0]]
-            row += [repr(float(v)) for v in pts[:, 1]]
-            row += [repr(float(v)) for v in pts[:, 2]]
-            row += [repr(float(v)) for v in rec.aus]
+        for frame_id, command, lm_row, aus in zip(d.frame_ids, d.commands, d.landmarks, d.aus):
+            row = [int(frame_id), ROLE_TARGET] + [int(v) for v in command]
+            # X_0..X_67, Y_0..Y_67, Z_0..Z_67
+            row += [repr(float(v)) for v in lm_row.reshape(N_LANDMARKS, 3).T.ravel()]
+            row += [repr(float(v)) for v in aus]
             writer.writerow(row)
 
 
@@ -314,8 +294,7 @@ def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
             stacklevel=2,
         )
 
-    records: list[FrameRecord] = []
-    au_rows, lm_rows = [], []
+    frame_ids, command_rows, au_rows, lm_rows = [], [], [], []
     with csv_path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -338,37 +317,29 @@ def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
                 raise DatasetCorruptError(
                     f"{csv_path}:{line_no}: dataset rows must have role 'target'"
                 )
-            lm_flat = np.array(floats[: 3 * N_LANDMARKS])
-            aus = np.array(floats[3 * N_LANDMARKS:])
-            pts = np.stack(
-                [lm_flat[:N_LANDMARKS], lm_flat[N_LANDMARKS:2 * N_LANDMARKS],
-                 lm_flat[2 * N_LANDMARKS:]], axis=1,
-            )
-            records.append(FrameRecord(
-                frame_index=frame_id,
-                role=role,
-                command=ActuatorCommand({ch: v for ch, v in zip(CHANNELS, cmd_vals)}),
-                landmarks_aligned=pts,
-                aus=aus,
-                pose=Pose.identity(),
-            ))
-            au_rows.append(aus)
-            lm_rows.append(pts.reshape(-1))
+            if not all(COMMAND_MIN <= v <= COMMAND_MAX for v in cmd_vals):
+                raise DatasetCorruptError(
+                    f"{csv_path}:{line_no}: command value outside "
+                    f"[{COMMAND_MIN}, {COMMAND_MAX}]"
+                )
+            lm_xyz = np.array(floats[: 3 * N_LANDMARKS]).reshape(3, N_LANDMARKS)
+            frame_ids.append(frame_id)
+            command_rows.append(cmd_vals)
+            lm_rows.append(lm_xyz.T.reshape(-1))
+            au_rows.append(floats[3 * N_LANDMARKS:])
 
-    if len(records) != meta.get("n_rows"):
+    if len(frame_ids) != meta.get("n_rows"):
         raise DatasetCorruptError(
-            f"{csv_path} has {len(records)} rows, metadata says {meta.get('n_rows')}"
+            f"{csv_path} has {len(frame_ids)} rows, metadata says {meta.get('n_rows')}"
         )
 
     landmarks = np.asarray(lm_rows)
     return Dataset(
-        records=records,
-        aus=np.asarray(au_rows),
+        frame_ids=np.array(frame_ids, dtype=int),
+        aus=np.array(au_rows, dtype=float),
         landmarks=landmarks,
-        distances=np.array([
-            pairwise_distances(r.reshape(N_LANDMARKS, 3)) for r in landmarks
-        ]),
-        commands=np.array([r.command.as_array() for r in records]),
+        distances=_distances(landmarks),
+        commands=np.array(command_rows, dtype=float),
         meta=meta,
     )
 
@@ -390,15 +361,16 @@ _OPENFACE_AU_COLS = [f"AU{au:02d}_r" for au in AU_IDS]
 _OPENFACE_POSE_COLS = ["pose_Tx", "pose_Ty", "pose_Tz", "pose_Rx", "pose_Ry", "pose_Rz"]
 
 
-def ingest_openface_csv(
-    path: str | Path, confidence_threshold: float = 0.8
-) -> list[HumanFrame]:
-    """Parse an OpenFace 2.0 FeatureExtraction CSV into HumanFrames.
+def parse_openface_lines(
+    lines: Iterable[str], confidence_threshold: float = 0.8, source: str = "<stream>"
+) -> Iterator[HumanFrame]:
+    """Parse OpenFace 2.0 FeatureExtraction CSV lines into HumanFrames, lazily.
 
     Requires 3D landmark columns (``X_0..Z_67``), the 17 AU intensity
     columns (``AU01_r..AU45_r``), pose, timestamp and confidence.  Rows
     under the confidence threshold are dropped.  Header names may carry
-    OpenFace's leading spaces.
+    OpenFace's leading spaces.  Each frame is yielded as soon as its line
+    is read; errors name ``source`` and the line number.
     """
     required = (
         ["timestamp", "confidence"]
@@ -406,46 +378,54 @@ def ingest_openface_csv(
         + _LANDMARK_COLS
         + _OPENFACE_AU_COLS
     )
-    frames: list[HumanFrame] = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(lines)
+    try:
+        raw_header = next(reader)
+    except StopIteration:
+        raise OpenFaceFormatError(f"{source}: empty file") from None
+    header = [h.strip() for h in raw_header]
+    col = {name: i for i, name in enumerate(header)}
+    missing = [name for name in required if name not in col]
+    if missing:
+        raise OpenFaceFormatError(f"{source}: missing required columns {missing}")
+
+    def cell(row: list[str], name: str, line_no: int) -> float:
         try:
-            raw_header = next(reader)
-        except StopIteration:
-            raise OpenFaceFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in raw_header]
-        col = {name: i for i, name in enumerate(header)}
-        missing = [name for name in required if name not in col]
-        if missing:
-            raise OpenFaceFormatError(f"{path}: missing required columns {missing}")
+            return float(row[col[name]])
+        except (ValueError, IndexError):
+            raise OpenFaceFormatError(
+                f"{source}:{line_no}: unparsable value for column {name!r}"
+            ) from None
 
-        def cell(row: list[str], name: str, line_no: int) -> float:
-            try:
-                return float(row[col[name]])
-            except (ValueError, IndexError):
-                raise OpenFaceFormatError(
-                    f"{path}:{line_no}: unparsable value for column {name!r}"
-                ) from None
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        confidence = cell(row, "confidence", line_no)
+        if confidence < confidence_threshold:
+            continue
+        xs = [cell(row, f"X_{i}", line_no) for i in range(N_LANDMARKS)]
+        ys = [cell(row, f"Y_{i}", line_no) for i in range(N_LANDMARKS)]
+        zs = [cell(row, f"Z_{i}", line_no) for i in range(N_LANDMARKS)]
+        aus = np.array([cell(row, c, line_no) for c in _OPENFACE_AU_COLS])
+        pose = Pose(
+            rotation=[cell(row, f"pose_R{ax}", line_no) for ax in "xyz"],
+            translation=[cell(row, f"pose_T{ax}", line_no) for ax in "xyz"],
+        )
+        yield HumanFrame(
+            landmarks=np.stack([xs, ys, zs], axis=1),
+            aus=np.clip(aus, 0.0, 5.0),
+            pose=pose,
+            timestamp=cell(row, "timestamp", line_no),
+            confidence=confidence,
+        )
 
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            confidence = cell(row, "confidence", line_no)
-            if confidence < confidence_threshold:
-                continue
-            xs = [cell(row, f"X_{i}", line_no) for i in range(N_LANDMARKS)]
-            ys = [cell(row, f"Y_{i}", line_no) for i in range(N_LANDMARKS)]
-            zs = [cell(row, f"Z_{i}", line_no) for i in range(N_LANDMARKS)]
-            aus = np.array([cell(row, c, line_no) for c in _OPENFACE_AU_COLS])
-            pose = Pose(
-                rotation=[cell(row, f"pose_R{ax}", line_no) for ax in "xyz"],
-                translation=[cell(row, f"pose_T{ax}", line_no) for ax in "xyz"],
-            )
-            frames.append(HumanFrame(
-                landmarks=np.stack([xs, ys, zs], axis=1),
-                aus=np.clip(aus, 0.0, 5.0),
-                pose=pose,
-                timestamp=cell(row, "timestamp", line_no),
-                confidence=confidence,
-            ))
-    return frames
+
+def ingest_openface_csv(
+    path: str | Path, confidence_threshold: float = 0.8
+) -> list[HumanFrame]:
+    """Parse an OpenFace 2.0 FeatureExtraction CSV file into HumanFrames.
+
+    See :func:`parse_openface_lines` for the columns and the filtering.
+    """
+    with Path(path).open(newline="") as fh:
+        return list(parse_openface_lines(fh, confidence_threshold, source=str(path)))

@@ -10,7 +10,6 @@ gradient descent with a fixed epoch budget, deterministic under a seed.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -532,13 +531,12 @@ def grid_search(
     grid: HyperGrid,
     epochs: int = 2000,
     seed: int = 0,
-    n_jobs: int = 1,
 ) -> tuple[MlpModel, list[GridEntry]]:
     """Exhaustively train the grid and rank by validation RMSE.
 
     Each point gets its own deterministic seed derived from ``seed`` and
     its position in the grid, so results do not depend on evaluation
-    order or parallelism.
+    order.
     """
     points = grid.points()
 
@@ -562,13 +560,7 @@ def grid_search(
             entry = GridEntry(depth, width, act, lr, l2, float("inf"), 0, error=str(e))
             return entry, None
 
-    work = list(enumerate(points))
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(run, work))
-    else:
-        results = [run(w) for w in work]
-
+    results = [run(w) for w in enumerate(points)]
     results.sort(key=lambda em: em[0].sort_key())
     leaderboard = [e for e, _ in results]
     best_entry, best_model = results[0]

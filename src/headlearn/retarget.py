@@ -146,31 +146,59 @@ class PipelineModel:
             raise ConfigError(f"unknown feature kind {self.feature_kind!r}")
         if self.feature_kind == "au" and self.au_ids_used is None:
             raise ConfigError("au-kind model needs au_ids_used")
+        # columns of the kept AUs among all 17
+        self.au_index = (
+            np.array([AU_INDEX[a] for a in self.au_ids_used])
+            if self.feature_kind == "au" else None
+        )
 
     # -- feature plumbing --------------------------------------------------
 
     def dataset_features(self, d: Dataset) -> np.ndarray:
         """Model-space features for dataset rows (already aligned)."""
         if self.feature_kind == "au":
-            idx = [AU_INDEX[a] for a in self.au_ids_used]
-            return d.aus[:, idx]
+            return d.aus[:, self.au_index]
         return d.features(self.feature_kind)
 
     def frame_features(self, frame: HumanFrame) -> np.ndarray:
         """Model-space features for one tracked human frame."""
         if self.feature_kind == "au":
-            idx = [AU_INDEX[a] for a in self.au_ids_used]
-            return frame.aus[idx]
+            return frame.aus[self.au_index]
         face = derotate(frame.landmarks, frame.pose)
         aligned, _ = procrustes_align(face, self.neutral_reference)
         if self.feature_kind == "landmarks":
             return aligned.reshape(-1)
         return pairwise_distances(aligned)
 
+    def reads_finite(self, frame: HumanFrame) -> bool:
+        """Whether every input of ``frame`` the model reads is finite: the
+        kept AUs for the au kind, the landmarks and the pose otherwise."""
+        if self.feature_kind == "au":
+            return bool(np.isfinite(frame.aus[self.au_index]).all())
+        return bool(
+            np.isfinite(frame.landmarks).all()
+            and np.isfinite(frame.pose.rotation).all()
+            and np.isfinite(frame.pose.translation).all()
+        )
+
     def predict_raw(self, features: np.ndarray) -> np.ndarray:
         """Unrounded command predictions for model-space feature rows."""
         z = pca_transform(self.pca, features)
         return self.regressor.predict(z)
+
+    def human_raw(self, frame: HumanFrame) -> np.ndarray:
+        """Unrounded command for one tracked human frame.
+
+        Pipeline: derotate -> align to the neutral reference -> extract the
+        model's feature kind (AUs come straight from the tracker) -> MinMax-map
+        the human range onto the robot range -> PCA -> regress.
+        """
+        if self.human_stats is None:
+            raise CalibrationRequiredError(
+                "model has no human MinMax stats; run calibrate_human first"
+            )
+        mapped = minmax_map(self.frame_features(frame), self.human_stats, self.robot_stats)
+        return self.predict_raw(mapped[None, :])[0]
 
     # -- serialization -----------------------------------------------------
 
@@ -244,7 +272,6 @@ def fit_pipeline(
     epochs: int = 2000,
     seed: int = 0,
     prune_threshold: float = 0.2,
-    n_jobs: int = 1,
 ) -> PipelineModel:
     """Train a full retargeting pipeline on a dataset.
 
@@ -324,7 +351,7 @@ def fit_pipeline(
         val_idx, tr_idx = np.sort(perm[:n_val]), np.sort(perm[n_val:])
         best, _ = grid_search(
             z[tr_idx], y[tr_idx], z[val_idx], y[val_idx],
-            grid, epochs=epochs, seed=seed, n_jobs=n_jobs,
+            grid, epochs=epochs, seed=seed,
         )
         h = best.hyper
         reg = mlp_fit(
@@ -380,8 +407,7 @@ def express(model: PipelineModel, au_target: np.ndarray) -> ActuatorCommand:
     target = np.asarray(au_target, dtype=float)
     if target.shape != (len(AU_IDS),):
         raise ValueError("au_target must have 17 entries")
-    idx = [AU_INDEX[a] for a in model.au_ids_used]
-    raw = model.predict_raw(target[idx][None, :])[0]
+    raw = model.predict_raw(target[model.au_index][None, :])[0]
     return command_from_raw(raw)
 
 
@@ -399,20 +425,9 @@ def calibrate_human(model: PipelineModel, frames: Iterable[HumanFrame]) -> Pipel
 
 
 def retarget_frame(model: PipelineModel, frame: HumanFrame) -> ActuatorCommand:
-    """Map one tracked human frame onto an actuator command.
-
-    Pipeline: derotate -> align to the neutral reference -> extract the
-    model's feature kind (AUs come straight from the tracker) -> MinMax-map
-    the human range onto the robot range -> PCA -> regress -> round + clip.
-    """
-    if model.human_stats is None:
-        raise CalibrationRequiredError(
-            "model has no human MinMax stats; run calibrate_human first"
-        )
-    feats = model.frame_features(frame)
-    mapped = minmax_map(feats, model.human_stats, model.robot_stats)
-    raw = model.predict_raw(mapped[None, :])[0]
-    return command_from_raw(raw)
+    """Map one tracked human frame onto an actuator command: the
+    :meth:`PipelineModel.human_raw` prediction, rounded and clipped."""
+    return command_from_raw(model.human_raw(frame))
 
 
 def stream(
@@ -424,27 +439,21 @@ def stream(
     """Per-frame retargeting with trailing smoothing and hold-last gaps.
 
     Emits exactly one command per input frame.  Frames under the
-    confidence threshold repeat the previously emitted command (the
-    neutral command before any frame passed); confident frames enter a
-    trailing moving average of raw predictions of length
-    ``smoothing_window`` before rounding.
+    confidence threshold, and frames with a non-finite value in an input
+    the model reads, repeat the previously emitted command (the neutral
+    command before any frame passed); other frames enter a trailing moving
+    average of raw predictions of length ``smoothing_window`` before
+    rounding.
     """
     if smoothing_window < 1:
         raise ValueError("smoothing_window must be >= 1")
     buffer: list[np.ndarray] = []
     last = ActuatorCommand.neutral()
     for frame in frames:
-        if frame.confidence < confidence_threshold:
+        if frame.confidence < confidence_threshold or not model.reads_finite(frame):
             yield last
             continue
-        if model.human_stats is None:
-            raise CalibrationRequiredError(
-                "model has no human MinMax stats; run calibrate_human first"
-            )
-        feats = model.frame_features(frame)
-        mapped = minmax_map(feats, model.human_stats, model.robot_stats)
-        raw = model.predict_raw(mapped[None, :])[0]
-        buffer.append(raw)
+        buffer.append(model.human_raw(frame))
         if len(buffer) > smoothing_window:
             buffer.pop(0)
         last = command_from_raw(np.mean(buffer, axis=0))

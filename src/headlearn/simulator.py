@@ -86,14 +86,9 @@ class ActuatorCommand:
         return self.as_array() / COMMAND_MAX
 
 
-@dataclass
-class ActuatorDef:
-    """One channel: sparse landmark displacement basis at full activation."""
-
-    channel: int
-    name: str
-    basis: list[tuple[int, float, float, float]]
-    symmetric: bool = True
+class SparseBasis:
+    """Mixin for a ``basis`` field holding sparse (index, dx, dy, dz)
+    landmark displacements: its dense form and its JSON codec."""
 
     def dense_basis(self) -> np.ndarray:
         """Expand the sparse (index, dx, dy, dz) list to a (68, 3) field."""
@@ -102,11 +97,28 @@ class ActuatorDef:
             out[int(idx)] += (dx, dy, dz)
         return out
 
+    def basis_to_json(self) -> list[list]:
+        return [[int(i), float(x), float(y), float(z)] for i, x, y, z in self.basis]
+
+    @staticmethod
+    def basis_from_json(rows: list) -> list[tuple[int, float, float, float]]:
+        return [(int(i), float(x), float(y), float(z)) for i, x, y, z in rows]
+
+
+@dataclass
+class ActuatorDef(SparseBasis):
+    """One channel: sparse landmark displacement basis at full activation."""
+
+    channel: int
+    name: str
+    basis: list[tuple[int, float, float, float]]
+    symmetric: bool = True
+
     def to_dict(self) -> dict:
         return {
             "id": self.channel,
             "name": self.name,
-            "basis": [[int(i), float(x), float(y), float(z)] for i, x, y, z in self.basis],
+            "basis": self.basis_to_json(),
             "symmetric": self.symmetric,
         }
 
@@ -115,13 +127,13 @@ class ActuatorDef:
         return cls(
             channel=int(d["id"]),
             name=d["name"],
-            basis=[(int(i), float(x), float(y), float(z)) for i, x, y, z in d["basis"]],
+            basis=cls.basis_from_json(d["basis"]),
             symmetric=bool(d["symmetric"]),
         )
 
 
 @dataclass
-class QuadraticTerm:
+class QuadraticTerm(SparseBasis):
     """Optional pairwise cross-term: extra displacement ~ a_i * a_j.
 
     Off by default; lets robustness studies break the head's linearity.
@@ -131,17 +143,11 @@ class QuadraticTerm:
     channel_b: int
     basis: list[tuple[int, float, float, float]]
 
-    def dense_basis(self) -> np.ndarray:
-        out = np.zeros((N_LANDMARKS, 3))
-        for idx, dx, dy, dz in self.basis:
-            out[int(idx)] += (dx, dy, dz)
-        return out
-
     def to_dict(self) -> dict:
         return {
             "channel_a": self.channel_a,
             "channel_b": self.channel_b,
-            "basis": [[int(i), float(x), float(y), float(z)] for i, x, y, z in self.basis],
+            "basis": self.basis_to_json(),
         }
 
     @classmethod
@@ -149,7 +155,7 @@ class QuadraticTerm:
         return cls(
             channel_a=int(d["channel_a"]),
             channel_b=int(d["channel_b"]),
-            basis=[(int(i), float(x), float(y), float(z)) for i, x, y, z in d["basis"]],
+            basis=cls.basis_from_json(d["basis"]),
         )
 
 

@@ -148,7 +148,7 @@ def tiny_report(small_dataset):
     grid = HyperGrid([1], [8], ["tanh"], [1e-2], [0.0])
     return compare_representations(
         small_dataset, split_seed=3, grid=grid, epochs=40,
-        pca_candidates=(3, 5, 7), n_jobs=1,
+        pca_candidates=(3, 5, 7),
     )
 
 
@@ -163,7 +163,7 @@ class TestCompareRepresentations:
         grid = HyperGrid([1], [8], ["tanh"], [1e-2], [0.0])
         again = compare_representations(
             small_dataset, split_seed=3, grid=grid, epochs=40,
-            pca_candidates=(3, 5, 7), n_jobs=4,
+            pca_candidates=(3, 5, 7),
         )
         assert np.array_equal(tiny_report.values, again.values)
         assert tiny_report.distance_pca_dim == again.distance_pca_dim

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +156,35 @@ class TestHumanFlows:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 8  # hold-last keeps cadence
         assert all(len(line.split(",")) == 10 for line in out)
+
+    def test_stream_reads_stdin_line_by_line(
+        self, model_path, human_csv, tmp_path, capsys, monkeypatch
+    ):
+        calibrated = tmp_path / "cal.json"
+        main(["calibrate-human", "--model", str(model_path), "--csv", str(human_csv),
+              "--out", str(calibrated)])
+        args = ["stream", "--model", str(calibrated), "--window", "2"]
+        capsys.readouterr()
+        assert main(args + ["--csv", str(human_csv)]) == 0
+        from_file = capsys.readouterr().out.splitlines()
+
+        out = io.StringIO()
+        written = []  # output lines written before each input line is read
+
+        def stdin():
+            for line in human_csv.read_text().splitlines(keepends=True):
+                written.append(out.getvalue().count("\n"))
+                yield line
+
+        monkeypatch.setattr(sys, "stdin", stdin())
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(args) == 0
+        from_stdin = out.getvalue().splitlines()
+        assert from_stdin == from_file
+        assert len(from_stdin) == 8
+        assert all(len(line.split(",")) == 10 for line in from_stdin)
+        # the header and the first row, then one command out per row in
+        assert written == [0] + list(range(8))
 
     def test_retarget_to_directory(self, model_path, human_csv, tmp_path, capsys):
         calibrated = tmp_path / "cal.json"

@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 
@@ -60,8 +61,12 @@ class TestCollect:
         assert counts["neutral"] == 0 and counts["interp"] == 0
         assert counts["target"] == 10 * proto.au_window
 
-    def test_rows_are_targets_only(self, small_dataset):
-        assert all(r.role == "target" for r in small_dataset.records)
+    def test_rows_are_targets_only(self, small_dataset, tmp_path):
+        assert np.array_equal(small_dataset.frame_ids, np.arange(len(small_dataset)))
+        save_dataset(small_dataset, tmp_path / "d")
+        with (tmp_path / "d" / "frames.csv").open(newline="") as fh:
+            roles = [row["role"] for row in csv.DictReader(fh)]
+        assert roles == ["target"] * len(small_dataset)
 
     def test_feature_shapes_consistent(self, small_dataset):
         n = len(small_dataset)
@@ -111,10 +116,10 @@ class TestSplit:
 
     def test_disjoint_and_complete(self, small_dataset):
         train, test = split(small_dataset, 0.25, 3)
-        train_ids = {r.frame_index for r in train.records}
-        test_ids = {r.frame_index for r in test.records}
+        train_ids = set(train.frame_ids.tolist())
+        test_ids = set(test.frame_ids.tolist())
         assert train_ids.isdisjoint(test_ids)
-        assert train_ids | test_ids == {r.frame_index for r in small_dataset.records}
+        assert train_ids | test_ids == set(small_dataset.frame_ids.tolist())
 
     def test_same_seed_same_split(self, small_dataset):
         a = split(small_dataset, 0.25, 5)
@@ -138,8 +143,7 @@ class TestPersistence:
         assert np.array_equal(loaded.landmarks, small_dataset.landmarks)
         assert np.array_equal(loaded.distances, small_dataset.distances)
         assert loaded.meta == small_dataset.meta
-        for a, b in zip(loaded.records, small_dataset.records):
-            assert a.command == b.command and a.role == b.role
+        assert np.array_equal(loaded.frame_ids, small_dataset.frame_ids)
 
     def test_truncated_file_raises_corruption(self, small_dataset, tmp_path):
         save_dataset(small_dataset, tmp_path / "d")
@@ -147,6 +151,17 @@ class TestPersistence:
         text = csv_path.read_text()
         csv_path.write_text(text[: int(len(text) * 0.7)])
         with pytest.raises(DatasetCorruptError):
+            load_dataset(tmp_path / "d")
+
+    def test_out_of_range_command_names_line(self, small_dataset, tmp_path):
+        save_dataset(small_dataset, tmp_path / "d")
+        csv_path = tmp_path / "d" / "frames.csv"
+        lines = csv_path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[2] = "300"
+        lines[2] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetCorruptError, match=":3:"):
             load_dataset(tmp_path / "d")
 
     def test_version_mismatch_raises(self, small_dataset, tmp_path):

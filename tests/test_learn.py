@@ -351,13 +351,6 @@ class TestGridSearch:
         _, board = grid_search(xt, yt, xv, yv, grid, epochs=30, seed=0)
         assert len(board) == 2 * 2 * 1 * 1 * 2
 
-    def test_result_independent_of_parallelism(self):
-        xt, yt, xv, yv = self.small_problem()
-        grid = HyperGrid([1], [4, 8], ["tanh", "relu"], [1e-2], [0.0])
-        _, board1 = grid_search(xt, yt, xv, yv, grid, epochs=50, seed=1, n_jobs=1)
-        _, board4 = grid_search(xt, yt, xv, yv, grid, epochs=50, seed=1, n_jobs=4)
-        assert [e.sort_key() for e in board1] == [e.sort_key() for e in board4]
-
     def test_planted_architecture_ranks_first(self):
         # data generated by a tanh net is fit best by a matching candidate
         rng = np.random.default_rng(26)

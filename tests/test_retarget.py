@@ -278,6 +278,50 @@ class TestStream:
         out = list(stream(model, [dropped, frames[1]]))
         assert out[0] == ActuatorCommand.neutral()
 
+    def test_nan_au_cell_is_held(self, trained, default_head, monkeypatch):
+        import headlearn.retarget as retarget_mod
+
+        _, _, models = trained
+        rng = np.random.default_rng(15)
+        frames = [
+            human_frame(default_head, random_command(default_head, rng), rng_seed=120 + i)
+            for i in range(6)
+        ]
+        model = calibrate_human(models["au"], frames)
+        aus = frames[1].aus.copy()
+        aus[AU_INDEX[model.au_ids_used[0]]] = np.nan
+        seq = [frames[0], dataclasses.replace(frames[1], aus=aus), frames[2]]
+
+        def no_geometry(*args, **kwargs):
+            raise AssertionError("the au stream made a geometry call")
+
+        for name in ("derotate", "procrustes_align", "pairwise_distances"):
+            monkeypatch.setattr(retarget_mod, name, no_geometry)
+        out = list(stream(model, seq))
+        assert len(out) == len(seq)
+        for cmd in out:
+            assert_valid_command(cmd)
+        assert out[1] == out[0]
+        assert out[2] == retarget_frame(model, frames[2])
+
+    def test_nan_landmark_cell_is_held(self, trained, default_head):
+        _, _, models = trained
+        rng = np.random.default_rng(16)
+        frames = [
+            human_frame(default_head, random_command(default_head, rng), rng_seed=130 + i)
+            for i in range(6)
+        ]
+        model = calibrate_human(models["distances"], frames)
+        landmarks = frames[1].landmarks.copy()
+        landmarks[30, 1] = np.nan
+        seq = [frames[0], dataclasses.replace(frames[1], landmarks=landmarks), frames[2]]
+        out = list(stream(model, seq))
+        assert len(out) == len(seq)
+        for cmd in out:
+            assert_valid_command(cmd)
+        assert out[1] == out[0]
+        assert out[2] == retarget_frame(model, frames[2])
+
     def test_empty_stream(self, trained):
         _, _, models = trained
         assert list(stream(models["distances"], [])) == []
