@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -40,6 +41,14 @@ def default_dataset(default_head):
 @pytest.fixture(scope="session")
 def default_split(default_dataset):
     return split(default_dataset, 0.2, 0)
+
+
+def array_sha256(a):
+    """SHA-256 over an array's dtype, shape and C-order bytes."""
+    a = np.ascontiguousarray(a)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def random_rigid(rng):

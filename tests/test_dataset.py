@@ -23,7 +23,7 @@ from headlearn.errors import (
 from headlearn.geometry import N_LANDMARKS
 from headlearn.simulator import CHANNELS
 
-from conftest import openface_csv_text
+from conftest import array_sha256, openface_csv_text
 
 
 class TestProtocol:
@@ -107,6 +107,17 @@ class TestCollect:
         save_dataset(d, tmp_path / "d")
         digest = hashlib.sha256((tmp_path / "d" / "frames.csv").read_bytes()).hexdigest()
         assert digest == "1d46d4a3bd0d1574ae6425e0120e7434a179c0fed7e0d60182c5e21f87884882"
+
+    def test_golden_default_dataset(self, default_dataset):
+        # pins all four arrays of the seed-0 500-row collection, including
+        # the distances, which frames.csv does not store
+        names = ("aus", "landmarks", "distances", "commands")
+        assert {n: array_sha256(getattr(default_dataset, n)) for n in names} == {
+            "aus": "95224ed075be28ef0e39f35474fde07f1de5303a0a3e7ad83ec5a9f7dfbef423",
+            "landmarks": "65724e219cb1d73135bd29809e3ce2cd97f786c2675cdac4e2e2e68f3bbbc6c2",
+            "distances": "a7634826860568bfbcd3163b8d3434646c336b51b51f2b192ed1bda70d5e827c",
+            "commands": "206f77c2cba4e5dc8b0ca24f52988893389a319339ecaea333200aa1c2003c9e",
+        }
 
 
 class TestSplit:

@@ -17,7 +17,7 @@ from headlearn.simulator import (
     random_command,
 )
 
-from conftest import assert_valid_command
+from conftest import array_sha256, assert_valid_command
 
 
 def command_with(channel, value):
@@ -165,6 +165,28 @@ class TestObserve:
         assert np.array_equal(frame0.landmarks_observed, forward(quiet_head, ActuatorCommand.neutral()))
         assert np.array_equal(frame1.landmarks_observed, forward(quiet_head, c0))
         assert frame1.command == c1
+
+    def test_golden_fingerprint(self):
+        # pins the per-frame observation stream of the packaged head at a
+        # fixed seed, so a numeric drift in forward, noise or pose fails here
+        from headlearn.default_head import load_default_head
+
+        head = load_default_head()
+        rng = np.random.default_rng(50)
+        sim = HeadSimulator(head)
+        frames = [sim.observe(random_command(head, rng)) for _ in range(50)]
+        got = {
+            "landmarks_observed": np.stack([f.landmarks_observed for f in frames]),
+            "landmarks_true": np.stack([f.landmarks_true for f in frames]),
+            "rotation": np.stack([f.pose.rotation for f in frames]),
+            "translation": np.stack([f.pose.translation for f in frames]),
+        }
+        assert {name: array_sha256(a) for name, a in got.items()} == {
+            "landmarks_observed": "7823a5f2a8846d6654d432ae118a50494d7ae419ed54cee312df8afd1c7e7b32",
+            "landmarks_true": "26829273e88236a6e9370e4491f40da682d62b8611f3e83c805342a64dc5e6ba",
+            "rotation": "87fa8a12d1c0593c415b8073b8e1ad79247c0540796a3824e0c15dc13c1c795b",
+            "translation": "987e4c2a837ae2c8f784a375b6b68e6d6a043d2c6247a2b294281d8be0c145fb",
+        }
 
     def test_frame_indices_increment(self, default_head):
         sim = HeadSimulator(default_head)
