@@ -34,9 +34,10 @@ from .errors import (
     ProvenanceWarning,
     UnsupportedVersionError,
 )
-from .features import AU_IDS, extract_aus, window_average
+from .features import AU_IDS, AUReadout, window_average
 from .geometry import (
     N_LANDMARKS,
+    N_PAIRS,
     Pose,
     center,
     derotate,
@@ -47,10 +48,10 @@ from .simulator import (
     CHANNELS,
     COMMAND_MAX,
     COMMAND_MIN,
-    ActuatorCommand,
+    N_CHANNELS,
     HeadConfig,
     HeadSimulator,
-    interpolate_commands,
+    interpolate_rows,
     random_command,
 )
 
@@ -134,9 +135,39 @@ def _neutral_block_sizes(n_targets: int, neutral_fraction: float) -> list[int]:
     return [base + 1 if i < extra else base for i in range(n_targets)]
 
 
+# Frames (in collect) and rows (in _distances) processed per array step:
+# enough to spread numpy's per-call cost, few enough that the temporaries
+# stay small (a 32-row step of pairwise distances takes about 5 MB).
+CHUNK = 32
+
+
 def _distances(landmarks: np.ndarray) -> np.ndarray:
     """Pairwise-distance rows for flattened (n, 204) landmark rows."""
-    return np.array([pairwise_distances(r.reshape(N_LANDMARKS, 3)) for r in landmarks])
+    pts = landmarks.reshape(len(landmarks), N_LANDMARKS, 3)
+    out = np.empty((len(pts), N_PAIRS))
+    for start in range(0, len(pts), CHUNK):
+        out[start:start + CHUNK] = pairwise_distances(pts[start:start + CHUNK])
+    return out
+
+
+# role codes of the recorded frames, in the order of ``_ROLES``
+_NEUTRAL, _TARGET, _INTERP = range(3)
+_ROLES = (ROLE_NEUTRAL, ROLE_TARGET, ROLE_INTERP)
+
+
+def _schedule(
+    targets: np.ndarray, blocks: list[int], window: int, interp_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every recorded frame's command row, in recording order, and its role code."""
+    interp = interpolate_rows(targets[:-1], targets[1:], interp_steps)
+    rows, roles = [], []
+    for i, target in enumerate(targets):
+        rows += [np.zeros((blocks[i], N_CHANNELS)), np.broadcast_to(target, (window, N_CHANNELS))]
+        roles += [_NEUTRAL] * blocks[i] + [_TARGET] * window
+        if i < len(interp):
+            rows.append(interp[i])
+            roles += [_INTERP] * interp_steps
+    return np.concatenate(rows), np.array(roles)
 
 
 def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
@@ -145,73 +176,60 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
     Deterministic: the command stream is seeded from ``protocol.rng_seed``,
     observation noise from ``head.rng_seed``, and AU detection noise from
     both.  Stored landmark rows are derotated, aligned to the neutral
-    reference, and averaged over each held expression.
+    reference, and averaged over each held expression.  The frames go
+    through the simulator and the alignment ``CHUNK`` at a time; only the
+    aligned target frames and the neutral frames' distances at the AU
+    pairs are kept.
     """
     rng_cmd = np.random.default_rng(protocol.rng_seed)
     rng_au = np.random.default_rng([head.rng_seed, protocol.rng_seed, 0xAE])
-    sim = HeadSimulator(head)
-    neutral_cmd = ActuatorCommand.neutral()
+    n, window = protocol.n_target_frames, protocol.au_window
 
-    targets = [random_command(head, rng_cmd) for _ in range(protocol.n_target_frames)]
-    blocks = _neutral_block_sizes(protocol.n_target_frames, protocol.neutral_fraction)
-
-    stream = []  # (role, ObservedFrame)
-    for i, target in enumerate(targets):
-        for _ in range(blocks[i]):
-            stream.append((ROLE_NEUTRAL, sim.observe(neutral_cmd)))
-        for _ in range(protocol.au_window):
-            stream.append((ROLE_TARGET, sim.observe(target)))
-        if i + 1 < len(targets):
-            for cmd in interpolate_commands(target, targets[i + 1], protocol.interp_steps):
-                stream.append((ROLE_INTERP, sim.observe(cmd)))
-
-    counts = {
-        ROLE_NEUTRAL: sum(1 for r, _ in stream if r == ROLE_NEUTRAL),
-        ROLE_TARGET: sum(1 for r, _ in stream if r == ROLE_TARGET),
-        ROLE_INTERP: sum(1 for r, _ in stream if r == ROLE_INTERP),
-    }
+    # one draw call per target: integers buffers its draws within a call
+    targets = np.array([random_command(head, rng_cmd).as_array() for _ in range(n)])
+    blocks = _neutral_block_sizes(n, protocol.neutral_fraction)
+    schedule, roles = _schedule(targets, blocks, window, protocol.interp_steps)
 
     reference = center(head.neutral_landmarks)
+    readout = AUReadout(head.au_defs)
+    sim = HeadSimulator(head)
+    target_pts, neutral_dist = [], []
+    for start in range(0, len(schedule), CHUNK):
+        frames = sim.observe(schedule[start:start + CHUNK])
+        role = roles[start:start + CHUNK]
+        held = role != _INTERP  # interpolation frames are never aligned
+        aligned, _ = procrustes_align(
+            derotate(frames.landmarks_observed, frames.pose)[held], reference
+        )
+        target_pts.append(aligned[role[held] == _TARGET])
+        neutral_dist.append(readout.distances(aligned[role[held] == _NEUTRAL]))
 
-    def aligned(frame) -> np.ndarray:
-        face = derotate(frame.landmarks_observed, frame.pose)
-        return procrustes_align(face, reference)[0]
-
-    neutral_aligned = [aligned(f) for role, f in stream if role == ROLE_NEUTRAL]
-    if neutral_aligned:
-        baseline = np.mean([pairwise_distances(p) for p in neutral_aligned], axis=0)
+    target_pts = np.concatenate(target_pts)
+    neutral_dist = np.concatenate(neutral_dist)
+    if len(neutral_dist):
+        baseline = neutral_dist.mean(axis=0)
     else:
-        baseline = pairwise_distances(reference)
+        baseline = readout.distances(reference)
+    aus = readout.intensities(readout.distances(target_pts), baseline, rng_au)
 
-    target_frames = [f for role, f in stream if role == ROLE_TARGET]
-    w = protocol.au_window
-    au_rows, lm_rows = [], []
-    for row_idx in range(protocol.n_target_frames):
-        block = target_frames[row_idx * w: (row_idx + 1) * w]
-        block_aligned = [aligned(f) for f in block]
-        block_aus = [
-            extract_aus(head.au_defs, pts, baseline, rng_au) for pts in block_aligned
-        ]
-        au_rows.append(window_average(np.asarray(block_aus), w)[0])
-        lm_rows.append(np.mean(block_aligned, axis=0).reshape(-1))
-
-    landmarks = np.asarray(lm_rows)
-    dataset = Dataset(
-        frame_ids=np.arange(protocol.n_target_frames),
-        aus=np.asarray(au_rows),
+    landmarks = window_average(target_pts.reshape(n * window, -1), window)
+    return Dataset(
+        frame_ids=np.arange(n),
+        aus=window_average(aus, window),
         landmarks=landmarks,
         distances=_distances(landmarks),
-        commands=np.array([t.as_array() for t in targets]),
+        commands=targets,
         meta={
             "schema": DATASET_SCHEMA,
             "head_config_sha256": head.sha256(),
             "protocol": protocol.to_dict(),
-            "recorded_frames": counts,
-            "n_rows": protocol.n_target_frames,
+            "recorded_frames": {
+                name: int(np.sum(roles == code)) for code, name in enumerate(_ROLES)
+            },
+            "n_rows": n,
             "neutral_reference": [[float(c) for c in row] for row in reference],
         },
     )
-    return dataset
 
 
 def split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import pair_index, pairwise_distances
+from .geometry import N_PAIRS, PAIR_INDICES, pair_distances, pair_index
 
 # The 17 AU intensity channels emitted by OpenFace 2.0, in fixed order.
 AU_IDS = (1, 2, 4, 5, 6, 7, 9, 10, 12, 14, 15, 17, 20, 23, 25, 26, 45)
@@ -76,51 +76,86 @@ class AUDef:
         )
 
 
+class AUReadout:
+    """The synthetic AU extractor of one ``au_defs`` list, checked once.
+
+    ``pairs`` holds the flat indices (ascending, see ``PAIR_INDICES``) of
+    the landmark pairs the weights read; :meth:`distances` measures only
+    those, and :meth:`intensities` turns them into the 17 AU intensities.
+    Both take one landmark set or a stack of them.
+    """
+
+    def __init__(self, au_defs: list[AUDef]):
+        by_id = {d.au: d for d in au_defs}
+        if len(by_id) != len(au_defs):
+            raise ConfigError("duplicate AU ids in au_defs")
+        missing = [au for au in AU_IDS if au not in by_id]
+        if missing:
+            raise ConfigError(f"au_defs missing definitions for AUs {missing}")
+        self.defs = [by_id[au] for au in AU_IDS]
+        read = [pair_index(i, j) for d in self.defs for i, j, _ in d.weights]
+        self.pairs = np.unique(np.array(read, dtype=int))
+        self._first, self._second = PAIR_INDICES[self.pairs].T
+        column = {p: c for c, p in enumerate(self.pairs.tolist())}
+        self._terms = [
+            [(column[pair_index(i, j)], w) for i, j, w in d.weights] for d in self.defs
+        ]
+        self._sigmas = np.array([d.noise_sigma for d in self.defs])
+
+    def distances(self, landmarks: np.ndarray) -> np.ndarray:
+        """Distances at ``pairs``: (k,) for one set, (n, k) for a stack."""
+        return pair_distances(landmarks, self._first, self._second)
+
+    def intensities(
+        self,
+        distances: np.ndarray,
+        neutral: np.ndarray,
+        rng: np.random.Generator | None = None,
+    ) -> np.ndarray:
+        """AU intensities, (17,) or (n, 17), from distances at ``pairs`` and
+        the neutral expression's distances at the same pairs.
+
+        Per AU: base = sum(w * (d - d_neutral)) + bias; crosstalk then adds
+        coefficients times other AUs' base values; Gaussian noise (if
+        ``rng`` given, one row of 17 draws per frame) and clipping to [0, 5]
+        come last.
+        """
+        delta = np.asarray(distances, dtype=float) - neutral
+        base = np.empty(delta.shape[:-1] + (N_AUS,))
+        for k, (d, terms) in enumerate(zip(self.defs, self._terms)):
+            acc = d.bias
+            for c, w in terms:
+                acc = acc + w * delta[..., c]
+            base[..., k] = acc
+
+        crossed = base.copy()
+        for k, d in enumerate(self.defs):
+            for other, coeff in d.crosstalk:
+                crossed[..., k] += coeff * base[..., AU_INDEX[other]]
+
+        if rng is not None:
+            crossed = crossed + rng.standard_normal(crossed.shape) * self._sigmas
+        return np.clip(crossed, 0.0, 5.0)
+
+
 def extract_aus(
     au_defs: list[AUDef],
     landmarks: np.ndarray,
     neutral_baseline: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Compute the 17 AU intensities for one landmark set.
+    """Compute the 17 AU intensities for one landmark set, or (n, 17) for a
+    stack of n sets.
 
     ``neutral_baseline`` is the pairwise-distance vector of the neutral
-    expression (the person-specific normalisation reference).  Per AU:
-    base = sum(w * (d - d_neutral)) + bias; crosstalk then adds coefficients
-    times other AUs' base values; Gaussian noise (if ``rng`` given) and
-    clipping to [0, 5] come last.
+    expression (the person-specific normalisation reference); see
+    :meth:`AUReadout.intensities` for the readout.
     """
-    by_id = {d.au: d for d in au_defs}
-    if len(by_id) != len(au_defs):
-        raise ConfigError("duplicate AU ids in au_defs")
-    missing = [au for au in AU_IDS if au not in by_id]
-    if missing:
-        raise ConfigError(f"au_defs missing definitions for AUs {missing}")
-
-    dist = pairwise_distances(landmarks)
+    readout = AUReadout(au_defs)
     baseline = np.asarray(neutral_baseline, dtype=float)
-    if baseline.shape != dist.shape:
+    if baseline.shape != (N_PAIRS,):
         raise ValueError("neutral_baseline must be a 2278-long distance vector")
-    delta = dist - baseline
-
-    base = np.empty(N_AUS)
-    for k, au in enumerate(AU_IDS):
-        d = by_id[au]
-        acc = d.bias
-        for i, j, w in d.weights:
-            acc += w * delta[pair_index(i, j)]
-        base[k] = acc
-
-    crossed = base.copy()
-    for k, au in enumerate(AU_IDS):
-        for other, coeff in by_id[au].crosstalk:
-            crossed[k] += coeff * base[AU_INDEX[other]]
-
-    if rng is not None:
-        sigmas = np.array([by_id[au].noise_sigma for au in AU_IDS])
-        crossed = crossed + rng.standard_normal(N_AUS) * sigmas
-
-    return np.clip(crossed, 0.0, 5.0)
+    return readout.intensities(readout.distances(landmarks), baseline[readout.pairs], rng)
 
 
 @dataclass

@@ -2,7 +2,10 @@
 
 Works on the standard 68-point face layout (jawline 0-16, eyebrows 17-26,
 nose 27-35, eyes 36-47, outer lip 48-59, inner lip 60-67), coordinates in
-millimetres.  Landmark sets are plain ``(68, 3)`` float arrays.
+millimetres.  Landmark sets are plain ``(68, 3)`` float arrays; the
+functions below also take a stack of ``n`` sets as an ``(n, 68, 3)`` array
+(and a :class:`Pose` of ``(n, 3)`` arrays) and treat each set as the
+single-set call would, bit for bit.
 
 Euler convention used everywhere (poses, jitter, OpenFace ``pose_R*``
 round-trips): intrinsic X-Y-Z, radians, applied as ``R = Rx @ Ry @ Rz``
@@ -66,31 +69,50 @@ def mirror_landmarks(points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (of each matrix in a stack)."""
+    return a.swapaxes(-1, -2)
+
+
 def center(points: np.ndarray) -> np.ndarray:
-    """Translate a point set so its centroid is at the origin."""
+    """Translate a point set (each set of a stack) so its centroid is at
+    the origin."""
     pts = np.asarray(points, dtype=float)
-    return pts - pts.mean(axis=0)
+    return pts - pts.mean(axis=-2, keepdims=True)
 
 
-def _wrap_angle(a: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    w = (a + math.pi) % (2.0 * math.pi) - math.pi
-    return math.pi if w == -math.pi else w
+# Entries of the three elementary rotations Rx, Ry, Rz, as indices into
+# [cos x, cos y, cos z, sin x, sin y, sin z, -sin x, -sin y, -sin z, 1, 0].
+_ELEMENTARY = np.array([
+    9, 10, 10, 10, 0, 6, 10, 3, 0,   # Rx
+    1, 10, 4, 10, 9, 10, 7, 10, 1,   # Ry
+    2, 8, 10, 5, 2, 10, 10, 10, 9,   # Rz
+])
 
 
 @dataclass
 class Pose:
-    """Rigid head pose: intrinsic X-Y-Z Euler angles (rad) + translation (mm)."""
+    """Rigid head pose: intrinsic X-Y-Z Euler angles (rad) + translation (mm).
+
+    Both fields have shape (3,), or (n, 3) for a stack of n poses.
+    """
 
     rotation: np.ndarray = field(default_factory=lambda: np.zeros(3))
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
-        self.rotation = np.array(
-            [_wrap_angle(float(a)) for a in np.asarray(self.rotation, dtype=float)]
-        )
+        # wrap into (-pi, pi]; an infinite angle becomes NaN without a warning
+        with np.errstate(invalid="ignore"):
+            rot = np.remainder(np.asarray(self.rotation, dtype=float) + math.pi, 2.0 * math.pi)
+        rot -= math.pi
+        rot[rot == -math.pi] = math.pi
+        self.rotation = rot
         self.translation = np.asarray(self.translation, dtype=float).copy()
-        if self.rotation.shape != (3,) or self.translation.shape != (3,):
+        if (
+            self.rotation.shape[-1:] != (3,)
+            or self.rotation.ndim > 2
+            or self.translation.shape != self.rotation.shape
+        ):
             raise ValueError("pose needs 3 rotation angles and 3 translation values")
 
     @classmethod
@@ -98,21 +120,23 @@ class Pose:
         return cls()
 
     def matrix(self) -> np.ndarray:
-        """Rotation matrix for the intrinsic X-Y-Z angles."""
-        ax, ay, az = self.rotation
-        cx, sx = math.cos(ax), math.sin(ax)
-        cy, sy = math.cos(ay), math.sin(ay)
-        cz, sz = math.cos(az), math.sin(az)
-        rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-        ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-        rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+        """Rotation matrix for the intrinsic X-Y-Z angles, (3, 3) or (n, 3, 3)."""
+        lead = self.rotation.shape[:-1]
+        entries = np.empty(lead + (11,))
+        np.cos(self.rotation, out=entries[..., 0:3])
+        np.sin(self.rotation, out=entries[..., 3:6])
+        np.negative(entries[..., 3:6], out=entries[..., 6:9])
+        entries[..., 9] = 1.0
+        entries[..., 10] = 0.0
+        # (..., 3, 3, 3) with the elementary-rotation axis moved to the front
+        rx, ry, rz = entries[..., _ELEMENTARY].reshape(lead + (3, 3, 3)).swapaxes(0, -3)
         return rx @ ry @ rz
 
 
 def apply_pose(points: np.ndarray, pose: Pose) -> np.ndarray:
     """Rotate then translate a landmark set (face frame -> camera frame)."""
     r = pose.matrix()
-    return np.asarray(points, dtype=float) @ r.T + pose.translation
+    return np.asarray(points, dtype=float) @ _t(r) + pose.translation[..., None, :]
 
 
 def derotate(points: np.ndarray, pose: Pose) -> np.ndarray:
@@ -122,8 +146,18 @@ def derotate(points: np.ndarray, pose: Pose) -> np.ndarray:
     the camera-frame input expressed in the face frame with centroid 0.
     """
     r = pose.matrix()
-    face = (np.asarray(points, dtype=float) - pose.translation) @ r
+    face = (np.asarray(points, dtype=float) - pose.translation[..., None, :]) @ r
     return center(face)
+
+
+def pair_distances(points: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Euclidean distances between landmarks ``first[k]`` and ``second[k]``,
+    one vector per set: shape (k,), or (n, k) for a stack."""
+    pts = np.asarray(points, dtype=float)
+    # take keeps the result C-ordered (an (n, k) mean over axis 0 rounds
+    # by memory order) and gathers faster than fancy indexing
+    diff = np.take(pts, first, axis=-2) - np.take(pts, second, axis=-2)
+    return np.sqrt(np.einsum("...ij,...ij->...i", diff, diff))
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
@@ -131,10 +165,10 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
 
     Element order is lexicographic by (i, j) with i < j, matching
     ``PAIR_INDICES``.  Invariant under any rigid transform of the input.
+    A stack of n sets gives an (n, 2278) array; its temporaries take about
+    170 kB per set.
     """
-    pts = np.asarray(points, dtype=float)
-    diff = pts[_TRIU[0]] - pts[_TRIU[1]]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return pair_distances(points, *_TRIU)
 
 
 def pair_index(i: int, j: int) -> int:
@@ -158,22 +192,33 @@ def procrustes_align(
     aligned (centred, rotated) source and the proper rotation matrix R
     (det +1, reflections corrected) with ``aligned[i] = R @ centred_source[i]``.
 
-    Raises AlignmentDegenerateError when the source spans fewer than two
-    dimensions, which leaves the rotation underdetermined.
+    A stack of sources (n, N, 3) is aligned set by set, onto one shared
+    reference (N, 3) or onto a stack of references of the source's shape;
+    it returns (n, N, 3) aligned sets and (n, 3, 3) rotations.
+
+    Raises AlignmentDegenerateError when a source spans fewer than two
+    dimensions, which leaves the rotation underdetermined; for a stack the
+    message names the first such frame by its index.
     """
-    src = center(np.asarray(source, dtype=float))
-    ref = center(np.asarray(reference, dtype=float))
-    if src.shape != ref.shape:
+    src = center(source)
+    ref = center(reference)
+    if ref.shape not in (src.shape, src.shape[-2:]):
         raise ValueError("source and reference must have the same shape")
 
     spread = np.linalg.svd(src, compute_uv=False)
-    if spread[0] <= 0.0 or spread[1] <= 1e-9 * spread[0]:
+    top, second = spread.T[0], spread.T[1]
+    bad = (top <= 0.0) | (second <= 1e-9 * top)
+    if bad.any():
+        where = f"frame {np.flatnonzero(bad)[0]}: " if src.ndim > 2 else ""
         raise AlignmentDegenerateError(
-            "source landmarks are rank-deficient; rotation is underdetermined"
+            f"{where}source landmarks are rank-deficient; rotation is underdetermined"
         )
 
-    h = src.T @ ref
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return src @ rot.T, rot
+    u, _, vt = np.linalg.svd(_t(src) @ ref)
+    d = np.sign(np.linalg.det(_t(vt) @ _t(u)))
+    # diag(1, 1, d), multiplied in as the single-set algebra has it
+    flip = np.zeros(d.shape + (3, 3))
+    flip[..., 0, 0] = flip[..., 1, 1] = 1.0
+    flip[..., 2, 2] = d
+    rot = _t(vt) @ flip @ _t(u)
+    return src @ _t(rot), rot

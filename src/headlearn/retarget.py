@@ -27,6 +27,8 @@ from .dataset import Dataset, HumanFrame, split as split_dataset
 from .errors import (
     CalibrationRequiredError,
     ConfigError,
+    InvalidCommandError,
+    OpenFaceFormatError,
     UnsupportedVersionError,
 )
 from .features import (
@@ -59,7 +61,7 @@ from .learn import (
     ridge_fit,
     rmse,
 )
-from .simulator import ActuatorCommand, COMMAND_MAX, COMMAND_MIN
+from .simulator import CHANNELS, ActuatorCommand, COMMAND_MAX, COMMAND_MIN
 
 MODEL_SCHEMA = "pipeline-model/v1"
 
@@ -120,8 +122,18 @@ def facs_target(
 
 
 def command_from_raw(raw: np.ndarray) -> ActuatorCommand:
-    """Round a raw 9-vector prediction and clip it into the command range."""
-    vals = np.clip(np.floor(np.asarray(raw, dtype=float) + 0.5), COMMAND_MIN, COMMAND_MAX)
+    """Round a raw 9-vector prediction and clip it into the command range.
+
+    Infinite values clip to the range ends; a NaN raises
+    InvalidCommandError naming its channel.
+    """
+    raw = np.asarray(raw, dtype=float)
+    nan = np.isnan(raw)
+    if nan.any():
+        raise InvalidCommandError(
+            f"channel {CHANNELS[np.flatnonzero(nan)[0]]} prediction is NaN"
+        )
+    vals = np.clip(np.floor(raw + 0.5), COMMAND_MIN, COMMAND_MAX)
     return ActuatorCommand.from_array(vals.astype(int))
 
 
@@ -415,9 +427,19 @@ def calibrate_human(model: PipelineModel, frames: Iterable[HumanFrame]) -> Pipel
     """Fit human-side MinMax stats from a recording and attach them.
 
     The recording should cover neutral plus expressive frames so the
-    observed range spans the actor's expression space.
+    observed range spans the actor's expression space.  A frame with a
+    non-finite value in an input the model reads raises
+    OpenFaceFormatError naming the frame's index and timestamp.
     """
-    feats = np.array([model.frame_features(f) for f in frames])
+    rows = []
+    for i, frame in enumerate(frames):
+        if not model.reads_finite(frame):
+            raise OpenFaceFormatError(
+                f"calibration frame {i} (timestamp {frame.timestamp}): "
+                f"non-finite value in an input the {model.feature_kind} model reads"
+            )
+        rows.append(model.frame_features(frame))
+    feats = np.array(rows)
     if feats.size == 0:
         raise ValueError("calibration needs at least 2 frames")
     stats = fit_minmax(feats, model.feature_kind)
@@ -426,7 +448,16 @@ def calibrate_human(model: PipelineModel, frames: Iterable[HumanFrame]) -> Pipel
 
 def retarget_frame(model: PipelineModel, frame: HumanFrame) -> ActuatorCommand:
     """Map one tracked human frame onto an actuator command: the
-    :meth:`PipelineModel.human_raw` prediction, rounded and clipped."""
+    :meth:`PipelineModel.human_raw` prediction, rounded and clipped.
+
+    A non-finite value in an input the model reads raises
+    OpenFaceFormatError naming the frame's timestamp.
+    """
+    if not model.reads_finite(frame):
+        raise OpenFaceFormatError(
+            f"frame at timestamp {frame.timestamp}: "
+            f"non-finite value in an input the {model.feature_kind} model reads"
+        )
     return command_from_raw(model.human_raw(frame))
 
 

@@ -9,14 +9,14 @@ delayed by an integer sensor lag.
 
 Everything is a pure function of (config, inputs, seed): two simulators
 built from the same config and fed the same command sequence produce
-bit-identical frames.
+bit-identical frames, whether the sequence arrives one command at a time
+or as stacked (n, 9) command rows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -176,6 +176,8 @@ class HeadConfig:
     def __post_init__(self) -> None:
         self.neutral_landmarks = check_landmarks(self.neutral_landmarks)
         self.validate()
+        self._basis = self._stack_bases()
+        self._basis.flags.writeable = False
 
     def validate(self, symmetry_tol: float = 1e-6) -> None:
         channels = [a.channel for a in self.actuators]
@@ -205,7 +207,7 @@ class HeadConfig:
                     "basis is not mirror-symmetric"
                 )
 
-        flat = self.basis_matrix().reshape(N_CHANNELS, -1)
+        flat = self._stack_bases().reshape(N_CHANNELS, -1)
         if np.linalg.matrix_rank(flat) != N_CHANNELS:
             raise ConfigError("actuator displacement bases are linearly dependent")
 
@@ -213,10 +215,18 @@ class HeadConfig:
         if len(set(au_ids)) != len(au_ids):
             raise ConfigError("duplicate AU ids in head config")
 
-    def basis_matrix(self) -> np.ndarray:
-        """Dense displacement bases stacked in ``CHANNELS`` order, (9, 68, 3)."""
+    def _stack_bases(self) -> np.ndarray:
         ordered = sorted(self.actuators, key=lambda a: CHANNEL_INDEX[a.channel])
         return np.stack([a.dense_basis() for a in ordered])
+
+    def basis_matrix(self) -> np.ndarray:
+        """Dense displacement bases stacked in ``CHANNELS`` order, (9, 68, 3).
+
+        Built once when the config is constructed (``dataclasses.replace``
+        builds it anew) and returned read-only; changing ``actuators`` in
+        place afterwards does not reach it.
+        """
+        return self._basis
 
     # -- serialization ----------------------------------------------------
 
@@ -266,24 +276,53 @@ class HeadConfig:
 
 @dataclass
 class ObservedFrame:
-    """One simulated camera observation."""
+    """One simulated camera observation, or a stack of n of them.
 
-    command: ActuatorCommand
+    For a stack, ``command`` holds the (n, 9) command rows as issued, the
+    landmark fields are (n, 68, 3), ``pose`` holds (n, 3) arrays and
+    ``frame_index`` is the index of the first frame.
+    """
+
+    command: ActuatorCommand | np.ndarray
     landmarks_observed: np.ndarray
     landmarks_true: np.ndarray
     pose: Pose
     frame_index: int
 
 
-def forward(config: HeadConfig, command: ActuatorCommand) -> np.ndarray:
-    """Noiseless face-frame landmarks for a command (blendshape sum)."""
-    act = command.activations()
-    pts = config.neutral_landmarks + np.tensordot(act, config.basis_matrix(), axes=1)
+def _command_rows(commands: ActuatorCommand | np.ndarray) -> np.ndarray:
+    """(n, 9) float command values; one ActuatorCommand is n = 1."""
+    if isinstance(commands, ActuatorCommand):
+        return commands.as_array()[None, :]
+    rows = np.asarray(commands, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != N_CHANNELS:
+        raise InvalidCommandError(f"expected (n, {N_CHANNELS}) command rows, got {rows.shape}")
+    if not np.all((rows >= COMMAND_MIN) & (rows <= COMMAND_MAX) & (rows == np.floor(rows))):
+        raise InvalidCommandError(
+            f"command rows must hold integers in [{COMMAND_MIN}, {COMMAND_MAX}]"
+        )
+    return rows
+
+
+def _forward_rows(config: HeadConfig, rows: np.ndarray) -> np.ndarray:
+    """(n, 68, 3) noiseless landmarks for (n, 9) command rows."""
+    act = rows / COMMAND_MAX
+    basis = config.basis_matrix()
+    # a (1, 9) @ (9, 204) product per row rounds as the one-command sum does
+    moved = np.matmul(act[:, None, :], basis.reshape(N_CHANNELS, -1))
+    pts = config.neutral_landmarks + moved.reshape(len(rows), N_LANDMARKS, 3)
     for q in config.quadratic_terms:
-        a = act[CHANNEL_INDEX[q.channel_a]] * act[CHANNEL_INDEX[q.channel_b]]
-        if a != 0.0:
-            pts = pts + a * q.dense_basis()
+        a = act[:, CHANNEL_INDEX[q.channel_a]] * act[:, CHANNEL_INDEX[q.channel_b]]
+        on = a != 0.0
+        pts[on] += a[on, None, None] * q.dense_basis()
     return pts
+
+
+def forward(config: HeadConfig, commands: ActuatorCommand | np.ndarray) -> np.ndarray:
+    """Noiseless face-frame landmarks (blendshape sum): (68, 3) for one
+    command, (n, 68, 3) for (n, 9) command rows."""
+    pts = _forward_rows(config, _command_rows(commands))
+    return pts[0] if isinstance(commands, ActuatorCommand) else pts
 
 
 def random_command(config: HeadConfig, rng: np.random.Generator) -> ActuatorCommand:
@@ -300,15 +339,17 @@ def interpolate_commands(
     Values sit at fractions i/(steps+1) and are rounded to the nearest
     integer (ties up), keeping the wire protocol integer-valued.
     """
+    rows = interpolate_rows(a.as_array(), b.as_array(), steps)
+    return [ActuatorCommand.from_array(v.astype(int)) for v in rows]
+
+
+def interpolate_rows(a: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
+    """:func:`interpolate_commands` on command rows: for (..., 9) arrays
+    ``a`` and ``b``, the (..., steps, 9) float rows between them."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    va, vb = a.as_array(), b.as_array()
-    out = []
-    for i in range(1, steps + 1):
-        frac = i / (steps + 1)
-        vals = np.floor(va + (vb - va) * frac + 0.5).astype(int)
-        out.append(ActuatorCommand.from_array(vals))
-    return out
+    frac = (np.arange(1, steps + 1) / (steps + 1))[:, None]
+    return np.floor(a[..., None, :] + (b - a)[..., None, :] * frac + 0.5)
 
 
 class HeadSimulator:
@@ -322,40 +363,43 @@ class HeadSimulator:
     def __init__(self, config: HeadConfig, rng: np.random.Generator | None = None):
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.rng_seed)
-        self._lag: deque[ActuatorCommand] = deque(
-            [ActuatorCommand.neutral()] * config.sensor_lag_frames
-        )
+        # commands issued but not yet seen, oldest first
+        self._lag = np.zeros((config.sensor_lag_frames, N_CHANNELS))
         self._frame_index = 0
 
-    def observe(self, command: ActuatorCommand) -> ObservedFrame:
-        """Issue a command and return the (lagged, noisy, posed) observation."""
+    def observe(self, commands: ActuatorCommand | np.ndarray) -> ObservedFrame:
+        """Issue one command, or (n, 9) command rows in order, and return the
+        (lagged, noisy, posed) observation of each.
+
+        Random draws go frame by frame (landmark noise, then rotation, then
+        translation), so a stack observes exactly what n single calls would.
+        """
         cfg = self.config
-        if cfg.sensor_lag_frames > 0:
-            self._lag.append(command)
-            effective = self._lag.popleft()
-        else:
-            effective = command
+        rows = _command_rows(commands)
+        n = len(rows)
+        queued = np.concatenate([self._lag, rows])
+        self._lag = queued[n:].copy()
+        true_pts = _forward_rows(cfg, queued[:n])
 
-        true_pts = forward(cfg, effective)
-        noisy = true_pts
-        if cfg.landmark_noise_sigma > 0:
-            noisy = true_pts + self.rng.normal(
-                0.0, cfg.landmark_noise_sigma, size=(N_LANDMARKS, 3)
-            )
-        rot = self.rng.uniform(
-            -cfg.pose_jitter_max_rotation, cfg.pose_jitter_max_rotation, size=3
-        )
-        trans = self.rng.uniform(
-            -cfg.pose_jitter_max_translation, cfg.pose_jitter_max_translation, size=3
-        )
+        noisy = true_pts.copy()
+        rot, trans = np.empty((n, 3)), np.empty((n, 3))
+        sigma = cfg.landmark_noise_sigma
+        r, t = cfg.pose_jitter_max_rotation, cfg.pose_jitter_max_translation
+        for i in range(n):
+            if sigma > 0:
+                noisy[i] += self.rng.normal(0.0, sigma, size=(N_LANDMARKS, 3))
+            rot[i] = self.rng.uniform(-r, r, size=3)
+            trans[i] = self.rng.uniform(-t, t, size=3)
+
+        if isinstance(commands, ActuatorCommand):
+            true_pts, noisy, rot, trans = true_pts[0], noisy[0], rot[0], trans[0]
         pose = Pose(rotation=rot, translation=trans)
-
         frame = ObservedFrame(
-            command=command,
+            command=commands,
             landmarks_observed=apply_pose(noisy, pose),
             landmarks_true=true_pts,
             pose=pose,
             frame_index=self._frame_index,
         )
-        self._frame_index += 1
+        self._frame_index += n
         return frame
