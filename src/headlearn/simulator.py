@@ -304,24 +304,18 @@ def _command_rows(commands: ActuatorCommand | np.ndarray) -> np.ndarray:
     return rows
 
 
-def _forward_rows(config: HeadConfig, rows: np.ndarray) -> np.ndarray:
-    """(n, 68, 3) noiseless landmarks for (n, 9) command rows."""
+def forward(config: HeadConfig, commands: ActuatorCommand | np.ndarray) -> np.ndarray:
+    """Noiseless face-frame landmarks (blendshape sum): (68, 3) for one
+    command, (n, 68, 3) for (n, 9) command rows."""
+    rows = _command_rows(commands)
     act = rows / COMMAND_MAX
-    basis = config.basis_matrix()
     # a (1, 9) @ (9, 204) product per row rounds as the one-command sum does
-    moved = np.matmul(act[:, None, :], basis.reshape(N_CHANNELS, -1))
+    moved = np.matmul(act[:, None, :], config.basis_matrix().reshape(N_CHANNELS, -1))
     pts = config.neutral_landmarks + moved.reshape(len(rows), N_LANDMARKS, 3)
     for q in config.quadratic_terms:
         a = act[:, CHANNEL_INDEX[q.channel_a]] * act[:, CHANNEL_INDEX[q.channel_b]]
         on = a != 0.0
         pts[on] += a[on, None, None] * q.dense_basis()
-    return pts
-
-
-def forward(config: HeadConfig, commands: ActuatorCommand | np.ndarray) -> np.ndarray:
-    """Noiseless face-frame landmarks (blendshape sum): (68, 3) for one
-    command, (n, 68, 3) for (n, 9) command rows."""
-    pts = _forward_rows(config, _command_rows(commands))
     return pts[0] if isinstance(commands, ActuatorCommand) else pts
 
 
@@ -379,7 +373,7 @@ class HeadSimulator:
         n = len(rows)
         queued = np.concatenate([self._lag, rows])
         self._lag = queued[n:].copy()
-        true_pts = _forward_rows(cfg, queued[:n])
+        true_pts = forward(cfg, queued[:n])
 
         noisy = true_pts.copy()
         rot, trans = np.empty((n, 3)), np.empty((n, 3))

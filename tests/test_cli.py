@@ -7,6 +7,7 @@ import pytest
 
 from headlearn.cli import main
 from headlearn.dataset import CollectionProtocol, collect, save_dataset
+from headlearn.features import AU_INDEX
 from headlearn.simulator import CHANNELS, HeadConfig, random_command
 
 from conftest import frames_from_simulator, openface_csv_text
@@ -185,6 +186,40 @@ class TestHumanFlows:
         assert all(len(line.split(",")) == 10 for line in from_stdin)
         # the header and the first row, then one command out per row in
         assert written == [0] + list(range(8))
+
+    def nan_csv(self, head, path):
+        """Four confident rows, one AU12_r cell NaN in the third."""
+        rng = np.random.default_rng(31)
+        rows = frames_from_simulator(
+            head, [random_command(head, rng) for _ in range(4)], rng_seed=9
+        )
+        rows[2]["aus"] = np.array(rows[2]["aus"])
+        rows[2]["aus"][AU_INDEX[12]] = np.nan
+        path.write_text(openface_csv_text(rows))
+        return path, rows[2]["timestamp"]
+
+    def test_calibrate_on_nan_is_data_error(self, model_path, default_head, tmp_path, capsys):
+        csv, stamp = self.nan_csv(default_head, tmp_path / "nan.csv")
+        out = tmp_path / "cal.json"
+        assert main([
+            "calibrate-human", "--model", str(model_path), "--csv", str(csv),
+            "--out", str(out),
+        ]) == 2
+        assert f"frame 2 (timestamp {stamp})" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_retarget_on_nan_is_data_error(
+        self, model_path, human_csv, default_head, tmp_path, capsys
+    ):
+        calibrated = tmp_path / "cal.json"
+        main(["calibrate-human", "--model", str(model_path), "--csv", str(human_csv),
+              "--out", str(calibrated)])
+        capsys.readouterr()
+        csv, stamp = self.nan_csv(default_head, tmp_path / "nan.csv")
+        assert main(["retarget", "--model", str(calibrated), "--csv", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"timestamp {stamp}" in captured.err
 
     def test_retarget_to_directory(self, model_path, human_csv, tmp_path, capsys):
         calibrated = tmp_path / "cal.json"

@@ -8,6 +8,7 @@ from headlearn.features import (
     AU_IDS,
     AU_INDEX,
     AUDef,
+    AUReadout,
     MinMaxStats,
     extract_aus,
     fit_minmax,
@@ -104,6 +105,26 @@ class TestExtractAus:
         a = extract_aus(defs, pts, baseline, np.random.default_rng(3))
         b = extract_aus(defs, pts, baseline, np.random.default_rng(3))
         assert np.array_equal(a, b)
+
+    def test_stack_equals_loop(self, default_head):
+        rng = np.random.default_rng(5)
+        pts = default_head.neutral_landmarks + rng.normal(scale=1.0, size=(11, N_LANDMARKS, 3))
+        baseline = pairwise_distances(default_head.neutral_landmarks)
+        stacked = extract_aus(default_head.au_defs, pts, baseline, np.random.default_rng(6))
+        loop_rng = np.random.default_rng(6)
+        loop = [extract_aus(default_head.au_defs, p, baseline, loop_rng) for p in pts]
+        assert stacked.shape == (11, len(AU_IDS))
+        assert np.array_equal(stacked, np.array(loop))
+
+    def test_readout_measures_only_weighted_pairs(self):
+        pts = spread_landmarks()
+        defs = full_au_defs({
+            1: AUDef(1, weights=[(16, 0, 1.0), (3, 5, 0.5)]),
+            2: AUDef(2, weights=[(0, 16, -1.0)]),
+        })
+        readout = AUReadout(defs)
+        assert readout.pairs.tolist() == sorted({pair_index(0, 16), pair_index(3, 5)})
+        assert np.array_equal(readout.distances(pts), pairwise_distances(pts)[readout.pairs])
 
     def test_output_always_inside_intensity_range(self):
         rng = np.random.default_rng(4)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headlearn.errors import AlignmentDegenerateError
 from headlearn.geometry import (
@@ -14,6 +16,7 @@ from headlearn.geometry import (
     center,
     derotate,
     mirror_landmarks,
+    pair_distances,
     pair_index,
     pairwise_distances,
     procrustes_align,
@@ -168,3 +171,99 @@ class TestMirror:
     def test_midline_points_map_to_themselves(self):
         for idx in (8, 27, 28, 29, 30, 33, 51, 57, 62, 66):
             assert MIRROR_INDEX[idx] == idx
+
+
+class TestStackEqualsLoop:
+    """Each stacked call equals the per-frame calls, bit for bit."""
+
+    n = 9
+
+    def faces(self, seed):
+        return np.random.default_rng(seed).normal(scale=30.0, size=(self.n, N_LANDMARKS, 3))
+
+    def test_pose_wrap_and_matrix(self):
+        rng = np.random.default_rng(20)
+        rot, trans = rng.uniform(-10, 10, (self.n, 3)), rng.uniform(-40, 40, (self.n, 3))
+        poses = Pose(rotation=rot, translation=trans)
+        assert poses.matrix().shape == (self.n, 3, 3)
+        for i in range(self.n):
+            one = Pose(rotation=rot[i], translation=trans[i])
+            assert np.array_equal(poses.rotation[i], one.rotation)
+            assert np.array_equal(poses.matrix()[i], one.matrix())
+
+    def test_center(self):
+        pts = self.faces(21)
+        assert np.array_equal(center(pts), np.array([center(p) for p in pts]))
+
+    def test_apply_pose_and_derotate(self):
+        rng = np.random.default_rng(22)
+        rot, trans = rng.uniform(-3.5, 3.5, (self.n, 3)), rng.uniform(-40, 40, (self.n, 3))
+        pts, poses = self.faces(22), Pose(rotation=rot, translation=trans)
+        for fn in (apply_pose, derotate):
+            loop = [fn(p, Pose(rotation=r, translation=t)) for p, r, t in zip(pts, rot, trans)]
+            assert np.array_equal(fn(pts, poses), np.array(loop))
+
+    def test_procrustes_align_shared_and_stacked_reference(self):
+        pts, refs = self.faces(23), self.faces(24)
+        aligned, rots = procrustes_align(pts, refs[0])
+        for i, p in enumerate(pts):
+            a, r = procrustes_align(p, refs[0])
+            assert np.array_equal(aligned[i], a) and np.array_equal(rots[i], r)
+        aligned, rots = procrustes_align(pts, refs)
+        for i, (p, ref) in enumerate(zip(pts, refs)):
+            a, r = procrustes_align(p, ref)
+            assert np.array_equal(aligned[i], a) and np.array_equal(rots[i], r)
+
+    def test_procrustes_rejects_mismatched_stacks(self):
+        pts = self.faces(25)
+        with pytest.raises(ValueError):
+            procrustes_align(pts, pts[:-1])
+
+    def test_pairwise_distances(self):
+        pts = self.faces(26)
+        stacked = pairwise_distances(pts)
+        assert stacked.shape == (self.n, N_PAIRS) and stacked.flags.c_contiguous
+        assert np.array_equal(stacked, np.array([pairwise_distances(p) for p in pts]))
+
+    def test_pair_distances_are_the_selected_columns(self):
+        pts = self.faces(27)
+        pairs = np.array([3, 70, 2277, 1000])
+        first, second = PAIR_INDICES[pairs].T
+        assert np.array_equal(pair_distances(pts, first, second), pairwise_distances(pts)[:, pairs])
+        assert np.array_equal(
+            pair_distances(pts[0], first, second), pairwise_distances(pts[0])[pairs]
+        )
+
+
+def _orthonormal(seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    return q
+
+
+class TestProcrustesProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31), st.floats(1e-6, 1e-2), st.booleans())
+    def test_proper_rotation_for_near_planar_and_reflected(self, seed, thickness, reflect):
+        rng = np.random.default_rng(seed)
+        ref = rng.normal(scale=30.0, size=(N_LANDMARKS, 3))
+        ref[:, 2] *= thickness  # a nearly flat face
+        src = ref @ _orthonormal(seed + 1).T
+        if reflect:
+            src[:, 0] *= -1.0  # a mirror image: no rotation maps it back
+        _, rot = procrustes_align(src, ref)
+        assert np.allclose(rot.T @ rot, np.eye(3), atol=1e-9)
+        assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
+        # the same holds for each rotation of a stack
+        _, rots = procrustes_align(np.stack([src, ref]), ref)
+        assert np.allclose(np.linalg.det(rots), 1.0, atol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 31), st.integers(1, 8), st.data())
+    def test_degenerate_frame_in_stack_names_its_index(self, seed, n, data):
+        bad = data.draw(st.integers(0, n - 1))
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(scale=30.0, size=(n, N_LANDMARKS, 3))
+        pts[bad] = 0.0
+        pts[bad, :, 0] = np.arange(N_LANDMARKS)  # collinear
+        with pytest.raises(AlignmentDegenerateError, match=f"^frame {bad}: "):
+            procrustes_align(pts, pts[0] if bad else pts[-1])

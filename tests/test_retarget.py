@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from headlearn.dataset import CollectionProtocol, HumanFrame, collect, split
-from headlearn.errors import CalibrationRequiredError, ConfigError
+from headlearn.errors import (
+    CalibrationRequiredError,
+    ConfigError,
+    InvalidCommandError,
+    OpenFaceFormatError,
+)
 from headlearn.features import AU_IDS, AU_INDEX, MinMaxStats
 from headlearn.geometry import Pose, apply_pose
 from headlearn.retarget import (
@@ -330,6 +335,67 @@ class TestStream:
         _, _, models = trained
         with pytest.raises(ValueError):
             list(stream(models["distances"], [], smoothing_window=0))
+
+
+class TestNonFiniteInputs:
+    """A NaN the model reads is a data error naming the frame, never a
+    NaN statistic or a garbage command."""
+
+    def frames(self, head, seed):
+        rng = np.random.default_rng(seed)
+        return [
+            human_frame(head, random_command(head, rng), rng_seed=seed * 10 + i)
+            for i in range(6)
+        ]
+
+    def test_calibrate_human_names_the_frame(self, trained, default_head):
+        _, _, models = trained
+        frames = self.frames(default_head, 17)
+        aus = frames[2].aus.copy()
+        aus[AU_INDEX[models["au"].au_ids_used[0]]] = np.nan
+        landmarks = frames[2].landmarks.copy()
+        landmarks[8, 0] = np.nan
+        cases = {
+            "au": dataclasses.replace(frames[2], aus=aus),
+            "distances": dataclasses.replace(frames[2], landmarks=landmarks),
+        }
+        for kind, bad in cases.items():
+            with pytest.raises(OpenFaceFormatError, match=rf"frame 2 \(timestamp {bad.timestamp}\)"):
+                calibrate_human(models[kind], frames[:2] + [bad] + frames[3:])
+
+    def test_calibrate_human_ignores_unread_nan(self, trained, default_head):
+        # a NaN landmark does not reach an au model
+        _, _, models = trained
+        frames = self.frames(default_head, 18)
+        landmarks = frames[1].landmarks.copy()
+        landmarks[8, 0] = np.nan
+        frames[1] = dataclasses.replace(frames[1], landmarks=landmarks)
+        stats = calibrate_human(models["au"], frames).human_stats
+        assert np.all(np.isfinite(stats.mins)) and np.all(np.isfinite(stats.maxs))
+
+    def test_retarget_frame_names_the_timestamp(self, trained, default_head):
+        _, _, models = trained
+        frames = self.frames(default_head, 19)
+        model = calibrate_human(models["au"], frames)
+        aus = frames[3].aus.copy()
+        aus[AU_INDEX[model.au_ids_used[-1]]] = np.nan
+        bad = dataclasses.replace(frames[3], aus=aus, timestamp=4.25)
+        with pytest.raises(OpenFaceFormatError, match="timestamp 4.25"):
+            retarget_frame(model, bad)
+
+    def test_command_from_raw_nan_names_channel(self):
+        raw = np.full(len(CHANNELS), 100.0)
+        raw[1] = np.nan
+        with pytest.raises(InvalidCommandError, match=f"channel {CHANNELS[1]} prediction is NaN"):
+            command_from_raw(raw)
+
+    def test_command_from_raw_clips_infinities(self):
+        raw = np.full(len(CHANNELS), 100.4)
+        raw[0], raw[-1] = np.inf, -np.inf
+        cmd = command_from_raw(raw)
+        assert_valid_command(cmd)
+        assert cmd.values[CHANNELS[0]] == 255 and cmd.values[CHANNELS[-1]] == 0
+        assert cmd.values[CHANNELS[1]] == 100
 
 
 class TestModelPersistence:

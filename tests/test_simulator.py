@@ -6,6 +6,7 @@ import pytest
 from headlearn.errors import ConfigError, InvalidCommandError
 from headlearn.geometry import MIRROR_INDEX, N_LANDMARKS
 from headlearn.simulator import (
+    CHANNEL_INDEX,
     CHANNELS,
     ActuatorCommand,
     ActuatorDef,
@@ -194,6 +195,57 @@ class TestObserve:
         assert idx == [0, 1, 2]
 
 
+def command_rows(head, seed, n):
+    rng = np.random.default_rng(seed)
+    return np.array([random_command(head, rng).as_array() for _ in range(n)])
+
+
+def as_command(row):
+    return ActuatorCommand.from_array(row.astype(int))
+
+
+class TestStackEqualsLoop:
+    """Stacked (n, 9) command rows give what n single commands give, bit
+    for bit, and leave the simulator in the same state."""
+
+    def test_forward(self, default_head):
+        term = QuadraticTerm(7, 11, [(48, 0.0, 2.0, 0.0), (54, 0.0, 2.0, 0.0)])
+        rows = command_rows(default_head, 30, 12)
+        rows[3, CHANNEL_INDEX[7]] = 0.0  # a row whose cross term is silent
+        for head in (default_head, dataclasses.replace(default_head, quadratic_terms=[term])):
+            stacked = forward(head, rows)
+            assert stacked.shape == (12, N_LANDMARKS, 3)
+            assert np.array_equal(stacked, np.array([forward(head, as_command(r)) for r in rows]))
+
+    @pytest.mark.parametrize("lag", [0, 2])
+    def test_observe(self, default_head, lag):
+        head = dataclasses.replace(default_head, sensor_lag_frames=lag)
+        rows = command_rows(head, 31, 20)
+        single_sim, stack_sim = HeadSimulator(head), HeadSimulator(head)
+        singles = [single_sim.observe(as_command(r)) for r in rows]
+        stacks = [stack_sim.observe(rows[a:b]) for a, b in ((0, 7), (7, 8), (8, 20))]
+        assert [f.frame_index for f in stacks] == [0, 7, 8]
+        for field in ("landmarks_observed", "landmarks_true"):
+            stacked = np.concatenate([getattr(f, field) for f in stacks])
+            assert np.array_equal(stacked, np.array([getattr(f, field) for f in singles]))
+        for field in ("rotation", "translation"):
+            stacked = np.concatenate([getattr(f.pose, field) for f in stacks])
+            assert np.array_equal(stacked, np.array([getattr(f.pose, field) for f in singles]))
+        # same noise stream and lag buffer afterwards
+        nxt = as_command(rows[0])
+        a, b = single_sim.observe(nxt), stack_sim.observe(nxt)
+        assert np.array_equal(a.landmarks_observed, b.landmarks_observed)
+        assert a.frame_index == b.frame_index == 20
+
+    def test_invalid_command_rows_rejected(self, default_head):
+        sim = HeadSimulator(default_head)
+        for bad in (np.full((2, 9), 256.0), np.full((2, 9), 1.5), np.zeros((2, 8)), np.zeros(9)):
+            with pytest.raises(InvalidCommandError):
+                sim.observe(bad)
+            with pytest.raises(InvalidCommandError):
+                forward(default_head, bad)
+
+
 class TestRandomCommand:
     def test_reproducible_sequence(self, default_head):
         a = [random_command(default_head, np.random.default_rng(4)) for _ in range(5)]
@@ -267,6 +319,28 @@ class TestHeadConfig:
         acts.append(ActuatorDef(12, "lean head", [(8, 0.0, -1.0, 0.0)], symmetric=True))
         with pytest.raises(ConfigError):
             dataclasses.replace(default_head, actuators=acts)
+
+    def test_basis_built_once_and_read_only(self, default_head):
+        basis = default_head.basis_matrix()
+        assert basis is default_head.basis_matrix()
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 1.0
+        by_channel = {a.channel: a.dense_basis() for a in default_head.actuators}
+        assert np.array_equal(basis, np.stack([by_channel[ch] for ch in CHANNELS]))
+
+    def test_replace_rebuilds_basis(self, default_head):
+        acts = [dataclasses.replace(a) for a in default_head.actuators]
+        k = next(i for i, a in enumerate(acts) if a.channel == 11)
+        acts[k] = dataclasses.replace(
+            acts[k], basis=[(i, 2 * x, 2 * y, 2 * z) for i, x, y, z in acts[k].basis]
+        )
+        head = dataclasses.replace(default_head, actuators=acts)
+        assert head.basis_matrix() is not default_head.basis_matrix()
+        jaw = CHANNEL_INDEX[11]
+        assert np.array_equal(head.basis_matrix()[jaw], 2 * default_head.basis_matrix()[jaw])
+        moved = forward(head, command_with(11, 255)) - head.neutral_landmarks
+        assert np.allclose(moved, 2 * default_head.basis_matrix()[jaw], atol=1e-12)
 
     def test_dependent_bases_rejected(self, default_head):
         acts = [dataclasses.replace(a) for a in default_head.actuators]
