@@ -207,7 +207,9 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
     target_pts = np.concatenate(target_pts)
     neutral_dist = np.concatenate(neutral_dist)
     if len(neutral_dist):
-        baseline = neutral_dist.mean(axis=0)
+        # row after row, as np.mean sums the 2278 columns of full distance
+        # rows; a mean over one column would be summed pairwise instead
+        baseline = np.add.accumulate(neutral_dist)[-1] / len(neutral_dist)
     else:
         baseline = readout.distances(reference)
     aus = readout.intensities(readout.distances(target_pts), baseline, rng_au)

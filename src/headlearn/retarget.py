@@ -133,8 +133,7 @@ def command_from_raw(raw: np.ndarray) -> ActuatorCommand:
         raise InvalidCommandError(
             f"channel {CHANNELS[np.flatnonzero(nan)[0]]} prediction is NaN"
         )
-    vals = np.clip(np.floor(raw + 0.5), COMMAND_MIN, COMMAND_MAX)
-    return ActuatorCommand.from_array(vals.astype(int))
+    return ActuatorCommand.from_array(np.clip(np.floor(raw + 0.5), COMMAND_MIN, COMMAND_MAX))
 
 
 @dataclass

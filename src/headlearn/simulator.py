@@ -75,7 +75,7 @@ class ActuatorCommand:
         a = np.asarray(arr)
         if a.shape != (N_CHANNELS,):
             raise InvalidCommandError(f"expected {N_CHANNELS} values, got {a.shape}")
-        return cls({ch: int(a[i]) for i, ch in enumerate(CHANNELS)})
+        return cls(dict(zip(CHANNELS, a.tolist())))
 
     def as_array(self) -> np.ndarray:
         """Values ordered by ``CHANNELS``, as floats."""
@@ -175,9 +175,11 @@ class HeadConfig:
 
     def __post_init__(self) -> None:
         self.neutral_landmarks = check_landmarks(self.neutral_landmarks)
-        self.validate()
-        self._basis = self._stack_bases()
+        # CHANNELS ascend, so channel order is CHANNELS order
+        ordered = sorted(self.actuators, key=lambda a: a.channel)
+        self._basis = np.array([a.dense_basis() for a in ordered]).reshape(-1, N_LANDMARKS, 3)
         self._basis.flags.writeable = False
+        self.validate()
 
     def validate(self, symmetry_tol: float = 1e-6) -> None:
         channels = [a.channel for a in self.actuators]
@@ -207,17 +209,13 @@ class HeadConfig:
                     "basis is not mirror-symmetric"
                 )
 
-        flat = self._stack_bases().reshape(N_CHANNELS, -1)
+        flat = self.basis_matrix().reshape(N_CHANNELS, -1)
         if np.linalg.matrix_rank(flat) != N_CHANNELS:
             raise ConfigError("actuator displacement bases are linearly dependent")
 
         au_ids = [d.au for d in self.au_defs]
         if len(set(au_ids)) != len(au_ids):
             raise ConfigError("duplicate AU ids in head config")
-
-    def _stack_bases(self) -> np.ndarray:
-        ordered = sorted(self.actuators, key=lambda a: CHANNEL_INDEX[a.channel])
-        return np.stack([a.dense_basis() for a in ordered])
 
     def basis_matrix(self) -> np.ndarray:
         """Dense displacement bases stacked in ``CHANNELS`` order, (9, 68, 3).
