@@ -113,7 +113,10 @@ class Pose:
             or self.rotation.ndim > 2
             or self.translation.shape != self.rotation.shape
         ):
-            raise ValueError("pose needs 3 rotation angles and 3 translation values")
+            raise ValueError(
+                "pose needs 3 rotation angles and 3 translation values "
+                "(or (n, 3) arrays of each for a stack)"
+            )
 
     @classmethod
     def identity(cls) -> "Pose":
