@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset, split
 from .errors import ConfigError
-from .features import AU_IDS
+from .features import AU_IDS, FEATURE_KINDS
 from .learn import DEFAULT_PCA_CANDIDATES, HyperGrid, default_grid
 from .simulator import CHANNELS
 
@@ -210,7 +210,7 @@ def compare_representations(
     """
     from .retarget import evaluate_pipeline, fit_pipeline  # cycle-free at runtime
 
-    for kind in ("au", "landmarks", "distances"):
+    for kind in FEATURE_KINDS:
         if d.features(kind) is None or len(d.features(kind)) == 0:
             raise ConfigError(f"dataset lacks the {kind!r} representation")
 

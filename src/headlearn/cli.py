@@ -34,6 +34,7 @@ from .dataset import (
 )
 from .default_head import load_default_head
 from .errors import HeadLearnError
+from .features import FEATURE_KINDS
 from .learn import rmse
 from .retarget import (
     calibrate_human,
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit", help="train a retargeting pipeline")
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--kind", choices=["au", "landmarks", "distances"], required=True)
+    sp.add_argument("--kind", choices=FEATURE_KINDS, required=True)
     sp.add_argument("--regressor", choices=["ols", "ridge", "mlp"], default="ols")
     sp.add_argument("--ridge-lambda", type=float, default=1.0)
     sp.add_argument("--pca-k", type=int, help="override the per-kind default")

@@ -28,7 +28,6 @@ AU_INDEX = {au: i for i, au in enumerate(AU_IDS)}
 N_AUS = len(AU_IDS)
 
 FEATURE_KINDS = ("au", "landmarks", "distances")
-FEATURE_DIMS = {"au": N_AUS, "landmarks": 204, "distances": 2278}
 
 
 @dataclass
@@ -55,6 +54,9 @@ class AUDef:
                 raise ConfigError(f"AU{self.au:02d} has a non-finite weight")
         if self.noise_sigma < 0:
             raise ConfigError(f"AU{self.au:02d} noise_sigma must be >= 0")
+        for other, _ in self.crosstalk:
+            if other not in AU_INDEX:
+                raise ConfigError(f"AU{self.au:02d} crosstalk names unknown AU id {other}")
 
     def to_dict(self) -> dict:
         return {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .errors import SingularFitError, TrainingDivergedError
 # Candidate output dimensions scanned for the distance representation:
 # every second value from 3 to 40.
 DEFAULT_PCA_CANDIDATES = tuple(range(3, 40, 2))
+
+# choose_pca_dim's near-optimal margin, relative to the best RMSE.
+PCA_DIM_REL_TOL = 0.01
 
 _COV_ROUTE_MAX_DIM = 512
 
@@ -136,37 +139,37 @@ class PcaDimReport:
 
 
 def choose_pca_dim(
-    x: np.ndarray,
+    x_fit: np.ndarray,
+    y_fit: np.ndarray,
+    x_val: np.ndarray,
+    y_val: np.ndarray,
     candidates: Sequence[int],
-    eval_fn: Callable[[int], float],
-    rel_tol: float = 0.01,
 ) -> tuple[int, PcaDimReport]:
-    """Pick the smallest dimension whose downstream RMSE is near-optimal.
+    """Pick the smallest dimension whose downstream linear RMSE is near-optimal.
 
-    ``eval_fn(k)`` must return the mean downstream test RMSE for a
-    k-dimensional reduction.  The smallest candidate within ``rel_tol``
-    (relative) of the best RMSE wins; exact ties therefore go to the
-    smaller k.
+    Principal axes are nested, so one PCA fit on ``x_fit`` at the largest
+    candidate serves them all: candidate k is scored by an OLS fit on the
+    first k projected columns, as mean per-channel RMSE on the validation
+    rows.  The smallest candidate within ``PCA_DIM_REL_TOL`` of the best
+    wins, so exact ties go to the smaller k.  The report's cumulative EVR
+    comes from the same fit.
     """
     cands = sorted(set(int(k) for k in candidates))
     if not cands:
         raise ValueError("candidates must be nonempty")
 
-    rmses = []
-    for k in cands:
-        try:
-            rmses.append(float(eval_fn(k)))
-        except Exception as e:
-            raise RuntimeError(f"evaluation failed for PCA candidate k={k}") from e
-
-    full = pca_fit(np.asarray(x, dtype=float), max(cands))
-    cum = np.cumsum(full.explained_variance_ratio)
-    cum_at = [float(cum[k - 1]) for k in cands]
-
+    pca = pca_fit(x_fit, cands[-1])
+    z_fit = pca_transform(pca, x_fit)
+    z_val = pca_transform(pca, x_val)
+    rmses = [
+        float(np.mean(rmse(ols_fit(z_fit[:, :k], y_fit).predict(z_val[:, :k]), y_val)))
+        for k in cands
+    ]
+    cum = np.cumsum(pca.explained_variance_ratio)
     best = min(rmses)
-    chosen = next(k for k, r in zip(cands, rmses) if r <= best * (1.0 + rel_tol))
+    chosen = next(k for k, r in zip(cands, rmses) if r <= best * (1.0 + PCA_DIM_REL_TOL))
     return chosen, PcaDimReport(
-        candidates=cands, rmses=rmses, cumulative_evr=cum_at,
+        candidates=cands, rmses=rmses, cumulative_evr=[float(cum[k - 1]) for k in cands],
         chosen=chosen, best_rmse=best,
     )
 

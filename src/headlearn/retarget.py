@@ -34,6 +34,7 @@ from .errors import (
 from .features import (
     AU_IDS,
     AU_INDEX,
+    FEATURE_KINDS,
     MinMaxStats,
     fit_minmax,
     minmax_map,
@@ -150,10 +151,9 @@ class PipelineModel:
     au_stats_full: MinMaxStats | None = None
     pruned_aus: tuple[int, ...] | None = None
     provenance: dict | None = None
-    clip_range: tuple[int, int] = (COMMAND_MIN, COMMAND_MAX)
 
     def __post_init__(self) -> None:
-        if self.feature_kind not in ("au", "landmarks", "distances"):
+        if self.feature_kind not in FEATURE_KINDS:
             raise ConfigError(f"unknown feature kind {self.feature_kind!r}")
         if self.feature_kind == "au" and self.au_ids_used is None:
             raise ConfigError("au-kind model needs au_ids_used")
@@ -226,7 +226,6 @@ class PipelineModel:
             "au_stats_full": self.au_stats_full.to_dict() if self.au_stats_full else None,
             "pruned_aus": list(self.pruned_aus) if self.pruned_aus is not None else None,
             "provenance": self.provenance,
-            "clip_range": list(self.clip_range),
         }
 
     @classmethod
@@ -256,7 +255,6 @@ class PipelineModel:
                 tuple(d["pruned_aus"]) if d.get("pruned_aus") is not None else None
             ),
             provenance=d.get("provenance"),
-            clip_range=tuple(d.get("clip_range", (COMMAND_MIN, COMMAND_MAX))),
         )
 
 
@@ -302,7 +300,7 @@ def fit_pipeline(
     """
     from .analysis import low_correlation_features, pearson_matrix
 
-    if kind not in ("au", "landmarks", "distances"):
+    if kind not in FEATURE_KINDS:
         raise ConfigError(f"unknown feature kind {kind!r}")
     if regressor not in ("ols", "ridge", "mlp"):
         raise ConfigError(f"unknown regressor {regressor!r}")
@@ -331,16 +329,10 @@ def fit_pipeline(
                 sub_train, sub_val = split_dataset(train, 0.25, seed + 1)
             else:
                 sub_train, sub_val = train, tune_dataset
-            xs = sub_train.features(kind)
-            xv = sub_val.features(kind)
-
-            def eval_k(k: int) -> float:
-                p = pca_fit(xs, k)
-                lin = ols_fit(pca_transform(p, xs), sub_train.commands)
-                pred = lin.predict(pca_transform(p, xv))
-                return float(np.mean(rmse(pred, sub_val.commands)))
-
-            pca_k, _ = choose_pca_dim(x, pca_candidates, eval_k)
+            pca_k, _ = choose_pca_dim(
+                sub_train.features(kind), sub_train.commands,
+                sub_val.features(kind), sub_val.commands, pca_candidates,
+            )
         elif kind == "landmarks":
             pca_k = 17
         else:

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread: the suite's small matmuls gain nothing from more, and
+# lose half their speed when another process holds a core.  Set before
+# numpy is first imported, which is when OpenBLAS reads them.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import dataclasses
 import hashlib
 

@@ -250,6 +250,28 @@ class TestExitCodes:
         (tmp_path / "junk").mkdir()
         assert main(["correlate", "--dataset", str(tmp_path / "junk")]) == 2
 
+    def test_distances_on_too_few_rows_is_data_error(self, capsys, tmp_path):
+        # 30 rows leave 18 for the PCA scan, fewer than its largest candidate
+        ds = tmp_path / "ds"
+        assert main(["collect", "--frames", "30", "--seed", "2", "--out", str(ds)]) == 0
+        capsys.readouterr()
+        code = main(["fit", "--dataset", str(ds), "--kind", "distances",
+                     "--out", str(tmp_path / "fit")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("headlearn: error:")
+        assert "Traceback" not in err
+
+    def test_unknown_crosstalk_id_is_data_error(self, capsys, tmp_path, default_head):
+        doc = default_head.to_dict()
+        doc["au_defs"][0]["crosstalk"] = [[3, 0.1]]
+        head = tmp_path / "head.json"
+        head.write_text(json.dumps(doc))
+        code = main(["collect", "--head", str(head), "--frames", "4",
+                     "--out", str(tmp_path / "ds")])
+        assert code == 2
+        assert "crosstalk" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "headlearn" in capsys.readouterr().out

@@ -41,6 +41,10 @@ class TestAUDef:
         with pytest.raises(ValueError):
             AUDef(1, weights=[(0, 99, 1.0)])
 
+    def test_unknown_crosstalk_id_rejected(self):
+        with pytest.raises(ConfigError, match="crosstalk"):
+            AUDef(1, crosstalk=[(3, 0.1)])
+
     def test_round_trip(self):
         d = AUDef(12, weights=[(48, 54, 0.25)], bias=0.4, noise_sigma=0.1,
                   crosstalk=[(6, 0.2)])

@@ -422,6 +422,21 @@ class TestModelPersistence:
         assert loaded.human_stats is not None
         assert retarget_frame(loaded, frames[0]) == retarget_frame(model, frames[0])
 
+    def test_older_file_with_clip_range_loads(self, trained, tmp_path):
+        import json
+
+        _, test, models = trained
+        doc = models["au"].to_dict()
+        assert "clip_range" not in doc
+        doc["clip_range"] = [10, 200]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        assert np.array_equal(
+            loaded.predict_raw(loaded.dataset_features(test)),
+            models["au"].predict_raw(models["au"].dataset_features(test)),
+        )
+
     def test_unsupported_version(self, trained, tmp_path):
         import json
 
