@@ -141,6 +141,15 @@ class TestChoosePcaDim:
         assert k == 5
         assert report.candidates == [5]
 
+    def test_tie_chooses_smaller_k(self):
+        # all-zero fit targets give exactly zero coefficients at every k, so
+        # every candidate predicts zeros and scores the same RMSE
+        x_fit, y_fit, x_val, y_val = known_answer_data(11)
+        k, report = choose_pca_dim(x_fit, np.zeros_like(y_fit), x_val, y_val, [7, 5, 3])
+        assert report.rmses[0] > 0.0
+        assert report.rmses == [report.rmses[0]] * 3
+        assert k == 3
+
     def test_near_optimal_within_tolerance_wins(self):
         # k=7 scores best at these seeds, k=5 is within 1% and smaller.
         # The best candidate itself passes at a zero gap, so an exact tie
