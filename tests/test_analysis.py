@@ -12,6 +12,8 @@ from headlearn.features import AU_IDS
 from headlearn.learn import HyperGrid
 from headlearn.simulator import CHANNELS
 
+from conftest import array_sha256
+
 
 def pearson_oracle(a, b):
     """Direct-formula sample Pearson coefficient."""
@@ -167,6 +169,15 @@ class TestCompareRepresentations:
         )
         assert np.array_equal(tiny_report.values, again.values)
         assert tiny_report.distance_pca_dim == again.distance_pca_dim
+
+    def test_outputs_pinned(self, small_dataset):
+        # default PCA candidates: the 48 training rows still allow k=39
+        grid = HyperGrid([1], [8], ["tanh"], [1e-2], [0.0])
+        report = compare_representations(small_dataset, split_seed=3, grid=grid, epochs=40)
+        assert array_sha256(report.values) == (
+            "0a7ef7b5d3ac099498783c77a002c8ee69f54b65dc277bed018b72359a44aa29"
+        )
+        assert report.distance_pca_dim == 39
 
     def test_renderings(self, tiny_report, tmp_path):
         text = tiny_report.to_text()

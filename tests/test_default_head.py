@@ -1,20 +1,15 @@
 import numpy as np
 
-from headlearn.default_head import (
-    build_default_head,
-    default_head_path,
-    load_default_head,
-)
+from headlearn.default_head import build_default_head, load_default_head
 from headlearn.features import AU_IDS
 from headlearn.simulator import CHANNELS
 
 
 class TestDefaultHead:
-    def test_packaged_file_matches_builder(self):
-        assert load_default_head().sha256() == build_default_head().sha256()
-
-    def test_packaged_path_exists(self):
-        assert default_head_path().exists()
+    def test_builder_digest_pinned(self):
+        pinned = "f4f70997126acc2f2d967fe6fab54e8bfa39e9338af17b12ca2a27593840867b"
+        assert build_default_head().sha256() == pinned
+        assert load_default_head().sha256() == pinned
 
     def test_covers_all_channels_and_aus(self, default_head):
         assert sorted(a.channel for a in default_head.actuators) == sorted(CHANNELS)

@@ -27,7 +27,7 @@ from headlearn.retarget import (
 )
 from headlearn.simulator import CHANNELS, HeadSimulator, random_command
 
-from conftest import assert_valid_command, frames_from_simulator, random_rigid
+from conftest import array_sha256, assert_valid_command, frames_from_simulator, random_rigid
 
 FACS_EMOTION_AUS = {
     "anger": {4, 7, 23},
@@ -480,6 +480,24 @@ class TestFitPipeline:
         assert model.pruned_aus == (10,)
         assert 10 not in model.au_ids_used
         assert model.au_stats_full.dim == 17
+
+    def test_outputs_pinned(self, trained):
+        # the seeded splits inside fit_pipeline (distance PCA scan, MLP grid)
+        # and every fit they feed must reproduce these test RMSEs bit for bit
+        from headlearn.learn import HyperGrid
+
+        train, test, models = trained
+        models = dict(models, au_mlp=fit_pipeline(
+            train, "au", regressor="mlp",
+            grid=HyperGrid([1], [8], ["tanh"], [1e-2], [0.0]), epochs=40, seed=11,
+        ))
+        digests = {kind: array_sha256(evaluate_pipeline(m, test)) for kind, m in models.items()}
+        assert digests == {
+            "au": "222bb01a7d97bdc7102b0cc0bff12902ac7ceea535358fd44389c40460a57126",
+            "landmarks": "9ba96210dd302defc7d8d6cd62df85ce51d1eee974d60f8118a93424e6f1802c",
+            "distances": "fe5345e5cddf4a0484d9ebdd2da7f2136aa9485eb625aeda93c44a81095d1aeb",
+            "au_mlp": "e3e90bd7e84f2e505bdf785acea22660f883ae7290687d832a21e96057aaf076",
+        }
 
     def test_unknown_kind_and_regressor(self, small_dataset):
         train, _ = split(small_dataset, 0.25, 24)
