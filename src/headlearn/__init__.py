@@ -24,7 +24,7 @@ from .dataset import (
     save_dataset,
     split,
 )
-from .default_head import build_default_head, default_head_path, load_default_head
+from .default_head import build_default_head, load_default_head
 from .errors import (
     AlignmentDegenerateError,
     CalibrationRequiredError,

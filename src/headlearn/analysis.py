@@ -19,10 +19,14 @@ import numpy as np
 from .dataset import Dataset, split
 from .errors import ConfigError
 from .features import AU_IDS, FEATURE_KINDS
-from .learn import DEFAULT_PCA_CANDIDATES, HyperGrid, default_grid
+from .learn import HyperGrid, default_grid
 from .simulator import CHANNELS
 
 MISSING = "NA"
+
+# An AU whose strongest |r| with any actuator stays under this is pruned
+# from AU-based training.
+PRUNE_THRESHOLD = 0.2
 
 
 @dataclass
@@ -103,7 +107,7 @@ def pearson_matrix(
     )
 
 
-def low_correlation_features(m: CorrMatrix, threshold: float = 0.2) -> list[int]:
+def low_correlation_features(m: CorrMatrix, threshold: float = PRUNE_THRESHOLD) -> list[int]:
     """AU ids whose strongest actuator correlation stays under ``threshold``.
 
     Columns that are entirely missing (no defined coefficient at all) count
@@ -130,13 +134,14 @@ def rescale_rmse(value: float, from_range: float, to_range: float) -> float:
 
 # -- four-way representation comparison --------------------------------------
 
-COMPARISON_COLUMNS = ("au_lr", "au_mlp", "landmarks_lr", "distances_lr")
-_COLUMN_TITLES = {
-    "au_lr": "AUs + LR",
-    "au_mlp": "AUs + MLP",
-    "landmarks_lr": "Landm. + LR",
-    "distances_lr": "Dist. + LR",
+# column -> (title, feature kind, regressor)
+_COLUMNS = {
+    "au_lr": ("AUs + LR", "au", "ols"),
+    "au_mlp": ("AUs + MLP", "au", "mlp"),
+    "landmarks_lr": ("Landm. + LR", "landmarks", "ols"),
+    "distances_lr": ("Dist. + LR", "distances", "ols"),
 }
+COMPARISON_COLUMNS = tuple(_COLUMNS)
 
 
 @dataclass
@@ -169,7 +174,7 @@ class ComparisonReport:
         return buf.getvalue()
 
     def to_text(self) -> str:
-        titles = [_COLUMN_TITLES.get(c, c) for c in self.columns]
+        titles = [_COLUMNS[c][0] if c in _COLUMNS else c for c in self.columns]
         head = f"{'Act.':>5} |" + "".join(f" {t:>12}" for t in titles)
         lines = [head, "-" * len(head)]
         for i, ch in enumerate(self.channel_ids):
@@ -192,15 +197,14 @@ def compare_representations(
     test_fraction: float = 0.2,
     grid: HyperGrid | None = None,
     epochs: int = 2000,
-    pca_candidates: Sequence[int] = DEFAULT_PCA_CANDIDATES,
-    prune_threshold: float = 0.2,
 ) -> ComparisonReport:
     """Train and evaluate the four representation/model pairs on one split.
 
-    All columns share the same seeded 80/20 split.  The landmark column
-    reduces to 17 dimensions; the distance column tunes its dimension over
-    ``pca_candidates`` against the shared test set, the same protocol used
-    to pick the dimensionality in the original hardware experiments.
+    All columns share the same seeded 80/20 split and ``fit_pipeline``'s
+    defaults.  The landmark column reduces to ``LANDMARK_PCA_DIM``
+    dimensions; the distance column tunes its dimension over the default
+    PCA candidates against the shared test set, the same protocol used to
+    pick the dimensionality in the original hardware experiments.
 
     For context, the hardware experiments this simulator stands in for
     reported per-actuator test RMSEs of 43.04 / 39.74 / 23.66 / 20.46
@@ -216,39 +220,20 @@ def compare_representations(
 
     grid = grid if grid is not None else default_grid()
     train, test = split(d, test_fraction, split_seed)
-
-    values = np.zeros((len(CHANNELS), len(COMPARISON_COLUMNS)))
-
-    au_lr = fit_pipeline(
-        train, "au", regressor="ols",
-        prune_threshold=prune_threshold, seed=split_seed,
-    )
-    values[:, 0] = evaluate_pipeline(au_lr, test)
-
-    au_mlp = fit_pipeline(
-        train, "au", regressor="mlp",
-        prune_threshold=prune_threshold, grid=grid, epochs=epochs,
-        seed=split_seed,
-    )
-    values[:, 1] = evaluate_pipeline(au_mlp, test)
-
-    lm_lr = fit_pipeline(
-        train, "landmarks", regressor="ols", pca_k=17, seed=split_seed,
-    )
-    values[:, 2] = evaluate_pipeline(lm_lr, test)
-
-    dist_lr = fit_pipeline(
-        train, "distances", regressor="ols",
-        pca_candidates=pca_candidates, tune_dataset=test, seed=split_seed,
-    )
-    values[:, 3] = evaluate_pipeline(dist_lr, test)
-
+    # tune_dataset is read by the distance kind only, grid and epochs by the MLP only
+    models = {
+        name: fit_pipeline(
+            train, kind, regressor=regressor, tune_dataset=test,
+            grid=grid, epochs=epochs, seed=split_seed,
+        )
+        for name, (_, kind, regressor) in _COLUMNS.items()
+    }
     return ComparisonReport(
         channel_ids=list(CHANNELS),
         columns=list(COMPARISON_COLUMNS),
-        values=values,
-        pruned_aus=list(au_lr.pruned_aus or []),
-        distance_pca_dim=dist_lr.pca.k,
-        mlp_hyper=dict(au_mlp.regressor.hyper) if hasattr(au_mlp.regressor, "hyper") else {},
+        values=np.column_stack([evaluate_pipeline(m, test) for m in models.values()]),
+        pruned_aus=list(models["au_lr"].pruned_aus),
+        distance_pca_dim=models["distances_lr"].pca.k,
+        mlp_hyper=dict(models["au_mlp"].regressor.hyper),
         split_seed=split_seed,
     )

@@ -22,7 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import compare_representations, low_correlation_features, pearson_matrix
+from .analysis import (
+    PRUNE_THRESHOLD,
+    compare_representations,
+    low_correlation_features,
+    pearson_matrix,
+)
 from .dataset import (
     CollectionProtocol,
     collect,
@@ -37,6 +42,8 @@ from .errors import HeadLearnError
 from .features import FEATURE_KINDS
 from .learn import rmse
 from .retarget import (
+    EMOTIONS,
+    REGRESSORS,
     calibrate_human,
     evaluate_pipeline,
     express,
@@ -295,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fit", help="train a retargeting pipeline")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--kind", choices=FEATURE_KINDS, required=True)
-    sp.add_argument("--regressor", choices=["ols", "ridge", "mlp"], default="ols")
+    sp.add_argument("--regressor", choices=REGRESSORS, default="ols")
     sp.add_argument("--ridge-lambda", type=float, default=1.0)
     sp.add_argument("--pca-k", type=int, help="override the per-kind default")
     sp.add_argument("--test-fraction", type=float, default=0.2)
@@ -322,13 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("correlate", help="actuator-by-AU Pearson correlation matrix")
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--threshold", type=float, default=0.2)
+    sp.add_argument("--threshold", type=float, default=PRUNE_THRESHOLD)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_correlate)
 
     sp = sub.add_parser("facs", help="emotion expression command from FACS AU targets")
-    sp.add_argument("emotion", choices=sorted(["anger", "disgust", "fear", "happy",
-                                               "sadness", "surprise"]))
+    sp.add_argument("emotion", choices=sorted(EMOTIONS))
     sp.add_argument("--model", required=True)
     sp.add_argument("--fill", choices=["min", "zero"], default="min")
     sp.set_defaults(func=cmd_facs)

@@ -234,17 +234,22 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
     )
 
 
-def split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded uniform shuffle then row-disjoint partition."""
+def split_indices(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform shuffle of ``n`` rows, then sorted row-disjoint
+    (train, test) index arrays; the test part takes the first
+    ``round(n * test_fraction)`` shuffled rows."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
-    n = len(d)
     n_test = int(round(n * test_fraction))
     if not 1 <= n_test <= n - 1:
         raise ValueError(f"test_fraction {test_fraction} leaves an empty partition")
     perm = np.random.default_rng(seed).permutation(n)
-    test_idx = np.sort(perm[:n_test])
-    train_idx = np.sort(perm[n_test:])
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
+
+
+def split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded uniform shuffle then row-disjoint partition (see :func:`split_indices`)."""
+    train_idx, test_idx = split_indices(len(d), test_fraction, seed)
 
     def take(idx: np.ndarray, part: str) -> Dataset:
         meta = dict(d.meta)
@@ -379,6 +384,12 @@ class HumanFrame:
 
 _OPENFACE_AU_COLS = [f"AU{au:02d}_r" for au in AU_IDS]
 _OPENFACE_POSE_COLS = ["pose_Tx", "pose_Ty", "pose_Tz", "pose_Rx", "pose_Ry", "pose_Rz"]
+# The order a row's cells are read in: confidence first, so a low-confidence
+# row is skipped unparsed; an unparsable row names its first bad cell in it.
+_OPENFACE_READ_COLS = (
+    ["confidence"] + _LANDMARK_COLS + _OPENFACE_AU_COLS
+    + [f"pose_R{ax}" for ax in "xyz"] + [f"pose_T{ax}" for ax in "xyz"] + ["timestamp"]
+)
 
 
 def parse_openface_lines(
@@ -409,33 +420,30 @@ def parse_openface_lines(
     if missing:
         raise OpenFaceFormatError(f"{source}: missing required columns {missing}")
 
-    def cell(row: list[str], name: str, line_no: int) -> float:
-        try:
-            return float(row[col[name]])
-        except (ValueError, IndexError):
-            raise OpenFaceFormatError(
-                f"{source}:{line_no}: unparsable value for column {name!r}"
-            ) from None
-
+    idx = [col[name] for name in _OPENFACE_READ_COLS]
+    lm_end = 3 * N_LANDMARKS
+    au_end = lm_end + len(AU_IDS)
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
-        confidence = cell(row, "confidence", line_no)
-        if confidence < confidence_threshold:
-            continue
-        xs = [cell(row, f"X_{i}", line_no) for i in range(N_LANDMARKS)]
-        ys = [cell(row, f"Y_{i}", line_no) for i in range(N_LANDMARKS)]
-        zs = [cell(row, f"Z_{i}", line_no) for i in range(N_LANDMARKS)]
-        aus = np.array([cell(row, c, line_no) for c in _OPENFACE_AU_COLS])
-        pose = Pose(
-            rotation=[cell(row, f"pose_R{ax}", line_no) for ax in "xyz"],
-            translation=[cell(row, f"pose_T{ax}", line_no) for ax in "xyz"],
-        )
+        try:
+            confidence = float(row[idx[0]])
+            if confidence < confidence_threshold:
+                continue
+            vals = [float(row[i]) for i in idx[1:]]
+        except (ValueError, IndexError):
+            for name, i in zip(_OPENFACE_READ_COLS, idx):
+                try:
+                    float(row[i])
+                except (ValueError, IndexError):
+                    raise OpenFaceFormatError(
+                        f"{source}:{line_no}: unparsable value for column {name!r}"
+                    ) from None
         yield HumanFrame(
-            landmarks=np.stack([xs, ys, zs], axis=1),
-            aus=np.clip(aus, 0.0, 5.0),
-            pose=pose,
-            timestamp=cell(row, "timestamp", line_no),
+            landmarks=np.array(vals[:lm_end]).reshape(3, N_LANDMARKS).T.copy(),
+            aus=np.clip(vals[lm_end:au_end], 0.0, 5.0),
+            pose=Pose(rotation=vals[au_end:au_end + 3], translation=vals[au_end + 3:au_end + 6]),
+            timestamp=vals[-1],
             confidence=confidence,
         )
 

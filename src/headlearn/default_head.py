@@ -7,24 +7,17 @@ up, eyebrow up, eyebrow shrink, mouth corner up, mouth corner back, lip
 shrink, lips open, jaw down.  All nine movements are symmetric, driven by
 a single actuator each.
 
-The packaged copy lives at ``headlearn/data/default_head.json`` and must
-stay byte-equivalent to ``build_default_head()`` (enforced by a test).
-Use ``load_default_head()`` to read it, or the builder to reconstruct it.
+``build_default_head()`` is the only source of this configuration; the
+CLI's ``gen-head`` writes it out as JSON.
 """
 
 from __future__ import annotations
-
-import json
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
 from .features import AUDef
 from .geometry import MIRROR_INDEX, N_LANDMARKS
 from .simulator import ActuatorDef, HeadConfig
-
-DEFAULT_HEAD_RESOURCE = "data/default_head.json"
 
 # Authored half-face: subject-right side (x < 0) and midline points.
 # The left side is generated by mirroring.
@@ -237,12 +230,6 @@ def build_default_head() -> HeadConfig:
     )
 
 
-def default_head_path() -> Path:
-    """Filesystem path of the packaged default head config."""
-    return Path(resources.files("headlearn") / DEFAULT_HEAD_RESOURCE)
-
-
 def load_default_head() -> HeadConfig:
-    """Load the packaged default head configuration."""
-    data = (resources.files("headlearn") / DEFAULT_HEAD_RESOURCE).read_text()
-    return HeadConfig.from_dict(json.loads(data))
+    """The built-in head configuration (same as :func:`build_default_head`)."""
+    return build_default_head()

@@ -157,6 +157,12 @@ def choose_pca_dim(
     cands = sorted(set(int(k) for k in candidates))
     if not cands:
         raise ValueError("candidates must be nonempty")
+    n_fit, dim = np.shape(x_fit)
+    if not 1 <= cands[-1] <= min(n_fit - 1, dim):
+        raise ValueError(
+            f"PCA dimension scan: largest candidate k={cands[-1]} out of range "
+            f"[1, {min(n_fit - 1, dim)}] for {n_fit} fit rows"
+        )
 
     pca = pca_fit(x_fit, cands[-1])
     z_fit = pca_transform(pca, x_fit)
@@ -209,7 +215,7 @@ def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
-        y = y[:, None]
+        raise ValueError(f"targets must be 2-D (n, outputs), got shape {y.shape}")
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError(f"incompatible shapes X{x.shape} vs Y{y.shape}")
     return x, y
@@ -277,6 +283,20 @@ def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return 1.0 - a * a if name == "tanh" else (z > 0.0).astype(float)
 
 
+def _forward(
+    weights: list[np.ndarray], biases: list[np.ndarray], activation: str, a: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Forward pass: every layer's output, from the input ``a`` to the
+    (linear) network output, and every layer's pre-activation."""
+    last = len(weights) - 1
+    acts, zs = [a], []
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w.T + b
+        zs.append(z)
+        acts.append(z if i == last else _act(activation, z))
+    return acts, zs
+
+
 @dataclass
 class MlpModel:
     """Fully connected regressor trained on [0, 1]-scaled targets.
@@ -303,11 +323,7 @@ class MlpModel:
     def forward_scaled(self, x: np.ndarray) -> np.ndarray:
         """Network output on the internal [0, 1] target scale."""
         a = (np.asarray(x, dtype=float) - self.input_mean) / self.input_scale
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            a = z if i == last else _act(self.activation, z)
-        return a
+        return _forward(self.weights, self.biases, self.activation, a)[0][-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward_scaled(x) * self.output_scale
@@ -356,14 +372,8 @@ def mlp_loss_and_grads(
     separately so the backpropagation can be checked against finite
     differences.
     """
+    acts, zs = _forward(weights, biases, activation, np.asarray(x, dtype=float))
     last = len(weights) - 1
-    acts = [np.asarray(x, dtype=float)]
-    zs = []
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w.T + b
-        zs.append(z)
-        acts.append(z if i == last else _act(activation, z))
-
     n = x.shape[0]
     diff = acts[-1] - y
     loss = float(np.sum(diff ** 2) / n) + l2 * float(sum(np.sum(w ** 2) for w in weights))
@@ -541,11 +551,8 @@ def grid_search(
     its position in the grid, so results do not depend on evaluation
     order.
     """
-    points = grid.points()
-
-    def run(idx_point: tuple[int, tuple]) -> tuple[GridEntry, MlpModel | None]:
-        idx, (depth, width, act, lr, l2) = idx_point
-        point_seed = seed * 100003 + idx
+    results: list[tuple[GridEntry, MlpModel | None]] = []
+    for idx, (depth, width, act, lr, l2) in enumerate(grid.points()):
         try:
             model = mlp_fit(
                 x_train, y_train,
@@ -554,16 +561,15 @@ def grid_search(
                 learning_rate=lr,
                 epochs=epochs,
                 l2=l2,
-                seed=point_seed,
+                seed=seed * 100003 + idx,
             )
-            val = float(np.mean(rmse(model.predict(x_val), y_val)))
-            entry = GridEntry(depth, width, act, lr, l2, val, model.n_params())
-            return entry, model
         except TrainingDivergedError as e:
             entry = GridEntry(depth, width, act, lr, l2, float("inf"), 0, error=str(e))
-            return entry, None
-
-    results = [run(w) for w in enumerate(points)]
+            model = None
+        else:
+            val = float(np.mean(rmse(model.predict(x_val), y_val)))
+            entry = GridEntry(depth, width, act, lr, l2, val, model.n_params())
+        results.append((entry, model))
     results.sort(key=lambda em: em[0].sort_key())
     leaderboard = [e for e, _ in results]
     best_entry, best_model = results[0]

@@ -23,7 +23,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, HumanFrame, split as split_dataset
+from .analysis import PRUNE_THRESHOLD, low_correlation_features, pearson_matrix
+from .dataset import Dataset, HumanFrame, split_indices
 from .errors import (
     CalibrationRequiredError,
     ConfigError,
@@ -65,6 +66,11 @@ from .learn import (
 from .simulator import CHANNELS, ActuatorCommand, COMMAND_MAX, COMMAND_MIN
 
 MODEL_SCHEMA = "pipeline-model/v1"
+
+REGRESSORS = ("ols", "ridge", "mlp")
+
+# PCA dimension of the landmark representation
+LANDMARK_PCA_DIM = 17
 
 # Maximized action units per basic emotion.
 EMOTION_AUS = {
@@ -149,7 +155,6 @@ class PipelineModel:
     human_stats: MinMaxStats | None = None
     au_ids_used: tuple[int, ...] | None = None
     au_stats_full: MinMaxStats | None = None
-    pruned_aus: tuple[int, ...] | None = None
     provenance: dict | None = None
 
     def __post_init__(self) -> None:
@@ -162,6 +167,13 @@ class PipelineModel:
             np.array([AU_INDEX[a] for a in self.au_ids_used])
             if self.feature_kind == "au" else None
         )
+
+    @property
+    def pruned_aus(self) -> tuple[int, ...] | None:
+        """AU ids dropped from an au-kind model's inputs, in AU order."""
+        if self.au_ids_used is None:
+            return None
+        return tuple(a for a in AU_IDS if a not in self.au_ids_used)
 
     # -- feature plumbing --------------------------------------------------
 
@@ -224,7 +236,6 @@ class PipelineModel:
             "neutral_reference": self.neutral_reference.tolist(),
             "au_ids_used": list(self.au_ids_used) if self.au_ids_used else None,
             "au_stats_full": self.au_stats_full.to_dict() if self.au_stats_full else None,
-            "pruned_aus": list(self.pruned_aus) if self.pruned_aus is not None else None,
             "provenance": self.provenance,
         }
 
@@ -250,9 +261,6 @@ class PipelineModel:
             au_ids_used=tuple(d["au_ids_used"]) if d.get("au_ids_used") else None,
             au_stats_full=(
                 MinMaxStats.from_dict(d["au_stats_full"]) if d.get("au_stats_full") else None
-            ),
-            pruned_aus=(
-                tuple(d["pruned_aus"]) if d.get("pruned_aus") is not None else None
             ),
             provenance=d.get("provenance"),
         )
@@ -280,16 +288,15 @@ def fit_pipeline(
     grid: HyperGrid | None = None,
     epochs: int = 2000,
     seed: int = 0,
-    prune_threshold: float = 0.2,
 ) -> PipelineModel:
     """Train a full retargeting pipeline on a dataset.
 
     Feature handling per kind:
 
     * ``au``: AUs with no usable actuator correlation on the training set
-      (threshold ``prune_threshold``) are dropped; PCA keeps full rank, so
+      (``analysis.PRUNE_THRESHOLD``) are dropped; PCA keeps full rank, so
       it is a pure rotation.
-    * ``landmarks``: PCA to ``pca_k`` (default 17).
+    * ``landmarks``: PCA to ``pca_k`` (default ``LANDMARK_PCA_DIM``).
     * ``distances``: PCA dimension tuned over ``pca_candidates`` against
       ``tune_dataset`` (an internal validation split of the training data
       when none is given), using a linear readout.
@@ -298,24 +305,23 @@ def fit_pipeline(
     grid-searches over ``grid`` using an internal seeded train/validation
     split, then refits the winning configuration on the full training set.
     """
-    from .analysis import low_correlation_features, pearson_matrix
-
     if kind not in FEATURE_KINDS:
         raise ConfigError(f"unknown feature kind {kind!r}")
-    if regressor not in ("ols", "ridge", "mlp"):
+    if regressor not in REGRESSORS:
         raise ConfigError(f"unknown regressor {regressor!r}")
 
     y = train.commands
     au_ids_used = None
     au_stats_full = None
-    pruned: tuple[int, ...] | None = None
 
     if kind == "au":
-        corr = pearson_matrix(train.commands, train.aus)
-        pruned = tuple(low_correlation_features(corr, prune_threshold))
+        pruned = low_correlation_features(pearson_matrix(train.commands, train.aus))
         au_ids_used = tuple(a for a in AU_IDS if a not in pruned)
         if not au_ids_used:
-            raise ConfigError("all AUs were pruned; lower prune_threshold")
+            raise ConfigError(
+                f"all AUs were pruned: none correlates with an actuator at "
+                f"|r| >= {PRUNE_THRESHOLD}"
+            )
         idx = [AU_INDEX[a] for a in au_ids_used]
         x = train.aus[:, idx]
         au_stats_full = fit_minmax(train.aus, "au")
@@ -326,15 +332,13 @@ def fit_pipeline(
     if pca_k is None:
         if kind == "distances":
             if tune_dataset is None:
-                sub_train, sub_val = split_dataset(train, 0.25, seed + 1)
+                fit_idx, val_idx = split_indices(len(x), 0.25, seed + 1)
+                scan = x[fit_idx], y[fit_idx], x[val_idx], y[val_idx]
             else:
-                sub_train, sub_val = train, tune_dataset
-            pca_k, _ = choose_pca_dim(
-                sub_train.features(kind), sub_train.commands,
-                sub_val.features(kind), sub_val.commands, pca_candidates,
-            )
+                scan = x, y, tune_dataset.features(kind), tune_dataset.commands
+            pca_k, _ = choose_pca_dim(*scan, pca_candidates)
         elif kind == "landmarks":
-            pca_k = 17
+            pca_k = LANDMARK_PCA_DIM
         else:
             pca_k = x.shape[1]  # full-rank rotation over the kept AUs
     pca_k = min(pca_k, x.shape[1], x.shape[0] - 1)
@@ -348,10 +352,7 @@ def fit_pipeline(
         reg = ridge_fit(z, y, ridge_lambda)
     else:
         grid = grid if grid is not None else default_grid()
-        n = z.shape[0]
-        perm = np.random.default_rng(seed + 2).permutation(n)
-        n_val = max(1, int(round(n * 0.25)))
-        val_idx, tr_idx = np.sort(perm[:n_val]), np.sort(perm[n_val:])
+        tr_idx, val_idx = split_indices(len(z), 0.25, seed + 2)
         best, _ = grid_search(
             z[tr_idx], y[tr_idx], z[val_idx], y[val_idx],
             grid, epochs=epochs, seed=seed,
@@ -381,7 +382,6 @@ def fit_pipeline(
         neutral_reference=_dataset_neutral_reference(train),
         au_ids_used=au_ids_used,
         au_stats_full=au_stats_full,
-        pruned_aus=pruned,
         provenance=provenance,
     )
 

@@ -148,10 +148,7 @@ class TestRescaleRmse:
 def tiny_report(small_dataset):
     # a fast comparison run: one-point MLP grid, few epochs
     grid = HyperGrid([1], [8], ["tanh"], [1e-2], [0.0])
-    return compare_representations(
-        small_dataset, split_seed=3, grid=grid, epochs=40,
-        pca_candidates=(3, 5, 7),
-    )
+    return compare_representations(small_dataset, split_seed=3, grid=grid, epochs=40)
 
 
 class TestCompareRepresentations:
@@ -163,21 +160,16 @@ class TestCompareRepresentations:
 
     def test_deterministic(self, small_dataset, tiny_report):
         grid = HyperGrid([1], [8], ["tanh"], [1e-2], [0.0])
-        again = compare_representations(
-            small_dataset, split_seed=3, grid=grid, epochs=40,
-            pca_candidates=(3, 5, 7),
-        )
+        again = compare_representations(small_dataset, split_seed=3, grid=grid, epochs=40)
         assert np.array_equal(tiny_report.values, again.values)
         assert tiny_report.distance_pca_dim == again.distance_pca_dim
 
-    def test_outputs_pinned(self, small_dataset):
+    def test_outputs_pinned(self, tiny_report):
         # default PCA candidates: the 48 training rows still allow k=39
-        grid = HyperGrid([1], [8], ["tanh"], [1e-2], [0.0])
-        report = compare_representations(small_dataset, split_seed=3, grid=grid, epochs=40)
-        assert array_sha256(report.values) == (
+        assert array_sha256(tiny_report.values) == (
             "0a7ef7b5d3ac099498783c77a002c8ee69f54b65dc277bed018b72359a44aa29"
         )
-        assert report.distance_pca_dim == 39
+        assert tiny_report.distance_pca_dim == 39
 
     def test_renderings(self, tiny_report, tmp_path):
         text = tiny_report.to_text()

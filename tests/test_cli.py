@@ -261,6 +261,7 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("headlearn: error:")
         assert "Traceback" not in err
+        assert "PCA dimension scan" in err and "k=39" in err and "18 fit rows" in err
 
     def test_unknown_crosstalk_id_is_data_error(self, capsys, tmp_path, default_head):
         doc = default_head.to_dict()

@@ -12,6 +12,7 @@ from headlearn.dataset import (
     load_dataset,
     save_dataset,
     split,
+    split_indices,
 )
 from headlearn.errors import (
     DatasetCorruptError,
@@ -137,6 +138,13 @@ class TestSplit:
         b = split(small_dataset, 0.25, 5)
         assert np.array_equal(a[0].commands, b[0].commands)
         assert np.array_equal(a[1].commands, b[1].commands)
+
+    def test_indices_give_the_same_partition(self, small_dataset):
+        for fraction, seed in ((0.25, 5), (0.2, 0)):
+            train, test = split(small_dataset, fraction, seed)
+            train_idx, test_idx = split_indices(len(small_dataset), fraction, seed)
+            assert np.array_equal(small_dataset.frame_ids[train_idx], train.frame_ids)
+            assert np.array_equal(small_dataset.frame_ids[test_idx], test.frame_ids)
 
     def test_fraction_bounds(self, small_dataset):
         for bad in (0.0, 1.0, -0.5, 1.5):
@@ -269,6 +277,33 @@ class TestOpenFaceIngestion:
         path = tmp_path / "of.csv"
         path.write_text("\n".join(lines))
         with pytest.raises(OpenFaceFormatError, match=":3:"):
+            ingest_openface_csv(path)
+
+    def write_with_first_row(self, tmp_path, edit):
+        """Write the fixture with its first data row's cells passed through
+        ``edit(cells, column_index)``."""
+        lines = openface_csv_text(self.fixture_frames()).splitlines()
+        names = [c.strip() for c in lines[0].split(",")]
+        cells = lines[1].split(",")
+        lines[1] = ",".join(edit(cells, names.index))
+        path = tmp_path / "of.csv"
+        path.write_text("\n".join(lines))
+        return path
+
+    def test_two_bad_cells_name_the_first_read(self, tmp_path):
+        # pose_Tx comes first in the file, but X_5 is read first
+        def edit(cells, at):
+            cells[at("pose_Tx")] = "bad"
+            cells[at("X_5")] = "bad"
+            return cells
+
+        path = self.write_with_first_row(tmp_path, edit)
+        with pytest.raises(OpenFaceFormatError, match=r":2: unparsable value for column 'X_5'"):
+            ingest_openface_csv(path)
+
+    def test_short_row_names_the_first_missing_column(self, tmp_path):
+        path = self.write_with_first_row(tmp_path, lambda cells, at: cells[:at("Y_11")])
+        with pytest.raises(OpenFaceFormatError, match=r":2: unparsable value for column 'Y_11'"):
             ingest_openface_csv(path)
 
     def test_empty_file(self, tmp_path):

@@ -192,6 +192,19 @@ class TestChoosePcaDim:
             choose_pca_dim(x_fit[:8], y_fit[:8], x_val, y_val, [3, 9])
 
 
+@pytest.mark.parametrize("fit", [
+    ols_fit,
+    lambda x, y: ridge_fit(x, y, 1.0),
+    lambda x, y: mlp_fit(x, y, epochs=1),
+], ids=["ols", "ridge", "mlp"])
+def test_1d_targets_rejected(fit):
+    # a 1-D y would fit as one output and predict (n, 1), which no longer
+    # compares with that same y
+    x = np.random.default_rng(13).normal(size=(20, 3))
+    with pytest.raises(ValueError, match=r"\(n, outputs\)"):
+        fit(x, x[:, 0])
+
+
 class TestOls:
     def test_exact_affine_recovery(self):
         rng = np.random.default_rng(14)

@@ -437,6 +437,18 @@ class TestModelPersistence:
             models["au"].predict_raw(models["au"].dataset_features(test)),
         )
 
+    def test_older_file_with_pruned_aus_loads(self, trained, tmp_path):
+        import json
+
+        _, _, models = trained
+        model = models["au"]
+        doc = model.to_dict()
+        assert "pruned_aus" not in doc
+        doc["pruned_aus"] = list(model.pruned_aus)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert load_model(path).pruned_aus == model.pruned_aus
+
     def test_unsupported_version(self, trained, tmp_path):
         import json
 
