@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -220,6 +221,17 @@ class TestHumanFlows:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"timestamp {stamp}" in captured.err
+
+    def test_retarget_output_pinned(self, model_path, human_csv, tmp_path, capsys):
+        calibrated = tmp_path / "cal.json"
+        main(["calibrate-human", "--model", str(model_path), "--csv", str(human_csv),
+              "--out", str(calibrated)])
+        capsys.readouterr()
+        assert main(["retarget", "--model", str(calibrated), "--csv", str(human_csv)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d9c5bdc4c40c081aba6240baa278c4921f5f4273f759066bfb0c6e307067c3ab"
+        )
 
     def test_retarget_to_directory(self, model_path, human_csv, tmp_path, capsys):
         calibrated = tmp_path / "cal.json"

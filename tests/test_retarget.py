@@ -208,6 +208,36 @@ class TestRetargetFrame:
         assert np.all(cmd.as_array() <= 4.0 * residual + 4.0)
 
 
+class TestCalibrateHuman:
+    def test_stats_pinned(self, trained, default_head):
+        # the human-side MinMax stats feed every retargeted command; they
+        # must reproduce bit for bit for each feature kind
+        _, _, models = trained
+        rng = np.random.default_rng(25)
+        frames = [
+            human_frame(default_head, random_command(default_head, rng), rng_seed=250 + i)
+            for i in range(12)
+        ]
+        digests = {}
+        for kind, model in models.items():
+            stats = calibrate_human(model, frames).human_stats
+            digests[kind] = (array_sha256(stats.mins), array_sha256(stats.maxs))
+        assert digests == {
+            "au": (
+                "de4ed973c139b78397bd203ab45e167da925eab566f7f5cdd5ef190da1361b66",
+                "cc43a1d7182a3fade077fb9a6f9a89243d796848810f69ab4ae6e93e8a97b8f9",
+            ),
+            "landmarks": (
+                "f61f92f1e2cd6f248667ed802427d0c37a910dff258f67c7e049d0cb847fb615",
+                "9dc98843ff23646e454694dbfacdf6bb8c0d99d1204fa28fc6977fd5af0d8f89",
+            ),
+            "distances": (
+                "e8c86e7a6b359c2ceab20b87bfd3ad788c16ae96093d4b76420c524f2b1ad0b9",
+                "c5110ef3828774ccd2bed3c35cfb41bea4a745ecb7f49651aa9d28aaebc8cbf8",
+            ),
+        }
+
+
 class TestStream:
     def test_single_frame_matches_retarget_frame(self, trained, default_head):
         _, _, models = trained
