@@ -11,7 +11,6 @@ from .analysis import (
     compare_representations,
     low_correlation_features,
     pearson_matrix,
-    rescale_rmse,
 )
 from .dataset import (
     CollectionProtocol,
@@ -73,7 +72,6 @@ from .learn import (
 )
 from .retarget import (
     EMOTIONS,
-    EmotionSpec,
     PipelineModel,
     calibrate_human,
     evaluate_pipeline,

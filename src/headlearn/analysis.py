@@ -2,9 +2,8 @@
 
 Covers the actuator-by-AU Pearson correlation matrix (with an explicit
 missing marker for zero-variance columns), pruning of AUs the head cannot
-express, RMSE rescaling between command ranges, and the four-way
-representation comparison (AU+LR, AU+MLP, landmarks+LR, distances+LR) on
-one shared train/test split.
+express, and the four-way representation comparison (AU+LR, AU+MLP,
+landmarks+LR, distances+LR) on one shared train/test split.
 """
 
 from __future__ import annotations
@@ -125,13 +124,6 @@ def low_correlation_features(m: CorrMatrix, threshold: float = PRUNE_THRESHOLD) 
     return pruned
 
 
-def rescale_rmse(value: float, from_range: float, to_range: float) -> float:
-    """Rescale an RMSE between command value ranges."""
-    if from_range <= 0 or to_range <= 0:
-        raise ValueError("ranges must be positive")
-    return value * to_range / from_range
-
-
 # -- four-way representation comparison --------------------------------------
 
 # column -> (title, feature kind, regressor)
@@ -158,9 +150,6 @@ class ComparisonReport:
 
     def column_means(self) -> np.ndarray:
         return self.values.mean(axis=0)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.columns.index(name)]
 
     def to_csv(self, path: str | Path) -> None:
         Path(path).write_text(self.to_csv_text())

@@ -30,6 +30,7 @@ from .analysis import (
 )
 from .dataset import (
     CollectionProtocol,
+    HumanFrame,
     collect,
     ingest_openface_csv,
     load_dataset,
@@ -241,10 +242,8 @@ def cmd_calibrate_human(args) -> int:
 def cmd_retarget(args) -> int:
     model = load_model(args.model)
     frames = ingest_openface_csv(args.csv, confidence_threshold=args.threshold)
-    lines = []
-    for frame in frames:
-        command = retarget_frame(model, frame)
-        lines.append(f"{frame.timestamp}," + _command_line(command))
+    rows = retarget_frame(model, HumanFrame.stack(frames)).tolist() if frames else []
+    lines = [f"{f.timestamp}," + ",".join(map(str, row)) for f, row in zip(frames, rows)]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         out = Path(args.out)

@@ -36,8 +36,8 @@ from .errors import (
 )
 from .features import AU_IDS, AUReadout, window_average
 from .geometry import (
+    CHUNK,
     N_LANDMARKS,
-    N_PAIRS,
     Pose,
     center,
     derotate,
@@ -135,21 +135,6 @@ def _neutral_block_sizes(n_targets: int, neutral_fraction: float) -> list[int]:
     return [base + 1 if i < extra else base for i in range(n_targets)]
 
 
-# Frames (in collect) and rows (in _distances) processed per array step:
-# enough to spread numpy's per-call cost, few enough that the temporaries
-# stay small (a 32-row step of pairwise distances takes about 5 MB).
-CHUNK = 32
-
-
-def _distances(landmarks: np.ndarray) -> np.ndarray:
-    """Pairwise-distance rows for flattened (n, 204) landmark rows."""
-    pts = landmarks.reshape(len(landmarks), N_LANDMARKS, 3)
-    out = np.empty((len(pts), N_PAIRS))
-    for start in range(0, len(pts), CHUNK):
-        out[start:start + CHUNK] = pairwise_distances(pts[start:start + CHUNK])
-    return out
-
-
 # role codes of the recorded frames, in the order of ``_ROLES``
 _NEUTRAL, _TARGET, _INTERP = range(3)
 _ROLES = (ROLE_NEUTRAL, ROLE_TARGET, ROLE_INTERP)
@@ -219,7 +204,7 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
         frame_ids=np.arange(n),
         aus=window_average(aus, window),
         landmarks=landmarks,
-        distances=_distances(landmarks),
+        distances=pairwise_distances(landmarks.reshape(-1, N_LANDMARKS, 3)),
         commands=targets,
         meta={
             "schema": DATASET_SCHEMA,
@@ -363,7 +348,7 @@ def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
         frame_ids=np.array(frame_ids, dtype=int),
         aus=np.array(au_rows, dtype=float),
         landmarks=landmarks,
-        distances=_distances(landmarks),
+        distances=pairwise_distances(landmarks.reshape(-1, N_LANDMARKS, 3)),
         commands=np.array(command_rows, dtype=float),
         meta=meta,
     )
@@ -373,13 +358,30 @@ def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
 
 @dataclass
 class HumanFrame:
-    """One tracked frame of a human face (OpenFace 2.0 FeatureExtraction)."""
+    """One tracked frame of a human face (OpenFace 2.0 FeatureExtraction),
+    or a stack of n frames: every field then gains a leading axis of n."""
 
     landmarks: np.ndarray  # (68, 3) mm, camera frame
     aus: np.ndarray        # (17,) intensities in [0, 5]
     pose: Pose
-    timestamp: float
-    confidence: float
+    timestamp: float       # or an (n,) array
+    confidence: float      # or an (n,) array
+
+    @classmethod
+    def stack(cls, frames: list["HumanFrame"]) -> "HumanFrame":
+        """Stack a nonempty list of single frames into one n-frame stack."""
+        if not frames:
+            raise ValueError("a HumanFrame stack needs at least one frame")
+        return cls(
+            landmarks=np.stack([f.landmarks for f in frames]),
+            aus=np.stack([f.aus for f in frames]),
+            pose=Pose(
+                rotation=np.stack([f.pose.rotation for f in frames]),
+                translation=np.stack([f.pose.translation for f in frames]),
+            ),
+            timestamp=np.array([f.timestamp for f in frames], dtype=float),
+            confidence=np.array([f.confidence for f in frames], dtype=float),
+        )
 
 
 _OPENFACE_AU_COLS = [f"AU{au:02d}_r" for au in AU_IDS]

@@ -192,15 +192,11 @@ class MinMaxStats:
         return cls(kind=d["kind"], mins=d["mins"], maxs=d["maxs"])
 
 
-def fit_minmax(
-    samples: np.ndarray, kind: str, allow_single: bool = False
-) -> MinMaxStats:
+def fit_minmax(samples: np.ndarray, kind: str) -> MinMaxStats:
     """Per-dimension extrema over a sample matrix (rows = samples)."""
     x = np.atleast_2d(np.asarray(samples, dtype=float))
-    if x.shape[0] == 0:
-        raise ValueError("fit_minmax needs at least one sample")
-    if x.shape[0] < 2 and not allow_single:
-        raise ValueError("fit_minmax needs >= 2 samples (or allow_single=True)")
+    if x.shape[0] < 2:
+        raise ValueError("fit_minmax needs >= 2 samples")
     return MinMaxStats(kind=kind, mins=x.min(axis=0), maxs=x.max(axis=0))
 
 

@@ -24,6 +24,11 @@ from .errors import AlignmentDegenerateError
 N_LANDMARKS = 68
 N_PAIRS = N_LANDMARKS * (N_LANDMARKS - 1) // 2  # 2278
 
+# Sets of a stack processed per array step (here and in dataset collection):
+# enough to spread numpy's per-call cost, few enough that the temporaries
+# stay small (a 32-set step of pairwise distances takes about 5 MB).
+CHUNK = 32
+
 # Upper-triangle indices in lexicographic (i, j) order, i < j.  This fixes
 # the element order of every pairwise-distance vector.
 _TRIU = np.triu_indices(N_LANDMARKS, k=1)
@@ -59,14 +64,6 @@ def check_landmarks(points: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("landmark set contains non-finite coordinates")
     return pts
-
-
-def mirror_landmarks(points: np.ndarray) -> np.ndarray:
-    """Reflect a landmark set about the x=0 plane, swapping left/right ids."""
-    pts = check_landmarks(points)
-    out = pts[MIRROR_INDEX].copy()
-    out[:, 0] *= -1.0
-    return out
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -118,10 +115,6 @@ class Pose:
                 "(or (n, 3) arrays of each for a stack)"
             )
 
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls()
-
     def matrix(self) -> np.ndarray:
         """Rotation matrix for the intrinsic X-Y-Z angles, (3, 3) or (n, 3, 3)."""
         lead = self.rotation.shape[:-1]
@@ -168,10 +161,17 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
 
     Element order is lexicographic by (i, j) with i < j, matching
     ``PAIR_INDICES``.  Invariant under any rigid transform of the input.
-    A stack of n sets gives an (n, 2278) array; its temporaries take about
-    170 kB per set.
+    A stack of n sets gives an (n, 2278) array, measured ``CHUNK`` sets at
+    a time: the temporaries take about 170 kB per set, so they stay near
+    5 MB however long the stack.
     """
-    return pair_distances(points, *_TRIU)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 2:
+        return pair_distances(pts, *_TRIU)
+    out = np.empty((len(pts), N_PAIRS))
+    for start in range(0, len(pts), CHUNK):
+        out[start:start + CHUNK] = pair_distances(pts[start:start + CHUNK], *_TRIU)
+    return out
 
 
 def pair_index(i: int, j: int) -> int:

@@ -112,14 +112,6 @@ def pca_transform(m: PcaModel, x: np.ndarray) -> np.ndarray:
     return (x - m.mean) @ m.components.T
 
 
-def pca_inverse_transform(m: PcaModel, z: np.ndarray) -> np.ndarray:
-    """Map reduced rows back to the original feature space."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] != m.k:
-        raise ValueError(f"input has {z.shape[-1]} columns, model keeps {m.k}")
-    return z @ m.components + m.mean
-
-
 @dataclass
 class PcaDimReport:
     """Per-candidate downstream error and cumulative explained variance."""

@@ -36,6 +36,7 @@ from .features import (
     AU_IDS,
     AU_INDEX,
     FEATURE_KINDS,
+    N_AUS,
     MinMaxStats,
     fit_minmax,
     minmax_map,
@@ -63,7 +64,7 @@ from .learn import (
     ridge_fit,
     rmse,
 )
-from .simulator import CHANNELS, ActuatorCommand, COMMAND_MAX, COMMAND_MIN
+from .simulator import CHANNELS, COMMAND_MAX, COMMAND_MIN, N_CHANNELS, ActuatorCommand
 
 MODEL_SCHEMA = "pipeline-model/v1"
 
@@ -73,7 +74,7 @@ REGRESSORS = ("ols", "ridge", "mlp")
 LANDMARK_PCA_DIM = 17
 
 # Maximized action units per basic emotion.
-EMOTION_AUS = {
+EMOTIONS = {
     "anger": (4, 7, 23),
     "disgust": (9, 15),
     "fear": (1, 2, 4, 5, 7, 20, 26),
@@ -85,19 +86,8 @@ EMOTION_AUS = {
 FILL_MODES = ("min_fill", "zero_fill")
 
 
-@dataclass(frozen=True)
-class EmotionSpec:
-    """A named emotion and the AU ids it maximizes."""
-
-    name: str
-    maximized_aus: tuple[int, ...]
-
-
-EMOTIONS = {name: EmotionSpec(name, aus) for name, aus in EMOTION_AUS.items()}
-
-
 def facs_target(
-    emotion: str | EmotionSpec,
+    emotion: str,
     au_stats: MinMaxStats,
     fill_mode: str = "min_fill",
 ) -> np.ndarray:
@@ -108,28 +98,26 @@ def facs_target(
     Staying inside the observed training range keeps the regressor from
     extrapolating.
     """
-    if isinstance(emotion, str):
-        try:
-            spec = EMOTIONS[emotion.lower()]
-        except KeyError:
-            raise ValueError(
-                f"unknown emotion {emotion!r}; expected one of {sorted(EMOTIONS)}"
-            ) from None
-    else:
-        spec = emotion
+    try:
+        maximized = EMOTIONS[emotion.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown emotion {emotion!r}; expected one of {sorted(EMOTIONS)}"
+        ) from None
     if fill_mode not in FILL_MODES:
         raise ValueError(f"fill_mode must be one of {FILL_MODES}")
     if au_stats.dim != len(AU_IDS):
         raise ValueError("au_stats must cover all 17 AUs")
 
     target = au_stats.mins.copy() if fill_mode == "min_fill" else np.zeros(len(AU_IDS))
-    for au in spec.maximized_aus:
+    for au in maximized:
         target[AU_INDEX[au]] = au_stats.maxs[AU_INDEX[au]]
     return target
 
 
-def command_from_raw(raw: np.ndarray) -> ActuatorCommand:
-    """Round a raw 9-vector prediction and clip it into the command range.
+def command_from_raw(raw: np.ndarray) -> ActuatorCommand | np.ndarray:
+    """Round raw 9-vector predictions and clip them into the command range:
+    one (9,) row gives an ActuatorCommand, (n, 9) rows give (n, 9) ints.
 
     Infinite values clip to the range ends; a NaN raises
     InvalidCommandError naming its channel.
@@ -138,9 +126,10 @@ def command_from_raw(raw: np.ndarray) -> ActuatorCommand:
     nan = np.isnan(raw)
     if nan.any():
         raise InvalidCommandError(
-            f"channel {CHANNELS[np.flatnonzero(nan)[0]]} prediction is NaN"
+            f"channel {CHANNELS[np.nonzero(nan)[-1][0]]} prediction is NaN"
         )
-    return ActuatorCommand.from_array(np.clip(np.floor(raw + 0.5), COMMAND_MIN, COMMAND_MAX))
+    rows = np.clip(np.floor(raw + 0.5), COMMAND_MIN, COMMAND_MAX).astype(int)
+    return ActuatorCommand.from_array(rows) if rows.ndim == 1 else rows
 
 
 @dataclass
@@ -162,11 +151,37 @@ class PipelineModel:
             raise ConfigError(f"unknown feature kind {self.feature_kind!r}")
         if self.feature_kind == "au" and self.au_ids_used is None:
             raise ConfigError("au-kind model needs au_ids_used")
+        self._check_widths()
         # columns of the kept AUs among all 17
         self.au_index = (
             np.array([AU_INDEX[a] for a in self.au_ids_used])
             if self.feature_kind == "au" else None
         )
+
+    def _check_widths(self) -> None:
+        """Raise ConfigError unless the parts agree on their widths, so a
+        mismatched model file fails when it loads, not deep in a flow."""
+        pca = self.pca
+        reg = self.regressor
+        layers = reg.weights if isinstance(reg, MlpModel) else [reg.weights]
+        checks = [
+            ("robot_stats.dim", self.robot_stats.dim, "pca.n_features", pca.n_features),
+            ("regressor input width", layers[0].shape[-1], "pca.k", pca.k),
+            ("regressor output width", layers[-1].shape[0], "channel count", N_CHANNELS),
+        ]
+        if self.human_stats is not None:
+            checks.append(
+                ("human_stats.dim", self.human_stats.dim, "pca.n_features", pca.n_features)
+            )
+        if self.feature_kind == "au":
+            checks.append(
+                ("len(au_ids_used)", len(self.au_ids_used), "pca.n_features", pca.n_features)
+            )
+            if self.au_stats_full is not None:
+                checks.append(("au_stats_full.dim", self.au_stats_full.dim, "AU count", N_AUS))
+        bad = [f"{a} {x} != {b} {y}" for a, x, b, y in checks if x != y]
+        if bad:
+            raise ConfigError("inconsistent model: " + "; ".join(bad))
 
     @property
     def pruned_aus(self) -> tuple[int, ...] | None:
@@ -184,24 +199,26 @@ class PipelineModel:
         return d.features(self.feature_kind)
 
     def frame_features(self, frame: HumanFrame) -> np.ndarray:
-        """Model-space features for one tracked human frame."""
+        """Model-space features for one tracked human frame, (d,), or for a
+        stack of n frames, (n, d)."""
         if self.feature_kind == "au":
-            return frame.aus[self.au_index]
+            return frame.aus[..., self.au_index]
         face = derotate(frame.landmarks, frame.pose)
         aligned, _ = procrustes_align(face, self.neutral_reference)
         if self.feature_kind == "landmarks":
-            return aligned.reshape(-1)
+            return aligned.reshape(aligned.shape[:-2] + (-1,))
         return pairwise_distances(aligned)
 
-    def reads_finite(self, frame: HumanFrame) -> bool:
-        """Whether every input of ``frame`` the model reads is finite: the
-        kept AUs for the au kind, the landmarks and the pose otherwise."""
+    def reads_finite(self, frame: HumanFrame) -> np.ndarray:
+        """Per frame, whether every input the model reads is finite: the
+        kept AUs for the au kind, the landmarks and the pose otherwise.
+        A 0-d bool for one frame, an (n,) bool array for a stack."""
         if self.feature_kind == "au":
-            return bool(np.isfinite(frame.aus[self.au_index]).all())
-        return bool(
-            np.isfinite(frame.landmarks).all()
-            and np.isfinite(frame.pose.rotation).all()
-            and np.isfinite(frame.pose.translation).all()
+            return np.isfinite(frame.aus[..., self.au_index]).all(axis=-1)
+        return (
+            np.isfinite(frame.landmarks).all(axis=(-2, -1))
+            & np.isfinite(frame.pose.rotation).all(axis=-1)
+            & np.isfinite(frame.pose.translation).all(axis=-1)
         )
 
     def predict_raw(self, features: np.ndarray) -> np.ndarray:
@@ -210,7 +227,8 @@ class PipelineModel:
         return self.regressor.predict(z)
 
     def human_raw(self, frame: HumanFrame) -> np.ndarray:
-        """Unrounded command for one tracked human frame.
+        """Unrounded command for one tracked human frame, (9,), or for a
+        stack of n frames, (n, 9).
 
         Pipeline: derotate -> align to the neutral reference -> extract the
         model's feature kind (AUs come straight from the tracker) -> MinMax-map
@@ -221,7 +239,8 @@ class PipelineModel:
                 "model has no human MinMax stats; run calibrate_human first"
             )
         mapped = minmax_map(self.frame_features(frame), self.human_stats, self.robot_stats)
-        return self.predict_raw(mapped[None, :])[0]
+        raw = self.predict_raw(np.atleast_2d(mapped))
+        return raw[0] if mapped.ndim == 1 else raw
 
     # -- serialization -----------------------------------------------------
 
@@ -352,7 +371,13 @@ def fit_pipeline(
         reg = ridge_fit(z, y, ridge_lambda)
     else:
         grid = grid if grid is not None else default_grid()
-        tr_idx, val_idx = split_indices(len(z), 0.25, seed + 2)
+        try:
+            tr_idx, val_idx = split_indices(len(z), 0.25, seed + 2)
+        except ValueError:
+            raise ConfigError(
+                f"the MLP grid search's validation split (a quarter of the "
+                f"training rows) is empty on {len(z)} training rows"
+            ) from None
         best, _ = grid_search(
             z[tr_idx], y[tr_idx], z[val_idx], y[val_idx],
             grid, epochs=epochs, seed=seed,
@@ -418,35 +443,41 @@ def calibrate_human(model: PipelineModel, frames: Iterable[HumanFrame]) -> Pipel
     """Fit human-side MinMax stats from a recording and attach them.
 
     The recording should cover neutral plus expressive frames so the
-    observed range spans the actor's expression space.  A frame with a
-    non-finite value in an input the model reads raises
-    OpenFaceFormatError naming the frame's index and timestamp.
+    observed range spans the actor's expression space.  The frames go
+    through the model as one stack.  A frame with a non-finite value in an
+    input the model reads raises OpenFaceFormatError naming the frame's
+    index and timestamp.
     """
-    rows = []
-    for i, frame in enumerate(frames):
-        if not model.reads_finite(frame):
-            raise OpenFaceFormatError(
-                f"calibration frame {i} (timestamp {frame.timestamp}): "
-                f"non-finite value in an input the {model.feature_kind} model reads"
-            )
-        rows.append(model.frame_features(frame))
-    feats = np.array(rows)
-    if feats.size == 0:
+    frames = list(frames)
+    if len(frames) < 2:
         raise ValueError("calibration needs at least 2 frames")
-    stats = fit_minmax(feats, model.feature_kind)
+    stack = HumanFrame.stack(frames)
+    finite = model.reads_finite(stack)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise OpenFaceFormatError(
+            f"calibration frame {i} (timestamp {frames[i].timestamp}): "
+            f"non-finite value in an input the {model.feature_kind} model reads"
+        )
+    stats = fit_minmax(model.frame_features(stack), model.feature_kind)
     return replace(model, human_stats=stats)
 
 
-def retarget_frame(model: PipelineModel, frame: HumanFrame) -> ActuatorCommand:
-    """Map one tracked human frame onto an actuator command: the
+def retarget_frame(
+    model: PipelineModel, frame: HumanFrame
+) -> ActuatorCommand | np.ndarray:
+    """Map one tracked human frame onto an actuator command, or a stack of
+    n frames onto (n, 9) int command rows: the
     :meth:`PipelineModel.human_raw` prediction, rounded and clipped.
 
     A non-finite value in an input the model reads raises
-    OpenFaceFormatError naming the frame's timestamp.
+    OpenFaceFormatError naming the timestamp of the first such frame.
     """
-    if not model.reads_finite(frame):
+    finite = np.atleast_1d(model.reads_finite(frame))
+    if not finite.all():
+        timestamp = float(np.atleast_1d(frame.timestamp)[np.argmin(finite)])
         raise OpenFaceFormatError(
-            f"frame at timestamp {frame.timestamp}: "
+            f"frame at timestamp {timestamp}: "
             f"non-finite value in an input the {model.feature_kind} model reads"
         )
     return command_from_raw(model.human_raw(frame))

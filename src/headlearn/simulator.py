@@ -42,6 +42,10 @@ N_CHANNELS = len(CHANNELS)
 COMMAND_MIN = 0
 COMMAND_MAX = 255
 
+# Absolute tolerance (mm) of the x -> -x mirror-symmetry checks on the
+# neutral landmarks and on the bases of actuators marked symmetric.
+SYMMETRY_TOL = 1e-6
+
 
 @dataclass
 class ActuatorCommand:
@@ -181,7 +185,7 @@ class HeadConfig:
         self._basis.flags.writeable = False
         self.validate()
 
-    def validate(self, symmetry_tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         channels = [a.channel for a in self.actuators]
         if sorted(channels) != sorted(CHANNELS):
             raise ConfigError(
@@ -195,7 +199,7 @@ class HeadConfig:
             raise ConfigError("sensor_lag_frames must be >= 0")
 
         mirrored = self.neutral_landmarks[MIRROR_INDEX] * np.array([-1.0, 1.0, 1.0])
-        if not np.allclose(self.neutral_landmarks, mirrored, atol=symmetry_tol):
+        if not np.allclose(self.neutral_landmarks, mirrored, atol=SYMMETRY_TOL):
             raise ConfigError("neutral landmarks are not symmetric about x=0")
 
         for act in self.actuators:
@@ -203,7 +207,7 @@ class HeadConfig:
                 continue
             dense = act.dense_basis()
             mirrored = dense[MIRROR_INDEX] * np.array([-1.0, 1.0, 1.0])
-            if not np.allclose(dense, mirrored, atol=symmetry_tol):
+            if not np.allclose(dense, mirrored, atol=SYMMETRY_TOL):
                 raise ConfigError(
                     f"actuator {act.channel} ({act.name}) marked symmetric but its "
                     "basis is not mirror-symmetric"

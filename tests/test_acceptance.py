@@ -237,7 +237,7 @@ class TestCriterion9FacsTargets:
 
     def test_emotion_sets_and_min_fill_range(self, default_dataset):
         sets_ok = all(
-            set(EMOTIONS[name].maximized_aus) == aus for name, aus in self.EXPECTED.items()
+            set(EMOTIONS[name]) == aus for name, aus in self.EXPECTED.items()
         )
         train, _ = split(default_dataset, 0.2, 0)
         model = fit_pipeline(train, "au", seed=0)

@@ -6,7 +6,6 @@ from headlearn.analysis import (
     compare_representations,
     low_correlation_features,
     pearson_matrix,
-    rescale_rmse,
 )
 from headlearn.features import AU_IDS
 from headlearn.learn import HyperGrid
@@ -123,25 +122,6 @@ class TestLowCorrelationFeatures:
         # at the full protocol size its noise stays under the threshold
         m = pearson_matrix(default_dataset.commands, default_dataset.aus)
         assert low_correlation_features(m, 0.2) == [10]
-
-
-class TestRescaleRmse:
-    def test_identity_for_equal_ranges(self):
-        assert rescale_rmse(7.0, 100.0, 100.0) == 7.0
-
-    def test_linear_arithmetic(self):
-        assert rescale_rmse(10.0, 100.0, 255.0) == pytest.approx(25.5)
-
-    def test_round_trip(self):
-        assert rescale_rmse(rescale_rmse(3.7, 50.0, 255.0), 255.0, 50.0) == pytest.approx(
-            3.7, abs=1e-12
-        )
-
-    def test_nonpositive_ranges_rejected(self):
-        with pytest.raises(ValueError):
-            rescale_rmse(1.0, 0.0, 255.0)
-        with pytest.raises(ValueError):
-            rescale_rmse(1.0, 100.0, -1.0)
 
 
 @pytest.fixture(scope="module")

@@ -151,10 +151,6 @@ class TestMinMax:
         with pytest.raises(ValueError):
             fit_minmax(np.ones((1, 3)), "au")
 
-    def test_single_sample_with_flag_gives_degenerate_stats(self):
-        s = fit_minmax(np.array([[1.0, 2.0]]), "au", allow_single=True)
-        assert np.array_equal(s.mins, s.maxs)
-
     def test_extrema_by_inspection(self):
         s = fit_minmax(np.array([[0.0, 2.0], [1.0, 0.0]]), "au")
         assert np.array_equal(s.mins, [0.0, 0.0])

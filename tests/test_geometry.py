@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from headlearn.errors import AlignmentDegenerateError
 from headlearn.geometry import (
+    CHUNK,
     MIRROR_INDEX,
     N_LANDMARKS,
     N_PAIRS,
@@ -15,7 +16,6 @@ from headlearn.geometry import (
     apply_pose,
     center,
     derotate,
-    mirror_landmarks,
     pair_distances,
     pair_index,
     pairwise_distances,
@@ -31,7 +31,7 @@ def random_face(rng):
 
 class TestPose:
     def test_identity_matrix(self):
-        assert np.allclose(Pose.identity().matrix(), np.eye(3))
+        assert np.allclose(Pose().matrix(), np.eye(3))
 
     def test_rotation_is_orthonormal(self):
         rng = np.random.default_rng(1)
@@ -59,7 +59,7 @@ class TestDerotate:
     def test_identity_pose_centers_input(self):
         rng = np.random.default_rng(2)
         pts = random_face(rng) + 100.0
-        out = derotate(pts, Pose.identity())
+        out = derotate(pts, Pose())
         assert np.allclose(out, center(pts), atol=1e-12)
         assert np.allclose(out.mean(axis=0), 0.0, atol=1e-9)
 
@@ -163,11 +163,6 @@ class TestMirror:
     def test_mirror_map_is_involution(self):
         assert np.all(MIRROR_INDEX[MIRROR_INDEX] == np.arange(N_LANDMARKS))
 
-    def test_double_mirror_is_identity(self):
-        rng = np.random.default_rng(11)
-        pts = random_face(rng)
-        assert np.allclose(mirror_landmarks(mirror_landmarks(pts)), pts)
-
     def test_midline_points_map_to_themselves(self):
         for idx in (8, 27, 28, 29, 30, 33, 51, 57, 62, 66):
             assert MIRROR_INDEX[idx] == idx
@@ -223,6 +218,13 @@ class TestStackEqualsLoop:
         pts = self.faces(26)
         stacked = pairwise_distances(pts)
         assert stacked.shape == (self.n, N_PAIRS) and stacked.flags.c_contiguous
+        assert np.array_equal(stacked, np.array([pairwise_distances(p) for p in pts]))
+
+    def test_pairwise_distances_over_chunks(self):
+        # 70 sets: two full chunks of CHUNK and a partial third
+        pts = np.random.default_rng(28).normal(scale=30.0, size=(70, N_LANDMARKS, 3))
+        assert 2 * CHUNK < len(pts) < 3 * CHUNK
+        stacked = pairwise_distances(pts)
         assert np.array_equal(stacked, np.array([pairwise_distances(p) for p in pts]))
 
     def test_pair_distances_are_the_selected_columns(self):

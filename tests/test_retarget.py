@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -73,8 +74,8 @@ def human_frame(head, command, rng_seed=2):
 class TestEmotionSpecs:
     def test_builtin_sets(self):
         assert set(EMOTIONS) == set(FACS_EMOTION_AUS)
-        for name, spec in EMOTIONS.items():
-            assert set(spec.maximized_aus) == FACS_EMOTION_AUS[name]
+        for name, aus in EMOTIONS.items():
+            assert set(aus) == FACS_EMOTION_AUS[name]
 
 
 class TestFacsTarget:
@@ -236,6 +237,88 @@ class TestCalibrateHuman:
                 "c5110ef3828774ccd2bed3c35cfb41bea4a745ecb7f49651aa9d28aaebc8cbf8",
             ),
         }
+
+
+class TestStackedFrames:
+    """A stack of frames gives, per frame, what the single frame gives."""
+
+    @pytest.fixture(scope="class")
+    def frames(self, default_head):
+        rng = np.random.default_rng(26)
+        return [
+            human_frame(default_head, random_command(default_head, rng), rng_seed=260 + i)
+            for i in range(10)
+        ]
+
+    def test_stack_equals_frames(self, frames):
+        stack = HumanFrame.stack(frames)
+        for name in ("landmarks", "aus", "timestamp", "confidence"):
+            assert np.array_equal(
+                getattr(stack, name), np.array([getattr(f, name) for f in frames])
+            )
+        for name in ("rotation", "translation"):
+            assert np.array_equal(
+                getattr(stack.pose, name), np.array([getattr(f.pose, name) for f in frames])
+            )
+        with pytest.raises(ValueError):
+            HumanFrame.stack([])
+
+    def test_features_and_finite_reads_equal_loop(self, trained, frames):
+        _, _, models = trained
+        aus = frames[2].aus.copy()
+        aus[AU_INDEX[models["au"].au_ids_used[0]]] = np.nan
+        landmarks = frames[5].landmarks.copy()
+        landmarks[30, 2] = np.nan
+        mixed = list(frames)
+        mixed[2] = dataclasses.replace(frames[2], aus=aus)
+        mixed[5] = dataclasses.replace(frames[5], landmarks=landmarks)
+        for kind, model in models.items():
+            assert np.array_equal(
+                model.frame_features(HumanFrame.stack(frames)),
+                np.array([model.frame_features(f) for f in frames]),
+            )
+            finite = model.reads_finite(HumanFrame.stack(mixed))
+            assert np.array_equal(finite, [model.reads_finite(f) for f in mixed])
+            assert not finite.all()
+
+    def test_calibrate_human_equals_loop(self, trained, frames):
+        _, _, models = trained
+        for kind, model in models.items():
+            stats = calibrate_human(model, frames).human_stats
+            looped = np.array([model.frame_features(f) for f in frames])
+            assert np.array_equal(stats.mins, looped.min(axis=0))
+            assert np.array_equal(stats.maxs, looped.max(axis=0))
+
+    def test_retarget_frame_equals_loop(self, trained, frames):
+        # commands equal; raw predictions differ only by BLAS summation
+        # order between the (n, d) and (1, d) products
+        _, _, models = trained
+        stack = HumanFrame.stack(frames)
+        for kind, model in models.items():
+            model = calibrate_human(model, frames)
+            rows = retarget_frame(model, stack)
+            assert rows.shape == (len(frames), len(CHANNELS))
+            assert np.array_equal(rows, [retarget_frame(model, f).as_array() for f in frames])
+            np.testing.assert_allclose(
+                model.human_raw(stack), [model.human_raw(f) for f in frames],
+                rtol=1e-9, atol=0.0,
+            )
+
+    def test_stacked_retarget_names_the_nan_frame(self, trained, frames):
+        _, _, models = trained
+        model = calibrate_human(models["distances"], frames)
+        landmarks = frames[6].landmarks.copy()
+        landmarks[12, 0] = np.nan
+        bad = dataclasses.replace(frames[6], landmarks=landmarks, timestamp=7.75)
+        stack = HumanFrame.stack(frames[:6] + [bad] + frames[7:])
+        with pytest.raises(OpenFaceFormatError, match="frame at timestamp 7.75"):
+            retarget_frame(model, stack)
+
+    def test_calibration_needs_two_frames(self, trained, frames):
+        _, _, models = trained
+        for few in ([], frames[:1]):
+            with pytest.raises(ValueError, match="calibration needs at least 2 frames"):
+                calibrate_human(models["au"], few)
 
 
 class TestStream:
@@ -479,6 +562,32 @@ class TestModelPersistence:
         path.write_text(json.dumps(doc))
         assert load_model(path).pruned_aus == model.pruned_aus
 
+    @pytest.mark.parametrize("mutation, field", [
+        ("regressor weights one column short", "regressor input width"),
+        ("au_ids_used one id short", "len(au_ids_used)"),
+        ("robot_stats one dimension short", "robot_stats.dim"),
+    ])
+    def test_inconsistent_file_fails_on_load(self, trained, tmp_path, capsys, mutation, field):
+        import json
+
+        from headlearn.cli import main
+
+        _, _, models = trained
+        doc = models["au"].to_dict()
+        if mutation.startswith("regressor"):
+            doc["regressor"]["weights"] = [row[:-1] for row in doc["regressor"]["weights"]]
+        elif mutation.startswith("au_ids_used"):
+            doc["au_ids_used"] = doc["au_ids_used"][:-1]
+        else:
+            for end in ("mins", "maxs"):
+                doc["robot_stats"][end] = doc["robot_stats"][end][:-1]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_model(path)
+        assert main(["facs", "happy", "--model", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_unsupported_version(self, trained, tmp_path):
         import json
 
@@ -540,6 +649,13 @@ class TestFitPipeline:
             "distances": "fe5345e5cddf4a0484d9ebdd2da7f2136aa9485eb625aeda93c44a81095d1aeb",
             "au_mlp": "e3e90bd7e84f2e505bdf785acea22660f883ae7290687d832a21e96057aaf076",
         }
+
+    def test_mlp_on_two_training_rows_names_the_validation_split(self, default_head):
+        d = collect(default_head, CollectionProtocol(n_target_frames=6, rng_seed=4))
+        train, _ = split(d, 0.66, 4)
+        assert len(train) == 2
+        with pytest.raises(ConfigError, match="MLP grid search's validation split.* 2 training rows"):
+            fit_pipeline(train, "landmarks", regressor="mlp", epochs=5, seed=4)
 
     def test_unknown_kind_and_regressor(self, small_dataset):
         train, _ = split(small_dataset, 0.25, 24)
