@@ -11,15 +11,13 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, split
-from .errors import ConfigError
-from .features import AU_IDS, FEATURE_KINDS
-from .learn import HyperGrid, default_grid
-from .simulator import CHANNELS
+from .dataset import TEST_FRACTION, Dataset, split
+from .features import AU_IDS, N_AUS
+from .learn import DEFAULT_EPOCHS, HyperGrid, default_grid
+from .simulator import CHANNELS, N_CHANNELS
 
 MISSING = "NA"
 
@@ -30,14 +28,13 @@ PRUNE_THRESHOLD = 0.2
 
 @dataclass
 class CorrMatrix:
-    """Pearson correlations between actuator channels (rows) and AUs (cols).
+    """Pearson correlations between the actuator channels of ``CHANNELS``
+    (rows) and the AUs of ``AU_IDS`` (cols).
 
     ``missing`` marks pairs where a zero-variance column makes the
     coefficient undefined; ``r`` holds 0.0 there and must not be read.
     """
 
-    channel_ids: list[int]
-    au_ids: list[int]
     r: np.ndarray
     missing: np.ndarray
 
@@ -46,33 +43,29 @@ class CorrMatrix:
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
-        buf.write("actuator," + ",".join(f"AU{a:02d}" for a in self.au_ids) + "\n")
-        for i, ch in enumerate(self.channel_ids):
+        buf.write("actuator," + ",".join(f"AU{a:02d}" for a in AU_IDS) + "\n")
+        for i, ch in enumerate(CHANNELS):
             cells = [
                 MISSING if self.missing[i, j] else repr(float(self.r[i, j]))
-                for j in range(len(self.au_ids))
+                for j in range(N_AUS)
             ]
             buf.write(f"{ch}," + ",".join(cells) + "\n")
         return buf.getvalue()
 
     def to_text(self) -> str:
-        head = "act |" + "".join(f" AU{a:02d} " for a in self.au_ids)
+        head = "act |" + "".join(f" AU{a:02d} " for a in AU_IDS)
         lines = [head, "-" * len(head)]
-        for i, ch in enumerate(self.channel_ids):
+        for i, ch in enumerate(CHANNELS):
             cells = []
-            for j in range(len(self.au_ids)):
+            for j in range(N_AUS):
                 cells.append("   NA" if self.missing[i, j] else f"{self.r[i, j]:+.2f}")
             lines.append(f"{ch:>3} | " + " ".join(cells))
         return "\n".join(lines)
 
 
-def pearson_matrix(
-    commands: np.ndarray,
-    features: np.ndarray,
-    channel_ids: Sequence[int] = CHANNELS,
-    feature_ids: Sequence[int] = AU_IDS,
-) -> CorrMatrix:
-    """Sample Pearson coefficient for every (channel, feature) pair.
+def pearson_matrix(commands: np.ndarray, features: np.ndarray) -> CorrMatrix:
+    """Sample Pearson coefficient for every (channel, AU) pair, from (n, 9)
+    command rows and (n, 17) AU rows.
 
     Zero-variance columns on either side yield the missing marker instead
     of propagating NaN.
@@ -83,8 +76,11 @@ def pearson_matrix(
         raise ValueError(f"row counts differ: {cmd.shape} vs {feat.shape}")
     if cmd.shape[0] < 2:
         raise ValueError("need at least 2 rows for a correlation")
-    if cmd.shape[1] != len(channel_ids) or feat.shape[1] != len(feature_ids):
-        raise ValueError("label lists do not match matrix shapes")
+    if cmd.shape[1] != N_CHANNELS or feat.shape[1] != N_AUS:
+        raise ValueError(
+            f"expected (n, {N_CHANNELS}) commands and (n, {N_AUS}) AUs, "
+            f"got {cmd.shape} and {feat.shape}"
+        )
 
     cmd_c = cmd - cmd.mean(axis=0)
     feat_c = feat - feat.mean(axis=0)
@@ -98,12 +94,7 @@ def pearson_matrix(
     np.divide(cov, denom, out=r, where=~missing)
     r = np.clip(r, -1.0, 1.0)
     r[missing] = 0.0
-    return CorrMatrix(
-        channel_ids=list(channel_ids),
-        au_ids=list(feature_ids),
-        r=r,
-        missing=missing,
-    )
+    return CorrMatrix(r=r, missing=missing)
 
 
 def low_correlation_features(m: CorrMatrix, threshold: float = PRUNE_THRESHOLD) -> list[int]:
@@ -116,7 +107,7 @@ def low_correlation_features(m: CorrMatrix, threshold: float = PRUNE_THRESHOLD) 
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     pruned = []
-    for j, au in enumerate(m.au_ids):
+    for j, au in enumerate(AU_IDS):
         defined = ~m.missing[:, j]
         strongest = np.max(np.abs(m.r[defined, j])) if defined.any() else 0.0
         if strongest < threshold:
@@ -140,13 +131,11 @@ COMPARISON_COLUMNS = tuple(_COLUMNS)
 class ComparisonReport:
     """Per-actuator test RMSE for the four representation/model pairs."""
 
-    channel_ids: list[int]
     columns: list[str]
     values: np.ndarray  # (channels, columns)
     pruned_aus: list[int]
     distance_pca_dim: int
     mlp_hyper: dict = field(default_factory=dict)
-    split_seed: int = 0
 
     def column_means(self) -> np.ndarray:
         return self.values.mean(axis=0)
@@ -157,16 +146,16 @@ class ComparisonReport:
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         buf.write("actuator," + ",".join(self.columns) + "\n")
-        for i, ch in enumerate(self.channel_ids):
+        for i, ch in enumerate(CHANNELS):
             buf.write(f"{ch}," + ",".join(repr(float(v)) for v in self.values[i]) + "\n")
         buf.write("mean," + ",".join(repr(float(v)) for v in self.column_means()) + "\n")
         return buf.getvalue()
 
     def to_text(self) -> str:
-        titles = [_COLUMNS[c][0] if c in _COLUMNS else c for c in self.columns]
+        titles = [_COLUMNS[c][0] for c in self.columns]
         head = f"{'Act.':>5} |" + "".join(f" {t:>12}" for t in titles)
         lines = [head, "-" * len(head)]
-        for i, ch in enumerate(self.channel_ids):
+        for i, ch in enumerate(CHANNELS):
             lines.append(
                 f"{ch:>5} |" + "".join(f" {v:>12.2f}" for v in self.values[i])
             )
@@ -183,9 +172,9 @@ class ComparisonReport:
 def compare_representations(
     d: Dataset,
     split_seed: int,
-    test_fraction: float = 0.2,
+    test_fraction: float = TEST_FRACTION,
     grid: HyperGrid | None = None,
-    epochs: int = 2000,
+    epochs: int = DEFAULT_EPOCHS,
 ) -> ComparisonReport:
     """Train and evaluate the four representation/model pairs on one split.
 
@@ -203,10 +192,6 @@ def compare_representations(
     """
     from .retarget import evaluate_pipeline, fit_pipeline  # cycle-free at runtime
 
-    for kind in FEATURE_KINDS:
-        if d.features(kind) is None or len(d.features(kind)) == 0:
-            raise ConfigError(f"dataset lacks the {kind!r} representation")
-
     grid = grid if grid is not None else default_grid()
     train, test = split(d, test_fraction, split_seed)
     # tune_dataset is read by the distance kind only, grid and epochs by the MLP only
@@ -218,11 +203,9 @@ def compare_representations(
         for name, (_, kind, regressor) in _COLUMNS.items()
     }
     return ComparisonReport(
-        channel_ids=list(CHANNELS),
         columns=list(COMPARISON_COLUMNS),
         values=np.column_stack([evaluate_pipeline(m, test) for m in models.values()]),
         pruned_aus=list(models["au_lr"].pruned_aus),
         distance_pca_dim=models["distances_lr"].pca.k,
         mlp_hyper=dict(models["au_mlp"].regressor.hyper),
-        split_seed=split_seed,
     )

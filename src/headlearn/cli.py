@@ -4,9 +4,6 @@ Every subcommand is a reproducible experiment step: identical flags and
 seeds produce identical outputs, and runs that write files leave a
 ``manifest.json`` (resolved configuration, seeds, package version) beside
 them.  Exit codes: 0 success, 1 usage error, 2 data/format error.
-
-The default head configuration can be overridden globally with the
-``HEADLEARN_HEAD_CONFIG`` environment variable.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ import argparse
 import contextlib
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -29,6 +25,8 @@ from .analysis import (
     pearson_matrix,
 )
 from .dataset import (
+    CONFIDENCE_THRESHOLD,
+    TEST_FRACTION,
     CollectionProtocol,
     HumanFrame,
     collect,
@@ -41,9 +39,10 @@ from .dataset import (
 from .default_head import load_default_head
 from .errors import HeadLearnError
 from .features import FEATURE_KINDS
-from .learn import rmse
+from .learn import DEFAULT_EPOCHS
 from .retarget import (
     EMOTIONS,
+    FILL_MODES,
     REGRESSORS,
     calibrate_human,
     evaluate_pipeline,
@@ -57,8 +56,6 @@ from .retarget import (
 )
 from .simulator import CHANNELS, HeadConfig
 
-HEAD_CONFIG_ENV = "HEADLEARN_HEAD_CONFIG"
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -71,15 +68,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _load_head(path: str | None) -> HeadConfig:
-    if path:
-        return HeadConfig.load(path)
-    env = os.environ.get(HEAD_CONFIG_ENV)
-    if env:
-        return HeadConfig.load(env)
-    return load_default_head()
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace, extra: dict | None = None) -> None:
@@ -115,7 +103,7 @@ def cmd_gen_head(args) -> int:
 
 
 def cmd_collect(args) -> int:
-    head = _load_head(args.head)
+    head = HeadConfig.load(args.head) if args.head else load_default_head()
     protocol = CollectionProtocol(
         n_target_frames=args.frames,
         neutral_fraction=args.neutral,
@@ -221,8 +209,7 @@ def cmd_facs(args) -> int:
     model = load_model(args.model)
     if model.au_stats_full is None:
         raise HeadLearnError("model carries no per-AU training stats; fit on AU features")
-    fill = "min_fill" if args.fill == "min" else "zero_fill"
-    target = facs_target(args.emotion, model.au_stats_full, fill)
+    target = facs_target(args.emotion, model.au_stats_full, args.fill)
     command = express(model, target)
     print(_command_line(command))
     return EXIT_OK
@@ -304,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--regressor", choices=REGRESSORS, default="ols")
     sp.add_argument("--ridge-lambda", type=float, default=1.0)
     sp.add_argument("--pca-k", type=int, help="override the per-kind default")
-    sp.add_argument("--test-fraction", type=float, default=0.2)
+    sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_fit)
@@ -312,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("evaluate", help="evaluate a model on a dataset")
     sp.add_argument("--model", required=True)
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--test-fraction", type=float, default=0.2,
+    sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION,
                     help="evaluate on this seeded test split; 0 evaluates all rows")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
@@ -321,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compare", help="four-way representation comparison table")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--test-fraction", type=float, default=0.2)
-    sp.add_argument("--epochs", type=int, default=2000)
+    sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION)
+    sp.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_compare)
 
@@ -335,20 +322,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("facs", help="emotion expression command from FACS AU targets")
     sp.add_argument("emotion", choices=sorted(EMOTIONS))
     sp.add_argument("--model", required=True)
-    sp.add_argument("--fill", choices=["min", "zero"], default="min")
+    sp.add_argument("--fill", choices=FILL_MODES, default="min")
     sp.set_defaults(func=cmd_facs)
 
     sp = sub.add_parser("calibrate-human", help="fit human MinMax stats from a recording")
     sp.add_argument("--model", required=True)
     sp.add_argument("--csv", required=True, help="OpenFace 2.0 CSV of the actor")
-    sp.add_argument("--threshold", type=float, default=0.8)
+    sp.add_argument("--threshold", type=float, default=CONFIDENCE_THRESHOLD)
     sp.add_argument("--out", required=True, help="path for the calibrated model JSON")
     sp.set_defaults(func=cmd_calibrate_human)
 
     sp = sub.add_parser("retarget", help="batch-map an OpenFace CSV onto commands")
     sp.add_argument("--model", required=True)
     sp.add_argument("--csv", required=True)
-    sp.add_argument("--threshold", type=float, default=0.8)
+    sp.add_argument("--threshold", type=float, default=CONFIDENCE_THRESHOLD)
     sp.add_argument("--out", help="output directory (default: print to stdout)")
     sp.set_defaults(func=cmd_retarget)
 
@@ -356,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--csv", help="input CSV (default: stdin)")
     sp.add_argument("--window", type=int, default=1, help="trailing smoothing window")
-    sp.add_argument("--threshold", type=float, default=0.8)
+    sp.add_argument("--threshold", type=float, default=CONFIDENCE_THRESHOLD)
     sp.set_defaults(func=cmd_stream)
 
     return p

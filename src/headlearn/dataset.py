@@ -61,6 +61,12 @@ ROLE_NEUTRAL = "neutral"
 ROLE_TARGET = "target"
 ROLE_INTERP = "interp"
 
+# Default share of the rows a seeded split holds out for testing.
+TEST_FRACTION = 0.2
+
+# Default tracker confidence under which an OpenFace row is not used.
+CONFIDENCE_THRESHOLD = 0.8
+
 
 @dataclass
 class CollectionProtocol:
@@ -90,12 +96,6 @@ class CollectionProtocol:
             "au_window": self.au_window,
             "rng_seed": self.rng_seed,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CollectionProtocol":
-        return cls(**{k: d[k] for k in (
-            "n_target_frames", "neutral_fraction", "interp_steps", "au_window", "rng_seed"
-        )})
 
 
 @dataclass
@@ -296,6 +296,15 @@ def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
         raise UnsupportedVersionError(
             f"dataset schema {meta.get('schema')!r} not supported (want {DATASET_SCHEMA})"
         )
+    try:
+        ref = np.asarray(meta.get("neutral_reference"), dtype=float)
+        ref_ok = ref.shape == (N_LANDMARKS, 3) and bool(np.isfinite(ref).all())
+    except (TypeError, ValueError):
+        ref_ok = False
+    if not ref_ok:
+        raise DatasetCorruptError(
+            f"{meta_path}: neutral_reference is not a finite ({N_LANDMARKS}, 3) array"
+        )
 
     if head is not None and head.sha256() != meta.get("head_config_sha256"):
         warnings.warn(
@@ -395,7 +404,9 @@ _OPENFACE_READ_COLS = (
 
 
 def parse_openface_lines(
-    lines: Iterable[str], confidence_threshold: float = 0.8, source: str = "<stream>"
+    lines: Iterable[str],
+    confidence_threshold: float = CONFIDENCE_THRESHOLD,
+    source: str = "<stream>",
 ) -> Iterator[HumanFrame]:
     """Parse OpenFace 2.0 FeatureExtraction CSV lines into HumanFrames, lazily.
 
@@ -451,7 +462,7 @@ def parse_openface_lines(
 
 
 def ingest_openface_csv(
-    path: str | Path, confidence_threshold: float = 0.8
+    path: str | Path, confidence_threshold: float = CONFIDENCE_THRESHOLD
 ) -> list[HumanFrame]:
     """Parse an OpenFace 2.0 FeatureExtraction CSV file into HumanFrames.
 

@@ -162,9 +162,8 @@ def extract_aus(
 
 @dataclass
 class MinMaxStats:
-    """Per-dimension extrema of a fitted feature sample, with a kind tag."""
+    """Per-dimension extrema of a fitted feature sample."""
 
-    kind: str
     mins: np.ndarray
     maxs: np.ndarray
 
@@ -181,33 +180,30 @@ class MinMaxStats:
         return self.mins.shape[0]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "mins": self.mins.tolist(),
-            "maxs": self.maxs.tolist(),
-        }
+        return {"mins": self.mins.tolist(), "maxs": self.maxs.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MinMaxStats":
-        return cls(kind=d["kind"], mins=d["mins"], maxs=d["maxs"])
+        # files from older builds also hold a feature-kind tag; it is not read
+        return cls(mins=d["mins"], maxs=d["maxs"])
 
 
-def fit_minmax(samples: np.ndarray, kind: str) -> MinMaxStats:
+def fit_minmax(samples: np.ndarray) -> MinMaxStats:
     """Per-dimension extrema over a sample matrix (rows = samples)."""
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     if x.shape[0] < 2:
         raise ValueError("fit_minmax needs >= 2 samples")
-    return MinMaxStats(kind=kind, mins=x.min(axis=0), maxs=x.max(axis=0))
+    return MinMaxStats(mins=x.min(axis=0), maxs=x.max(axis=0))
 
 
 def minmax_map(x: np.ndarray, src: MinMaxStats, dst: MinMaxStats) -> np.ndarray:
     """Affinely map values from one observed range onto another, per dimension.
 
     Dimensions where the source range is degenerate (max == min) map to the
-    midpoint of the target range.
+    midpoint of the target range.  The feature kinds have distinct widths
+    (at most 17, 204 and 2278), so the width check also rejects stats of
+    different kinds.
     """
-    if src.kind != dst.kind:
-        raise ValueError(f"feature kinds differ: {src.kind!r} vs {dst.kind!r}")
     if src.dim != dst.dim:
         raise ValueError(f"stats dimensions differ: {src.dim} vs {dst.dim}")
     arr = np.asarray(x, dtype=float)

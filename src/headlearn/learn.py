@@ -26,6 +26,13 @@ PCA_DIM_REL_TOL = 0.01
 
 _COV_ROUTE_MAX_DIM = 512
 
+# MLP training: full-batch epochs, and the momentum of every step.
+DEFAULT_EPOCHS = 2000
+MOMENTUM = 0.95
+
+# The MLP learns commands divided by this, the top of the 0-255 range.
+TARGET_SCALE = 255.0
+
 
 @dataclass
 class PcaModel:
@@ -121,13 +128,6 @@ class PcaDimReport:
     cumulative_evr: list[float]
     chosen: int
     best_rmse: float
-
-    def to_text(self) -> str:
-        lines = [f"{'k':>4}  {'mean RMSE':>12}  {'cum. EVR':>10}"]
-        for k, r, e in zip(self.candidates, self.rmses, self.cumulative_evr):
-            mark = " *" if k == self.chosen else ""
-            lines.append(f"{k:>4}  {r:>12.4f}  {e:>10.6f}{mark}")
-        return "\n".join(lines)
 
 
 def choose_pca_dim(
@@ -295,18 +295,16 @@ class MlpModel:
 
     Inputs are standardized internally (per-feature mean/scale frozen from
     the training set) so full-batch gradient descent is well conditioned.
-    ``predict`` rescales outputs back to the command range via
-    ``output_scale`` (clipping is left to command construction).
+    ``predict`` rescales outputs back to the command range by
+    ``TARGET_SCALE`` (clipping is left to command construction).
     """
 
-    layer_sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: str
     input_mean: np.ndarray
     input_scale: np.ndarray
     hyper: dict = field(default_factory=dict)
-    output_scale: float = 255.0
     final_train_loss: float = float("nan")
 
     def n_params(self) -> int:
@@ -318,33 +316,31 @@ class MlpModel:
         return _forward(self.weights, self.biases, self.activation, a)[0][-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_scaled(x) * self.output_scale
+        return self.forward_scaled(x) * TARGET_SCALE
 
     def to_dict(self) -> dict:
         return {
             "kind": "mlp",
-            "layer_sizes": self.layer_sizes,
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
             "activation": self.activation,
             "input_mean": self.input_mean.tolist(),
             "input_scale": self.input_scale.tolist(),
             "hyper": self.hyper,
-            "output_scale": self.output_scale,
             "final_train_loss": self.final_train_loss,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpModel":
+        # files from older builds also hold the layer sizes and an output
+        # scale (always 255); neither is read
         return cls(
-            layer_sizes=[int(s) for s in d["layer_sizes"]],
             weights=[np.array(w, dtype=float) for w in d["weights"]],
             biases=[np.array(b, dtype=float) for b in d["biases"]],
             activation=d["activation"],
             input_mean=np.array(d["input_mean"], dtype=float),
             input_scale=np.array(d["input_scale"], dtype=float),
             hyper=d.get("hyper", {}),
-            output_scale=float(d.get("output_scale", 255.0)),
             final_train_loss=float(d.get("final_train_loss", float("nan"))),
         )
 
@@ -402,15 +398,15 @@ def mlp_fit(
     hidden_layers: Sequence[int] = (32,),
     activation: str = "tanh",
     learning_rate: float = 1e-2,
-    epochs: int = 2000,
+    epochs: int = DEFAULT_EPOCHS,
     l2: float = 0.0,
     seed: int = 0,
-    momentum: float = 0.95,
 ) -> MlpModel:
-    """Train by full-batch gradient descent with classical momentum.
+    """Train by full-batch gradient descent with classical momentum
+    (``MOMENTUM``).
 
     Deterministic under ``seed``.  Targets are actuator commands on the
-    0-255 scale; they are divided by 255 internally.  An empty
+    0-255 scale; they are divided by ``TARGET_SCALE`` internally.  An empty
     ``hidden_layers`` gives a pure linear model.
     """
     if activation not in _ACTIVATIONS:
@@ -418,7 +414,7 @@ def mlp_fit(
     if learning_rate <= 0 or epochs < 1 or l2 < 0:
         raise ValueError("bad hyperparameters: need lr > 0, epochs >= 1, l2 >= 0")
     x, y = _check_xy(x, y)
-    y01 = y / 255.0
+    y01 = y / TARGET_SCALE
 
     input_mean = x.mean(axis=0)
     input_scale = x.std(axis=0)
@@ -436,7 +432,7 @@ def mlp_fit(
         "epochs": epochs,
         "l2": l2,
         "seed": seed,
-        "momentum": momentum,
+        "momentum": MOMENTUM,
     }
 
     vel_w = [np.zeros_like(w) for w in weights]
@@ -450,13 +446,12 @@ def mlp_fit(
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"training diverged with {hyper}")
             for i in range(len(weights)):
-                vel_w[i] = momentum * vel_w[i] - learning_rate * gw[i]
-                vel_b[i] = momentum * vel_b[i] - learning_rate * gb[i]
+                vel_w[i] = MOMENTUM * vel_w[i] - learning_rate * gw[i]
+                vel_b[i] = MOMENTUM * vel_b[i] - learning_rate * gb[i]
                 weights[i] += vel_w[i]
                 biases[i] += vel_b[i]
 
     return MlpModel(
-        layer_sizes=layer_sizes,
         weights=weights,
         biases=biases,
         activation=activation,
@@ -534,7 +529,7 @@ def grid_search(
     x_val: np.ndarray,
     y_val: np.ndarray,
     grid: HyperGrid,
-    epochs: int = 2000,
+    epochs: int = DEFAULT_EPOCHS,
     seed: int = 0,
 ) -> tuple[MlpModel, list[GridEntry]]:
     """Exhaustively train the grid and rank by validation RMSE.

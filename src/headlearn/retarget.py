@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .analysis import PRUNE_THRESHOLD, low_correlation_features, pearson_matrix
-from .dataset import Dataset, HumanFrame, split_indices
+from .dataset import CONFIDENCE_THRESHOLD, Dataset, HumanFrame, split_indices
 from .errors import (
     CalibrationRequiredError,
     ConfigError,
@@ -49,6 +49,7 @@ from .geometry import (
     procrustes_align,
 )
 from .learn import (
+    DEFAULT_EPOCHS,
     DEFAULT_PCA_CANDIDATES,
     HyperGrid,
     LinearModel,
@@ -73,6 +74,10 @@ REGRESSORS = ("ols", "ridge", "mlp")
 # PCA dimension of the landmark representation
 LANDMARK_PCA_DIM = 17
 
+# Share of the training rows that fit_pipeline holds out to validate the
+# distance PCA dimension scan (without a tune_dataset) and the MLP grid.
+VALIDATION_FRACTION = 0.25
+
 # Maximized action units per basic emotion.
 EMOTIONS = {
     "anger": (4, 7, 23),
@@ -83,18 +88,19 @@ EMOTIONS = {
     "surprise": (1, 2, 5, 26),
 }
 
-FILL_MODES = ("min_fill", "zero_fill")
+# What the AUs an emotion does not maximize take in a FACS target.
+FILL_MODES = ("min", "zero")
 
 
 def facs_target(
     emotion: str,
     au_stats: MinMaxStats,
-    fill_mode: str = "min_fill",
+    fill_mode: str = "min",
 ) -> np.ndarray:
     """Build the 17-dim AU target for an emotion.
 
     Maximized AUs take their training maximum; the rest take the training
-    minimum (``min_fill``) or zero (``zero_fill``, the legacy behaviour).
+    minimum (``"min"``) or zero (``"zero"``, the legacy behaviour).
     Staying inside the observed training range keeps the regressor from
     extrapolating.
     """
@@ -109,7 +115,7 @@ def facs_target(
     if au_stats.dim != len(AU_IDS):
         raise ValueError("au_stats must cover all 17 AUs")
 
-    target = au_stats.mins.copy() if fill_mode == "min_fill" else np.zeros(len(AU_IDS))
+    target = au_stats.mins.copy() if fill_mode == "min" else np.zeros(len(AU_IDS))
     for au in maximized:
         target[AU_INDEX[au]] = au_stats.maxs[AU_INDEX[au]]
     return target
@@ -226,6 +232,13 @@ class PipelineModel:
         z = pca_transform(self.pca, features)
         return self.regressor.predict(z)
 
+    def _check_calibrated(self) -> None:
+        """Raise CalibrationRequiredError unless human stats are attached."""
+        if self.human_stats is None:
+            raise CalibrationRequiredError(
+                "model has no human MinMax stats; run calibrate_human first"
+            )
+
     def human_raw(self, frame: HumanFrame) -> np.ndarray:
         """Unrounded command for one tracked human frame, (9,), or for a
         stack of n frames, (n, 9).
@@ -234,10 +247,7 @@ class PipelineModel:
         model's feature kind (AUs come straight from the tracker) -> MinMax-map
         the human range onto the robot range -> PCA -> regress.
         """
-        if self.human_stats is None:
-            raise CalibrationRequiredError(
-                "model has no human MinMax stats; run calibrate_human first"
-            )
+        self._check_calibrated()
         mapped = minmax_map(self.frame_features(frame), self.human_stats, self.robot_stats)
         raw = self.predict_raw(np.atleast_2d(mapped))
         return raw[0] if mapped.ndim == 1 else raw
@@ -305,7 +315,7 @@ def fit_pipeline(
     pca_candidates: Sequence[int] = DEFAULT_PCA_CANDIDATES,
     tune_dataset: Dataset | None = None,
     grid: HyperGrid | None = None,
-    epochs: int = 2000,
+    epochs: int = DEFAULT_EPOCHS,
     seed: int = 0,
 ) -> PipelineModel:
     """Train a full retargeting pipeline on a dataset.
@@ -317,12 +327,13 @@ def fit_pipeline(
       it is a pure rotation.
     * ``landmarks``: PCA to ``pca_k`` (default ``LANDMARK_PCA_DIM``).
     * ``distances``: PCA dimension tuned over ``pca_candidates`` against
-      ``tune_dataset`` (an internal validation split of the training data
-      when none is given), using a linear readout.
+      ``tune_dataset`` (a seeded ``VALIDATION_FRACTION`` of the training
+      rows when none is given), using a linear readout.
 
     ``regressor`` is one of ``ols``, ``ridge``, ``mlp``; the MLP variant
-    grid-searches over ``grid`` using an internal seeded train/validation
-    split, then refits the winning configuration on the full training set.
+    grid-searches over ``grid``, validated on a seeded
+    ``VALIDATION_FRACTION`` of the training rows, then refits the winning
+    configuration on the full training set.
     """
     if kind not in FEATURE_KINDS:
         raise ConfigError(f"unknown feature kind {kind!r}")
@@ -343,7 +354,7 @@ def fit_pipeline(
             )
         idx = [AU_INDEX[a] for a in au_ids_used]
         x = train.aus[:, idx]
-        au_stats_full = fit_minmax(train.aus, "au")
+        au_stats_full = fit_minmax(train.aus)
     else:
         x = train.features(kind)
 
@@ -351,7 +362,7 @@ def fit_pipeline(
     if pca_k is None:
         if kind == "distances":
             if tune_dataset is None:
-                fit_idx, val_idx = split_indices(len(x), 0.25, seed + 1)
+                fit_idx, val_idx = split_indices(len(x), VALIDATION_FRACTION, seed + 1)
                 scan = x[fit_idx], y[fit_idx], x[val_idx], y[val_idx]
             else:
                 scan = x, y, tune_dataset.features(kind), tune_dataset.commands
@@ -372,11 +383,11 @@ def fit_pipeline(
     else:
         grid = grid if grid is not None else default_grid()
         try:
-            tr_idx, val_idx = split_indices(len(z), 0.25, seed + 2)
+            tr_idx, val_idx = split_indices(len(z), VALIDATION_FRACTION, seed + 2)
         except ValueError:
             raise ConfigError(
-                f"the MLP grid search's validation split (a quarter of the "
-                f"training rows) is empty on {len(z)} training rows"
+                f"the MLP grid search's validation split ({VALIDATION_FRACTION:.0%} of "
+                f"the training rows) is empty on {len(z)} training rows"
             ) from None
         best, _ = grid_search(
             z[tr_idx], y[tr_idx], z[val_idx], y[val_idx],
@@ -401,7 +412,7 @@ def fit_pipeline(
     }
     return PipelineModel(
         feature_kind=kind,
-        robot_stats=fit_minmax(x, kind),
+        robot_stats=fit_minmax(x),
         pca=pca,
         regressor=reg,
         neutral_reference=_dataset_neutral_reference(train),
@@ -459,7 +470,7 @@ def calibrate_human(model: PipelineModel, frames: Iterable[HumanFrame]) -> Pipel
             f"calibration frame {i} (timestamp {frames[i].timestamp}): "
             f"non-finite value in an input the {model.feature_kind} model reads"
         )
-    stats = fit_minmax(model.frame_features(stack), model.feature_kind)
+    stats = fit_minmax(model.frame_features(stack))
     return replace(model, human_stats=stats)
 
 
@@ -487,7 +498,7 @@ def stream(
     model: PipelineModel,
     frames: Iterable[HumanFrame],
     smoothing_window: int = 1,
-    confidence_threshold: float = 0.8,
+    confidence_threshold: float = CONFIDENCE_THRESHOLD,
 ) -> Iterator[ActuatorCommand]:
     """Per-frame retargeting with trailing smoothing and hold-last gaps.
 
@@ -497,12 +508,16 @@ def stream(
     command before any frame passed); other frames enter a trailing moving
     average of raw predictions of length ``smoothing_window`` before
     rounding.
+
+    A model without human stats raises CalibrationRequiredError when the
+    first frame arrives, before any command is emitted.
     """
     if smoothing_window < 1:
         raise ValueError("smoothing_window must be >= 1")
     buffer: list[np.ndarray] = []
     last = ActuatorCommand.neutral()
     for frame in frames:
+        model._check_calibrated()
         if frame.confidence < confidence_threshold or not model.reads_finite(frame):
             yield last
             continue

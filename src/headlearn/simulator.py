@@ -85,10 +85,6 @@ class ActuatorCommand:
         """Values ordered by ``CHANNELS``, as floats."""
         return np.array([self.values[ch] for ch in CHANNELS], dtype=float)
 
-    def activations(self) -> np.ndarray:
-        """Per-channel activation fractions in [0, 1]."""
-        return self.as_array() / COMMAND_MAX
-
 
 class SparseBasis:
     """Mixin for a ``basis`` field holding sparse (index, dx, dy, dz)
@@ -280,16 +276,13 @@ class HeadConfig:
 class ObservedFrame:
     """One simulated camera observation, or a stack of n of them.
 
-    For a stack, ``command`` holds the (n, 9) command rows as issued, the
-    landmark fields are (n, 68, 3), ``pose`` holds (n, 3) arrays and
-    ``frame_index`` is the index of the first frame.
+    For a stack, the landmark fields are (n, 68, 3) and ``pose`` holds
+    (n, 3) arrays.
     """
 
-    command: ActuatorCommand | np.ndarray
     landmarks_observed: np.ndarray
     landmarks_true: np.ndarray
     pose: Pose
-    frame_index: int
 
 
 def _command_rows(commands: ActuatorCommand | np.ndarray) -> np.ndarray:
@@ -361,7 +354,6 @@ class HeadSimulator:
         self.rng = rng if rng is not None else np.random.default_rng(config.rng_seed)
         # commands issued but not yet seen, oldest first
         self._lag = np.zeros((config.sensor_lag_frames, N_CHANNELS))
-        self._frame_index = 0
 
     def observe(self, commands: ActuatorCommand | np.ndarray) -> ObservedFrame:
         """Issue one command, or (n, 9) command rows in order, and return the
@@ -390,12 +382,8 @@ class HeadSimulator:
         if isinstance(commands, ActuatorCommand):
             true_pts, noisy, rot, trans = true_pts[0], noisy[0], rot[0], trans[0]
         pose = Pose(rotation=rot, translation=trans)
-        frame = ObservedFrame(
-            command=commands,
+        return ObservedFrame(
             landmarks_observed=apply_pose(noisy, pose),
             landmarks_true=true_pts,
             pose=pose,
-            frame_index=self._frame_index,
         )
-        self._frame_index += n
-        return frame

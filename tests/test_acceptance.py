@@ -244,7 +244,7 @@ class TestCriterion9FacsTargets:
         stats = model.au_stats_full
         in_range = True
         for name in EMOTIONS:
-            target = facs_target(name, stats, "min_fill")
+            target = facs_target(name, stats, "min")
             in_range = in_range and bool(
                 np.all(target >= stats.mins - 1e-12) and np.all(target <= stats.maxs + 1e-12)
             )

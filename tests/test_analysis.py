@@ -9,7 +9,6 @@ from headlearn.analysis import (
 )
 from headlearn.features import AU_IDS
 from headlearn.learn import HyperGrid
-from headlearn.simulator import CHANNELS
 
 from conftest import array_sha256
 
@@ -67,6 +66,11 @@ class TestPearsonMatrix:
         with pytest.raises(ValueError):
             pearson_matrix(np.ones((5, 9)), np.ones((6, 17)))
 
+    def test_width_mismatch_names_the_expected_shapes(self):
+        for commands, aus in (((5, 8), (5, 17)), ((5, 9), (5, 16))):
+            with pytest.raises(ValueError, match=r"\(n, 9\) commands and \(n, 17\) AUs"):
+                pearson_matrix(np.ones(commands), np.ones(aus))
+
     def test_entries_bounded(self):
         rng = np.random.default_rng(4)
         m = pearson_matrix(rng.normal(size=(25, 9)), rng.normal(size=(25, 17)))
@@ -96,7 +100,7 @@ class TestLowCorrelationFeatures:
     def matrix(self, r, missing=None):
         r = np.asarray(r, dtype=float)
         missing = np.zeros_like(r, dtype=bool) if missing is None else missing
-        return CorrMatrix(list(CHANNELS), list(AU_IDS), r, missing)
+        return CorrMatrix(r, missing)
 
     def test_all_zero_column_listed(self):
         r = np.full((9, 17), 0.5)
@@ -134,7 +138,6 @@ def tiny_report(small_dataset):
 class TestCompareRepresentations:
     def test_report_shape(self, tiny_report):
         assert tiny_report.values.shape == (9, 4)
-        assert tiny_report.channel_ids == list(CHANNELS)
         assert tiny_report.columns == ["au_lr", "au_mlp", "landmarks_lr", "distances_lr"]
         assert tiny_report.column_means().shape == (4,)
 

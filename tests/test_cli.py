@@ -66,14 +66,18 @@ class TestCollect:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["n_rows"] == 12
 
-    def test_env_var_head_config(self, tmp_path, monkeypatch, default_head):
+    def test_head_flag_loads_the_given_config(self, tmp_path, quiet_head, default_head):
         head_path = tmp_path / "head.json"
-        default_head.save(head_path)
-        monkeypatch.setenv("HEADLEARN_HEAD_CONFIG", str(head_path))
+        quiet_head.save(head_path)
         out = tmp_path / "ds"
-        assert main(["collect", "--frames", "4", "--seed", "1", "--out", str(out)]) == 0
+        assert main([
+            "collect", "--head", str(head_path), "--frames", "4", "--seed", "1",
+            "--out", str(out),
+        ]) == 0
         meta = json.loads((out / "metadata.json").read_text())
-        assert meta["head_config_sha256"] == default_head.sha256()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert quiet_head.sha256() != default_head.sha256()
+        assert meta["head_config_sha256"] == manifest["head_config_sha256"] == quiet_head.sha256()
 
 
 class TestFitEvaluate:
@@ -187,6 +191,23 @@ class TestHumanFlows:
         assert all(len(line.split(",")) == 10 for line in from_stdin)
         # the header and the first row, then one command out per row in
         assert written == [0] + list(range(8))
+
+    def test_stream_on_uncalibrated_model_writes_nothing(
+        self, model_path, default_head, tmp_path, capsys
+    ):
+        # two leading low-confidence rows would be held as neutral commands
+        rng = np.random.default_rng(31)
+        rows = frames_from_simulator(
+            default_head, [random_command(default_head, rng) for _ in range(3)], rng_seed=9
+        )
+        for row, confidence in zip(rows, (0.1, 0.2, 0.95)):
+            row["confidence"] = confidence
+        csv = tmp_path / "lead.csv"
+        csv.write_text(openface_csv_text(rows))
+        assert main(["stream", "--model", str(model_path), "--csv", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "run calibrate_human first" in captured.err
 
     def nan_csv(self, head, path):
         """Four confident rows, one AU12_r cell NaN in the third."""

@@ -38,10 +38,6 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             CollectionProtocol(au_window=0)
 
-    def test_round_trip(self):
-        p = CollectionProtocol(n_target_frames=10, rng_seed=3)
-        assert CollectionProtocol.from_dict(p.to_dict()) == p
-
 
 class TestCollect:
     def test_default_ratio_counts_at_small_scale(self, default_head):
@@ -190,6 +186,23 @@ class TestPersistence:
         meta["schema"] = "dataset/v999"
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(UnsupportedVersionError):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("mutation", ["67 rows", "a NaN cell", "missing"])
+    def test_malformed_neutral_reference_names_the_field(
+        self, small_dataset, tmp_path, mutation
+    ):
+        save_dataset(small_dataset, tmp_path / "d")
+        meta_path = tmp_path / "d" / "metadata.json"
+        meta = json.loads(meta_path.read_text())
+        if mutation == "67 rows":
+            meta["neutral_reference"] = meta["neutral_reference"][:-1]
+        elif mutation == "a NaN cell":
+            meta["neutral_reference"][5][1] = float("nan")
+        else:
+            del meta["neutral_reference"]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(DatasetCorruptError, match=r"metadata\.json: neutral_reference"):
             load_dataset(tmp_path / "d")
 
     def test_head_hash_mismatch_warns(self, small_dataset, quiet_head, tmp_path):

@@ -147,53 +147,55 @@ class TestExtractAus:
 class TestMinMax:
     def test_fit_requires_two_samples(self):
         with pytest.raises(ValueError):
-            fit_minmax(np.empty((0, 3)), "au")
+            fit_minmax(np.empty((0, 3)))
         with pytest.raises(ValueError):
-            fit_minmax(np.ones((1, 3)), "au")
+            fit_minmax(np.ones((1, 3)))
 
     def test_extrema_by_inspection(self):
-        s = fit_minmax(np.array([[0.0, 2.0], [1.0, 0.0]]), "au")
+        s = fit_minmax(np.array([[0.0, 2.0], [1.0, 0.0]]))
         assert np.array_equal(s.mins, [0.0, 0.0])
         assert np.array_equal(s.maxs, [1.0, 2.0])
 
     def test_order_free(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(20, 4))
-        a = fit_minmax(x, "au")
-        b = fit_minmax(x[::-1], "au")
+        a = fit_minmax(x)
+        b = fit_minmax(x[::-1])
         assert np.array_equal(a.mins, b.mins) and np.array_equal(a.maxs, b.maxs)
 
     def test_map_identity_when_stats_equal(self):
-        s = fit_minmax(np.array([[0.0, 1.0], [4.0, 3.0]]), "au")
+        s = fit_minmax(np.array([[0.0, 1.0], [4.0, 3.0]]))
         x = np.array([1.0, 2.0])
         assert np.allclose(minmax_map(x, s, s), x, atol=1e-12)
 
     def test_map_endpoints(self):
-        src = MinMaxStats("au", [0.0, 0.0], [1.0, 1.0])
-        dst = MinMaxStats("au", [10.0, -5.0], [20.0, 5.0])
+        src = MinMaxStats([0.0, 0.0], [1.0, 1.0])
+        dst = MinMaxStats([10.0, -5.0], [20.0, 5.0])
         assert np.allclose(minmax_map(src.mins, src, dst), dst.mins)
         assert np.allclose(minmax_map(src.maxs, src, dst), dst.maxs)
 
     def test_map_affine_arithmetic(self):
-        src = MinMaxStats("au", [0.0], [10.0])
-        dst = MinMaxStats("au", [50.0], [250.0])
+        src = MinMaxStats([0.0], [10.0])
+        dst = MinMaxStats([50.0], [250.0])
         assert minmax_map(np.array([5.0]), src, dst)[0] == pytest.approx(150.0)
 
     def test_degenerate_source_maps_to_target_midpoint(self):
-        src = MinMaxStats("au", [3.0, 0.0], [3.0, 1.0])
-        dst = MinMaxStats("au", [0.0, 0.0], [10.0, 10.0])
+        src = MinMaxStats([3.0, 0.0], [3.0, 1.0])
+        dst = MinMaxStats([0.0, 0.0], [10.0, 10.0])
         out = minmax_map(np.array([3.0, 0.5]), src, dst)
         assert out[0] == pytest.approx(5.0)
         assert out[1] == pytest.approx(5.0)
 
     def test_dimension_and_kind_mismatch(self):
-        a = MinMaxStats("au", [0.0], [1.0])
-        b = MinMaxStats("au", [0.0, 0.0], [1.0, 1.0])
-        c = MinMaxStats("landmarks", [0.0], [1.0])
+        a = MinMaxStats([0.0], [1.0])
+        b = MinMaxStats([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             minmax_map(np.array([0.5]), a, b)
+        # the kinds differ in width, so au stats never map onto landmark stats
+        au = MinMaxStats(np.zeros(17), np.ones(17))
+        landmarks = MinMaxStats(np.zeros(204), np.ones(204))
         with pytest.raises(ValueError):
-            minmax_map(np.array([0.5]), a, c)
+            minmax_map(np.full(17, 0.5), au, landmarks)
 
     @given(st.lists(st.floats(-100, 100), min_size=3, max_size=3), st.integers(0, 2 ** 31))
     @settings(max_examples=30, deadline=None)
@@ -204,8 +206,8 @@ class TestMinMax:
         # force non-degenerate spans
         samples_a[0] -= 1.0
         samples_b[0] += 1.0
-        a = fit_minmax(samples_a, "au")
-        b = fit_minmax(samples_b, "au")
+        a = fit_minmax(samples_a)
+        b = fit_minmax(samples_b)
         x = np.asarray(x)
         back = minmax_map(minmax_map(x, a, b), b, a)
         assert np.allclose(back, x, atol=1e-9)

@@ -371,8 +371,7 @@ class TestMlp:
         x = rng.normal(size=(20, 3)) * 100
         y = rng.uniform(0, 255, size=(20, 2))
         with pytest.raises(TrainingDivergedError, match="learning_rate"):
-            mlp_fit(x, y, hidden_layers=[16], learning_rate=1e4, epochs=200, seed=0,
-                    momentum=0.99)
+            mlp_fit(x, y, hidden_layers=[16], learning_rate=1e4, epochs=200, seed=0)
 
     def test_bad_hyperparameters(self):
         x, y = np.ones((5, 2)), np.ones((5, 1))

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headlearn.dataset import CollectionProtocol, HumanFrame, collect, split
 from headlearn.errors import (
@@ -45,7 +47,7 @@ def au_stats():
     rng = np.random.default_rng(0)
     mins = rng.uniform(0.0, 0.5, size=17)
     maxs = mins + rng.uniform(0.5, 3.0, size=17)
-    return MinMaxStats("au", mins, maxs)
+    return MinMaxStats(mins, maxs)
 
 
 @pytest.fixture(scope="module")
@@ -94,13 +96,13 @@ class TestFacsTarget:
         assert maximized >= FACS_EMOTION_AUS["fear"]
 
     def test_zero_fill_with_zero_mins_matches_min_fill(self):
-        stats = MinMaxStats("au", np.zeros(17), np.linspace(1, 4, 17))
-        a = facs_target("anger", stats, "min_fill")
-        b = facs_target("anger", stats, "zero_fill")
+        stats = MinMaxStats(np.zeros(17), np.linspace(1, 4, 17))
+        a = facs_target("anger", stats, "min")
+        b = facs_target("anger", stats, "zero")
         assert np.array_equal(a, b)
 
     def test_zero_fill_ignores_train_minima(self, au_stats):
-        out = facs_target("disgust", au_stats, "zero_fill")
+        out = facs_target("disgust", au_stats, "zero")
         inactive = [AU_INDEX[au] for au in AU_IDS if au not in (9, 15)]
         assert np.all(out[inactive] == 0.0)
 
@@ -120,7 +122,7 @@ class TestFacsTarget:
 
     def test_needs_full_au_stats(self):
         with pytest.raises(ValueError):
-            facs_target("happy", MinMaxStats("au", np.zeros(5), np.ones(5)))
+            facs_target("happy", MinMaxStats(np.zeros(5), np.ones(5)))
 
 
 class TestExpress:
@@ -440,6 +442,23 @@ class TestStream:
         assert out[1] == out[0]
         assert out[2] == retarget_frame(model, frames[2])
 
+    def test_uncalibrated_model_emits_nothing(self, trained, default_head):
+        # leading low-confidence frames would be held as neutral commands;
+        # the missing calibration must surface before any of them
+        _, _, models = trained
+        rng = np.random.default_rng(17)
+        frames = [
+            dataclasses.replace(
+                human_frame(default_head, random_command(default_head, rng), rng_seed=140 + i),
+                confidence=c,
+            )
+            for i, c in enumerate((0.1, 0.2, 0.95))
+        ]
+        for model in models.values():
+            emitted = stream(model, frames)
+            with pytest.raises(CalibrationRequiredError):
+                next(emitted)
+
     def test_empty_stream(self, trained):
         _, _, models = trained
         assert list(stream(models["distances"], [])) == []
@@ -448,6 +467,93 @@ class TestStream:
         _, _, models = trained
         with pytest.raises(ValueError):
             list(stream(models["distances"], [], smoothing_window=0))
+
+
+class Calibrated:
+    """Calibrated models and their calibration frames.  A plain class, so
+    Hypothesis reports it by its short repr, not field by field."""
+
+    def __init__(self, models: dict, frames: list):
+        self.models = models
+        self.frames = frames
+
+
+@pytest.fixture(scope="module")
+def calibrated(trained, default_head):
+    """The ``trained`` models calibrated on eight simulated frames, and the frames."""
+    _, _, models = trained
+    rng = np.random.default_rng(18)
+    frames = [
+        human_frame(default_head, random_command(default_head, rng), rng_seed=150 + i)
+        for i in range(8)
+    ]
+    return Calibrated({kind: calibrate_human(m, frames) for kind, m in models.items()}, frames)
+
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+# (field, flat cell index) of one HumanFrame input cell
+CELLS = st.one_of(
+    st.tuples(st.just("aus"), st.integers(0, 16)),
+    st.tuples(st.just("landmarks"), st.integers(0, 68 * 3 - 1)),
+    st.tuples(st.just("rotation"), st.integers(0, 2)),
+    st.tuples(st.just("translation"), st.integers(0, 2)),
+)
+FRAMES = st.lists(
+    st.tuples(
+        st.integers(0, 7),                               # which simulated frame
+        st.floats(0.0, 1.0),                             # tracker confidence
+        st.lists(st.tuples(CELLS, NON_FINITE), max_size=3),
+    ),
+    max_size=10,
+)
+
+
+def corrupt(frame, cells):
+    """A copy of ``frame`` with the given (field, index) cells overwritten."""
+    arrays = {
+        "aus": frame.aus.copy(),
+        "landmarks": frame.landmarks.copy(),
+        "rotation": np.array(frame.pose.rotation, dtype=float),
+        "translation": np.array(frame.pose.translation, dtype=float),
+    }
+    for (name, i), value in cells:
+        arrays[name].flat[i] = value
+    return dataclasses.replace(
+        frame,
+        aus=arrays["aus"],
+        landmarks=arrays["landmarks"],
+        pose=Pose(rotation=arrays["rotation"], translation=arrays["translation"]),
+    )
+
+
+class TestStreamContract:
+    """Whatever the tracker sends, stream emits one valid command per frame."""
+
+    @given(
+        kind=st.sampled_from(["au", "landmarks", "distances"]),
+        spec=FRAMES,
+        where=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+        window=st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_valid_command_per_frame(self, calibrated, kind, spec, where, window):
+        model = calibrated.models[kind]
+        pool = calibrated.frames
+        # degenerate (max == min) calibration spans at the chosen fractions
+        # of the feature width
+        stats = model.human_stats
+        dims = [int(f * stats.dim) for f in where]
+        maxs = stats.maxs.copy()
+        maxs[dims] = stats.mins[dims]
+        model = dataclasses.replace(model, human_stats=MinMaxStats(stats.mins, maxs))
+        frames = [
+            dataclasses.replace(corrupt(pool[i], cells), confidence=c)
+            for i, c, cells in spec
+        ]
+        out = list(stream(model, frames, smoothing_window=window))
+        assert len(out) == len(frames)
+        for cmd in out:
+            assert_valid_command(cmd)
 
 
 class TestNonFiniteInputs:
@@ -587,6 +693,50 @@ class TestModelPersistence:
             load_model(path)
         assert main(["facs", "happy", "--model", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_older_file_with_kind_and_mlp_keys_loads(self, trained, calibrated, tmp_path):
+        # older builds tag each MinMax stats with its feature kind and store
+        # the MLP's layer sizes and output scale; such files still load and
+        # predict what those builds predicted, and new files omit the keys
+        import json
+
+        from headlearn.learn import HyperGrid
+
+        train, test, models = trained
+        au_mlp = fit_pipeline(
+            train, "au", regressor="mlp",
+            grid=HyperGrid([1], [8], ["tanh"], [1e-2], [0.0]), epochs=40, seed=11,
+        )
+        older = {
+            "au_mlp": calibrate_human(au_mlp, calibrated.frames),
+            "distances_ols": calibrated.models["distances"],
+        }
+        stack = HumanFrame.stack(calibrated.frames)
+        digests = {}
+        for name, model in older.items():
+            doc = model.to_dict()
+            stats = [doc[k] for k in ("robot_stats", "human_stats", "au_stats_full") if doc[k]]
+            assert all("kind" not in s for s in stats)
+            for s in stats:
+                s["kind"] = model.feature_kind
+            reg = doc["regressor"]
+            assert "layer_sizes" not in reg and "output_scale" not in reg
+            if reg["kind"] == "mlp":
+                widths = [w.shape[1] for w in model.regressor.weights]
+                reg["layer_sizes"] = widths + [len(CHANNELS)]
+                reg["output_scale"] = 255.0
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            loaded = load_model(path)
+            pred = loaded.predict_raw(loaded.dataset_features(test))
+            assert np.array_equal(pred, model.predict_raw(model.dataset_features(test)))
+            assert np.array_equal(loaded.human_raw(stack), model.human_raw(stack))
+            digests[name] = array_sha256(pred)
+        # the predict_raw digests of the same models under the older build
+        assert digests == {
+            "au_mlp": "b1d2db8c9d2493193d7cf0a1fcb6646a8dbdb6cea76c3998c424f1893a6b6711",
+            "distances_ols": "ad894f20b57072a3f7cafc5f0e008752ad095de6b54112085b740cd297ada4c2",
+        }
 
     def test_unsupported_version(self, trained, tmp_path):
         import json

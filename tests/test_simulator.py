@@ -8,6 +8,7 @@ from headlearn.geometry import MIRROR_INDEX, N_LANDMARKS
 from headlearn.simulator import (
     CHANNEL_INDEX,
     CHANNELS,
+    COMMAND_MAX,
     ActuatorCommand,
     ActuatorDef,
     HeadConfig,
@@ -89,7 +90,7 @@ class TestForward:
         va, vb = a.as_array(), b.as_array()
         mix = ActuatorCommand.from_array(((va + vb) // 2).astype(int))
         lhs = forward(default_head, mix)
-        act_mix = mix.activations()
+        act_mix = mix.as_array() / COMMAND_MAX
         rhs = (
             default_head.neutral_landmarks
             + np.tensordot(act_mix, default_head.basis_matrix(), axes=1)
@@ -115,7 +116,7 @@ class TestForward:
         both = ActuatorCommand(vals)
         lin = (
             head.neutral_landmarks
-            + np.tensordot(both.activations(), head.basis_matrix(), axes=1)
+            + np.tensordot(both.as_array() / COMMAND_MAX, head.basis_matrix(), axes=1)
         )
         out = forward(head, both)
         assert np.allclose(out - lin, term.dense_basis(), atol=1e-12)
@@ -165,7 +166,6 @@ class TestObserve:
         # frame 0 shows the pre-roll neutral; frame 1 shows c0
         assert np.array_equal(frame0.landmarks_observed, forward(quiet_head, ActuatorCommand.neutral()))
         assert np.array_equal(frame1.landmarks_observed, forward(quiet_head, c0))
-        assert frame1.command == c1
 
     def test_golden_fingerprint(self):
         # pins the per-frame observation stream of the packaged head at a
@@ -188,11 +188,6 @@ class TestObserve:
             "rotation": "87fa8a12d1c0593c415b8073b8e1ad79247c0540796a3824e0c15dc13c1c795b",
             "translation": "987e4c2a837ae2c8f784a375b6b68e6d6a043d2c6247a2b294281d8be0c145fb",
         }
-
-    def test_frame_indices_increment(self, default_head):
-        sim = HeadSimulator(default_head)
-        idx = [sim.observe(ActuatorCommand.neutral()).frame_index for _ in range(3)]
-        assert idx == [0, 1, 2]
 
 
 def command_rows(head, seed, n):
@@ -224,7 +219,6 @@ class TestStackEqualsLoop:
         single_sim, stack_sim = HeadSimulator(head), HeadSimulator(head)
         singles = [single_sim.observe(as_command(r)) for r in rows]
         stacks = [stack_sim.observe(rows[a:b]) for a, b in ((0, 7), (7, 8), (8, 20))]
-        assert [f.frame_index for f in stacks] == [0, 7, 8]
         for field in ("landmarks_observed", "landmarks_true"):
             stacked = np.concatenate([getattr(f, field) for f in stacks])
             assert np.array_equal(stacked, np.array([getattr(f, field) for f in singles]))
@@ -235,7 +229,6 @@ class TestStackEqualsLoop:
         nxt = as_command(rows[0])
         a, b = single_sim.observe(nxt), stack_sim.observe(nxt)
         assert np.array_equal(a.landmarks_observed, b.landmarks_observed)
-        assert a.frame_index == b.frame_index == 20
 
     def test_invalid_command_rows_rejected(self, default_head):
         sim = HeadSimulator(default_head)
