@@ -44,6 +44,7 @@ from .geometry import (
     pairwise_distances,
     procrustes_align,
 )
+from .records import to_json
 from .simulator import (
     CHANNELS,
     COMMAND_MAX,
@@ -89,13 +90,7 @@ class CollectionProtocol:
             raise ProtocolError("au_window must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "n_target_frames": self.n_target_frames,
-            "neutral_fraction": self.neutral_fraction,
-            "interp_steps": self.interp_steps,
-            "au_window": self.au_window,
-            "rng_seed": self.rng_seed,
-        }
+        return to_json(self)
 
 
 @dataclass

@@ -58,25 +58,6 @@ class AUDef:
             if other not in AU_INDEX:
                 raise ConfigError(f"AU{self.au:02d} crosstalk names unknown AU id {other}")
 
-    def to_dict(self) -> dict:
-        return {
-            "au": self.au,
-            "weights": [[int(i), int(j), float(w)] for i, j, w in self.weights],
-            "bias": float(self.bias),
-            "noise_sigma": float(self.noise_sigma),
-            "crosstalk": [[int(a), float(c)] for a, c in self.crosstalk],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AUDef":
-        return cls(
-            au=int(d["au"]),
-            weights=[(int(i), int(j), float(w)) for i, j, w in d["weights"]],
-            bias=float(d["bias"]),
-            noise_sigma=float(d["noise_sigma"]),
-            crosstalk=[(int(a), float(c)) for a, c in d.get("crosstalk", [])],
-        )
-
 
 class AUReadout:
     """The synthetic AU extractor of one ``au_defs`` list, checked once.
@@ -164,6 +145,8 @@ def extract_aus(
 class MinMaxStats:
     """Per-dimension extrema of a fitted feature sample."""
 
+    RETIRED = ("kind",)
+
     mins: np.ndarray
     maxs: np.ndarray
 
@@ -178,14 +161,6 @@ class MinMaxStats:
     @property
     def dim(self) -> int:
         return self.mins.shape[0]
-
-    def to_dict(self) -> dict:
-        return {"mins": self.mins.tolist(), "maxs": self.maxs.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MinMaxStats":
-        # files from older builds also hold a feature-kind tag; it is not read
-        return cls(mins=d["mins"], maxs=d["maxs"])
 
 
 def fit_minmax(samples: np.ndarray) -> MinMaxStats:

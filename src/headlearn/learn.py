@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularFitError, TrainingDivergedError
+from .errors import ConfigError, SingularFitError, TrainingDivergedError
 
 # Candidate output dimensions scanned for the distance representation:
 # every second value from 3 to 40.
@@ -42,6 +42,16 @@ class PcaModel:
     components: np.ndarray               # (k, d)
     explained_variance_ratio: np.ndarray  # (k,)
 
+    def __post_init__(self) -> None:
+        m, c, evr = self.mean, self.components, self.explained_variance_ratio
+        if m.ndim != 1 or c.ndim != 2 or evr.ndim != 1:
+            raise ConfigError("PCA mean and explained_variance_ratio must be 1-D, components 2-D")
+        if len(m) != c.shape[1] or len(evr) != c.shape[0]:
+            raise ConfigError(
+                f"PCA components are {c.shape[0]} x {c.shape[1]}, but mean has {len(m)} "
+                f"entries and explained_variance_ratio {len(evr)}"
+            )
+
     @property
     def k(self) -> int:
         return self.components.shape[0]
@@ -49,21 +59,6 @@ class PcaModel:
     @property
     def n_features(self) -> int:
         return self.components.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "components": self.components.tolist(),
-            "explained_variance_ratio": self.explained_variance_ratio.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PcaModel":
-        return cls(
-            mean=np.array(d["mean"], dtype=float),
-            components=np.array(d["components"], dtype=float),
-            explained_variance_ratio=np.array(d["explained_variance_ratio"], dtype=float),
-        )
 
 
 def pca_fit(x: np.ndarray, k: int) -> PcaModel:
@@ -179,28 +174,21 @@ def choose_pca_dim(
 class LinearModel:
     """Multi-output affine predictor: y = x @ weights.T + intercept."""
 
+    TAG = ("kind", "linear")
+
     weights: np.ndarray    # (outputs, inputs)
     intercept: np.ndarray  # (outputs,)
     ridge_lambda: float | None = None
 
+    def __post_init__(self) -> None:
+        w, b = self.weights, self.intercept
+        if w.ndim != 2 or b.shape != w.shape[:1]:
+            raise ConfigError(
+                f"linear weights {w.shape} need an intercept of {w.shape[:1]}, got {b.shape}"
+            )
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.weights.T + self.intercept
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "linear",
-            "weights": self.weights.tolist(),
-            "intercept": self.intercept.tolist(),
-            "ridge_lambda": self.ridge_lambda,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearModel":
-        return cls(
-            weights=np.array(d["weights"], dtype=float),
-            intercept=np.array(d["intercept"], dtype=float),
-            ridge_lambda=d.get("ridge_lambda"),
-        )
 
 
 def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,6 +287,9 @@ class MlpModel:
     ``TARGET_SCALE`` (clipping is left to command construction).
     """
 
+    TAG = ("kind", "mlp")
+    RETIRED = ("layer_sizes", "output_scale")
+
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: str
@@ -306,6 +297,29 @@ class MlpModel:
     input_scale: np.ndarray
     hyper: dict = field(default_factory=dict)
     final_train_loss: float = float("nan")
+
+    def __post_init__(self) -> None:
+        """Raise ConfigError unless the layers chain: each bias matches its
+        layer's outputs, each layer reads the previous one's outputs and the
+        first reads the input standardization's width."""
+        if self.activation not in _ACTIVATIONS:
+            raise ConfigError(f"MLP activation {self.activation!r} is not one of {_ACTIVATIONS}")
+        ws, bs = self.weights, self.biases
+        if not ws or len(ws) != len(bs):
+            raise ConfigError(f"MLP has {len(ws)} weights and {len(bs)} biases")
+        width = self.input_mean.shape
+        if self.input_scale.shape != width or len(width) != 1:
+            raise ConfigError(
+                f"MLP input_mean {width} and input_scale {self.input_scale.shape} differ"
+            )
+        for i, (w, b) in enumerate(zip(ws, bs)):
+            if w.ndim != 2 or w.shape[1:] != width or b.shape != w.shape[:1]:
+                inputs = "input_mean entries" if i == 0 else f"weights[{i - 1}] rows"
+                raise ConfigError(
+                    f"MLP weights[{i}] {w.shape} needs as many columns as the {width[0]} "
+                    f"{inputs} and as many rows as biases[{i}] {b.shape}"
+                )
+            width = w.shape[:1]
 
     def n_params(self) -> int:
         return int(sum(w.size for w in self.weights) + sum(b.size for b in self.biases))
@@ -317,32 +331,6 @@ class MlpModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward_scaled(x) * TARGET_SCALE
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "mlp",
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "activation": self.activation,
-            "input_mean": self.input_mean.tolist(),
-            "input_scale": self.input_scale.tolist(),
-            "hyper": self.hyper,
-            "final_train_loss": self.final_train_loss,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpModel":
-        # files from older builds also hold the layer sizes and an output
-        # scale (always 255); neither is read
-        return cls(
-            weights=[np.array(w, dtype=float) for w in d["weights"]],
-            biases=[np.array(b, dtype=float) for b in d["biases"]],
-            activation=d["activation"],
-            input_mean=np.array(d["input_mean"], dtype=float),
-            input_scale=np.array(d["input_scale"], dtype=float),
-            hyper=d.get("hyper", {}),
-            final_train_loss=float(d.get("final_train_loss", float("nan"))),
-        )
 
 
 def mlp_loss_and_grads(

@@ -30,7 +30,6 @@ from .errors import (
     ConfigError,
     InvalidCommandError,
     OpenFaceFormatError,
-    UnsupportedVersionError,
 )
 from .features import (
     AU_IDS,
@@ -65,9 +64,8 @@ from .learn import (
     ridge_fit,
     rmse,
 )
+from .records import from_json, to_json
 from .simulator import CHANNELS, COMMAND_MAX, COMMAND_MIN, N_CHANNELS, ActuatorCommand
-
-MODEL_SCHEMA = "pipeline-model/v1"
 
 REGRESSORS = ("ols", "ridge", "mlp")
 
@@ -142,6 +140,9 @@ def command_from_raw(raw: np.ndarray) -> ActuatorCommand | np.ndarray:
 class PipelineModel:
     """A persisted retargeting model (one feature kind, one regressor)."""
 
+    TAG = ("schema", "pipeline-model/v1")
+    RETIRED = ("pruned_aus", "clip_range")
+
     feature_kind: str
     robot_stats: MinMaxStats
     pca: PcaModel
@@ -154,9 +155,14 @@ class PipelineModel:
 
     def __post_init__(self) -> None:
         if self.feature_kind not in FEATURE_KINDS:
-            raise ConfigError(f"unknown feature kind {self.feature_kind!r}")
+            raise ConfigError(f"feature_kind {self.feature_kind!r} is not one of {FEATURE_KINDS}")
         if self.feature_kind == "au" and self.au_ids_used is None:
             raise ConfigError("au-kind model needs au_ids_used")
+        if self.au_ids_used is not None and not set(self.au_ids_used) <= set(AU_IDS):
+            raise ConfigError(f"au_ids_used {self.au_ids_used} are not all among {AU_IDS}")
+        ref = self.neutral_reference
+        if ref.shape != (N_LANDMARKS, 3) or not np.isfinite(ref).all():
+            raise ConfigError("neutral_reference is not a finite (68, 3) array")
         self._check_widths()
         # columns of the kept AUs among all 17
         self.au_index = (
@@ -252,55 +258,13 @@ class PipelineModel:
         raw = self.predict_raw(np.atleast_2d(mapped))
         return raw[0] if mapped.ndim == 1 else raw
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": MODEL_SCHEMA,
-            "feature_kind": self.feature_kind,
-            "robot_stats": self.robot_stats.to_dict(),
-            "human_stats": self.human_stats.to_dict() if self.human_stats else None,
-            "pca": self.pca.to_dict(),
-            "regressor": self.regressor.to_dict(),
-            "neutral_reference": self.neutral_reference.tolist(),
-            "au_ids_used": list(self.au_ids_used) if self.au_ids_used else None,
-            "au_stats_full": self.au_stats_full.to_dict() if self.au_stats_full else None,
-            "provenance": self.provenance,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineModel":
-        if d.get("schema") != MODEL_SCHEMA:
-            raise UnsupportedVersionError(
-                f"model schema {d.get('schema')!r} not supported (want {MODEL_SCHEMA})"
-            )
-        reg = d["regressor"]
-        regressor = (
-            LinearModel.from_dict(reg) if reg["kind"] == "linear" else MlpModel.from_dict(reg)
-        )
-        return cls(
-            feature_kind=d["feature_kind"],
-            robot_stats=MinMaxStats.from_dict(d["robot_stats"]),
-            human_stats=(
-                MinMaxStats.from_dict(d["human_stats"]) if d.get("human_stats") else None
-            ),
-            pca=PcaModel.from_dict(d["pca"]),
-            regressor=regressor,
-            neutral_reference=np.array(d["neutral_reference"], dtype=float),
-            au_ids_used=tuple(d["au_ids_used"]) if d.get("au_ids_used") else None,
-            au_stats_full=(
-                MinMaxStats.from_dict(d["au_stats_full"]) if d.get("au_stats_full") else None
-            ),
-            provenance=d.get("provenance"),
-        )
-
 
 def save_model(model: PipelineModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model.to_dict()) + "\n")
+    Path(path).write_text(json.dumps(to_json(model)) + "\n")
 
 
 def load_model(path: str | Path) -> PipelineModel:
-    return PipelineModel.from_dict(json.loads(Path(path).read_text()))
+    return from_json(PipelineModel, json.loads(Path(path).read_text()), str(path))
 
 
 # -- fitting ----------------------------------------------------------------

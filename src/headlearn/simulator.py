@@ -31,6 +31,7 @@ from .geometry import (
     apply_pose,
     check_landmarks,
 )
+from .records import from_json, to_json
 
 # Controllable channels: eyelids (1, 4), eyebrows (5, 6), mouth (7-10),
 # jaw (11).  Eye-gaze (2, 3) and neck (12-14) channels of the physical
@@ -88,7 +89,7 @@ class ActuatorCommand:
 
 class SparseBasis:
     """Mixin for a ``basis`` field holding sparse (index, dx, dy, dz)
-    landmark displacements: its dense form and its JSON codec."""
+    landmark displacements: its dense form."""
 
     def dense_basis(self) -> np.ndarray:
         """Expand the sparse (index, dx, dy, dz) list to a (68, 3) field."""
@@ -97,39 +98,15 @@ class SparseBasis:
             out[int(idx)] += (dx, dy, dz)
         return out
 
-    def basis_to_json(self) -> list[list]:
-        return [[int(i), float(x), float(y), float(z)] for i, x, y, z in self.basis]
-
-    @staticmethod
-    def basis_from_json(rows: list) -> list[tuple[int, float, float, float]]:
-        return [(int(i), float(x), float(y), float(z)) for i, x, y, z in rows]
-
 
 @dataclass
 class ActuatorDef(SparseBasis):
     """One channel: sparse landmark displacement basis at full activation."""
 
-    channel: int
+    channel: int = field(metadata={"json": "id"})
     name: str
     basis: list[tuple[int, float, float, float]]
     symmetric: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.channel,
-            "name": self.name,
-            "basis": self.basis_to_json(),
-            "symmetric": self.symmetric,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ActuatorDef":
-        return cls(
-            channel=int(d["id"]),
-            name=d["name"],
-            basis=cls.basis_from_json(d["basis"]),
-            symmetric=bool(d["symmetric"]),
-        )
 
 
 @dataclass
@@ -143,25 +120,12 @@ class QuadraticTerm(SparseBasis):
     channel_b: int
     basis: list[tuple[int, float, float, float]]
 
-    def to_dict(self) -> dict:
-        return {
-            "channel_a": self.channel_a,
-            "channel_b": self.channel_b,
-            "basis": self.basis_to_json(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuadraticTerm":
-        return cls(
-            channel_a=int(d["channel_a"]),
-            channel_b=int(d["channel_b"]),
-            basis=cls.basis_from_json(d["basis"]),
-        )
-
 
 @dataclass
 class HeadConfig:
     """Full parametric description of the simulated head."""
+
+    TAG = ("schema", "head-config/v1")
 
     neutral_landmarks: np.ndarray
     actuators: list[ActuatorDef]
@@ -176,8 +140,10 @@ class HeadConfig:
     def __post_init__(self) -> None:
         self.neutral_landmarks = check_landmarks(self.neutral_landmarks)
         # CHANNELS ascend, so channel order is CHANNELS order
-        ordered = sorted(self.actuators, key=lambda a: a.channel)
-        self._basis = np.array([a.dense_basis() for a in ordered]).reshape(-1, N_LANDMARKS, 3)
+        self.actuators = sorted(self.actuators, key=lambda a: a.channel)
+        self._basis = np.array([a.dense_basis() for a in self.actuators]).reshape(
+            -1, N_LANDMARKS, 3
+        )
         self._basis.flags.writeable = False
         self.validate()
 
@@ -228,47 +194,16 @@ class HeadConfig:
 
     # -- serialization ----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": "head-config/v1",
-            "neutral_landmarks": [[float(c) for c in row] for row in self.neutral_landmarks],
-            "actuators": [a.to_dict() for a in sorted(self.actuators, key=lambda a: a.channel)],
-            "landmark_noise_sigma": float(self.landmark_noise_sigma),
-            "pose_jitter_max_rotation": float(self.pose_jitter_max_rotation),
-            "pose_jitter_max_translation": float(self.pose_jitter_max_translation),
-            "sensor_lag_frames": int(self.sensor_lag_frames),
-            "au_defs": [d.to_dict() for d in self.au_defs],
-            "rng_seed": int(self.rng_seed),
-            "quadratic_terms": [q.to_dict() for q in self.quadratic_terms],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HeadConfig":
-        schema = d.get("schema", "head-config/v1")
-        if schema != "head-config/v1":
-            raise ConfigError(f"unsupported head config schema {schema!r}")
-        return cls(
-            neutral_landmarks=np.array(d["neutral_landmarks"], dtype=float),
-            actuators=[ActuatorDef.from_dict(a) for a in d["actuators"]],
-            landmark_noise_sigma=float(d["landmark_noise_sigma"]),
-            pose_jitter_max_rotation=float(d["pose_jitter_max_rotation"]),
-            pose_jitter_max_translation=float(d["pose_jitter_max_translation"]),
-            sensor_lag_frames=int(d["sensor_lag_frames"]),
-            au_defs=[AUDef.from_dict(a) for a in d.get("au_defs", [])],
-            rng_seed=int(d["rng_seed"]),
-            quadratic_terms=[QuadraticTerm.from_dict(q) for q in d.get("quadratic_terms", [])],
-        )
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        Path(path).write_text(json.dumps(to_json(self), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "HeadConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return from_json(cls, json.loads(Path(path).read_text()), str(path))
 
     def sha256(self) -> str:
         """Hash of the canonical serialized form, for provenance checks."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(to_json(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -9,6 +9,7 @@ import pytest
 from headlearn.cli import main
 from headlearn.dataset import CollectionProtocol, collect, save_dataset
 from headlearn.features import AU_INDEX
+from headlearn.records import to_json
 from headlearn.simulator import CHANNELS, HeadConfig, random_command
 
 from conftest import frames_from_simulator, openface_csv_text
@@ -41,6 +42,16 @@ def human_csv(tmp_path_factory, default_head):
     rows[3]["confidence"] = 0.2  # one dropped frame
     path = tmp_path_factory.mktemp("of") / "human.csv"
     path.write_text(openface_csv_text(rows))
+    return path
+
+
+def _changed_copy(doc: dict, remove: str | None, add: str | None, path):
+    """Write ``doc`` to ``path`` with key ``remove`` deleted and its value
+    (or 1) stored under ``add``."""
+    value = doc.pop(remove) if remove else 1
+    if add:
+        doc[add] = value
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -297,7 +308,7 @@ class TestExitCodes:
         assert "PCA dimension scan" in err and "k=39" in err and "18 fit rows" in err
 
     def test_unknown_crosstalk_id_is_data_error(self, capsys, tmp_path, default_head):
-        doc = default_head.to_dict()
+        doc = to_json(default_head)
         doc["au_defs"][0]["crosstalk"] = [[3, 0.1]]
         head = tmp_path / "head.json"
         head.write_text(json.dumps(doc))
@@ -305,6 +316,31 @@ class TestExitCodes:
                      "--out", str(tmp_path / "ds")])
         assert code == 2
         assert "crosstalk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("remove, add, error", [
+        ("pca", None, "pca: required key is missing"),
+        (None, "pca_k", "pca_k: unknown key"),
+    ])
+    def test_malformed_model_names_file_and_key(
+        self, model_path, tmp_path, capsys, remove, add, error
+    ):
+        path = _changed_copy(json.loads(model_path.read_text()), remove, add, tmp_path / "m.json")
+        assert main(["facs", "happy", "--model", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"headlearn: error: {path}.{error}")
+
+    @pytest.mark.parametrize("remove, add, error", [
+        ("actuators", None, "actuators: required key is missing"),
+        ("landmark_noise_sigma", "landmark_noise_sigmaa", "landmark_noise_sigmaa: unknown key"),
+        ("schema", None, "schema: got None, this build reads 'head-config/v1'"),
+    ])
+    def test_malformed_head_names_file_and_key(
+        self, default_head, tmp_path, capsys, remove, add, error
+    ):
+        head = _changed_copy(to_json(default_head), remove, add, tmp_path / "head.json")
+        code = main(["collect", "--head", str(head), "--frames", "4",
+                     "--out", str(tmp_path / "ds")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"headlearn: error: {head}.{error}")
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

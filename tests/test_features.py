@@ -16,6 +16,7 @@ from headlearn.features import (
     window_average,
 )
 from headlearn.geometry import N_LANDMARKS, pair_index, pairwise_distances
+from headlearn.records import from_json, to_json
 
 
 def full_au_defs(overrides=None):
@@ -48,7 +49,7 @@ class TestAUDef:
     def test_round_trip(self):
         d = AUDef(12, weights=[(48, 54, 0.25)], bias=0.4, noise_sigma=0.1,
                   crosstalk=[(6, 0.2)])
-        assert AUDef.from_dict(d.to_dict()) == d
+        assert from_json(AUDef, to_json(d), "au") == d
 
 
 class TestExtractAus:

@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import json
+import operator
 import re
 
 import numpy as np
@@ -10,11 +13,13 @@ from headlearn.dataset import CollectionProtocol, HumanFrame, collect, split
 from headlearn.errors import (
     CalibrationRequiredError,
     ConfigError,
+    HeadLearnError,
     InvalidCommandError,
     OpenFaceFormatError,
 )
 from headlearn.features import AU_IDS, AU_INDEX, MinMaxStats
 from headlearn.geometry import Pose, apply_pose
+from headlearn.learn import HyperGrid
 from headlearn.retarget import (
     EMOTIONS,
     calibrate_human,
@@ -28,6 +33,7 @@ from headlearn.retarget import (
     save_model,
     stream,
 )
+from headlearn.records import to_json
 from headlearn.simulator import CHANNELS, HeadSimulator, random_command
 
 from conftest import array_sha256, assert_valid_command, frames_from_simulator, random_rigid
@@ -617,6 +623,95 @@ class TestNonFiniteInputs:
         assert cmd.values[CHANNELS[1]] == 100
 
 
+# The kinds of model-file mutation: delete a key, set a leaf to "x", drop
+# the last entry of a list, add a key
+MUTATIONS = ("delete", "leaf", "drop", "add")
+# Free-form model dicts: a key added there is stored, not rejected
+FREE_FORM = ("provenance", "hyper")
+
+
+def _targets(node, path=()):
+    """(kind, key path) of each mutation the JSON value ``node`` can take."""
+    if isinstance(node, dict):
+        yield "add", path + ("unknown_key",)
+        for key, value in node.items():
+            yield "delete", path + (key,)
+            yield from _targets(value, path + (key,))
+    elif isinstance(node, list):
+        if node:
+            yield "drop", path + (len(node) - 1,)
+        for i, value in enumerate(node):
+            yield from _targets(value, path + (i,))
+    else:
+        yield "leaf", path
+
+
+def _mutate(doc, kind: str, path: tuple) -> None:
+    *head, last = path
+    node = functools.reduce(operator.getitem, head, doc)
+    if kind in ("delete", "drop"):
+        del node[last]
+    else:
+        node[last] = "x" if kind == "leaf" else 1
+
+
+class Persisted:
+    """Models by name, their saved JSON documents and, by mutation kind,
+    the key paths of each document that can take it.  A plain class, so
+    Hypothesis reports it by its short repr, not field by field."""
+
+    def __init__(self, models: dict):
+        self.models = models
+        self._text = {name: json.dumps(to_json(m)) for name, m in models.items()}
+        self.targets = {
+            name: {kind: [p for k, p in _targets(self.doc(name)) if k == kind]
+                   for kind in MUTATIONS}
+            for name in models
+        }
+
+    def doc(self, name: str) -> dict:
+        """A fresh copy of the saved document of model ``name``."""
+        return json.loads(self._text[name])
+
+
+@pytest.fixture(scope="module")
+def persisted(trained, calibrated):
+    """An au+OLS model, and a calibrated au+MLP and distances+OLS model."""
+    train, _, models = trained
+    au_mlp = fit_pipeline(
+        train, "au", regressor="mlp",
+        grid=HyperGrid([1], [8], ["tanh"], [1e-2], [0.0]), epochs=40, seed=11,
+    )
+    return Persisted({
+        "au_ols": models["au"],
+        "au_mlp": calibrate_human(au_mlp, calibrated.frames),
+        "distances_ols": calibrated.models["distances"],
+    })
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+# (model, mutation of its saved file, the field the load error names)
+INCONSISTENT = [
+    ("au_ols", "regressor weights one column short", "regressor input width"),
+    ("au_ols", "au_ids_used one id short", "len(au_ids_used)"),
+    ("au_ols", "au_ids_used with an unknown id", "au_ids_used"),
+    ("au_ols", "robot_stats one dimension short", "robot_stats.dim"),
+    ("au_mlp", "output layer reads 7 of 8 hidden units", "weights[1]"),
+    ("au_mlp", "inner bias one entry short", "biases[0]"),
+    ("au_mlp", "output bias one entry short", "biases[1]"),
+    ("au_mlp", "input_mean one entry short", "input_mean"),
+    ("au_mlp", "input_scale one entry short", "input_scale"),
+    ("au_mlp", "activation 'x'", "activation"),
+    ("distances_ols", "intercept with 8 entries", "intercept"),
+    ("distances_ols", "pca mean one entry short", "mean"),
+    ("distances_ols", "neutral_reference with 67 rows", "neutral_reference"),
+]
+
+
 class TestModelPersistence:
     def test_round_trip_bit_identical_predictions(self, trained, tmp_path):
         train, test, models = trained
@@ -642,10 +737,8 @@ class TestModelPersistence:
         assert retarget_frame(loaded, frames[0]) == retarget_frame(model, frames[0])
 
     def test_older_file_with_clip_range_loads(self, trained, tmp_path):
-        import json
-
         _, test, models = trained
-        doc = models["au"].to_dict()
+        doc = to_json(models["au"])
         assert "clip_range" not in doc
         doc["clip_range"] = [10, 200]
         path = tmp_path / "m.json"
@@ -657,64 +750,66 @@ class TestModelPersistence:
         )
 
     def test_older_file_with_pruned_aus_loads(self, trained, tmp_path):
-        import json
-
         _, _, models = trained
         model = models["au"]
-        doc = model.to_dict()
+        doc = to_json(model)
         assert "pruned_aus" not in doc
         doc["pruned_aus"] = list(model.pruned_aus)
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         assert load_model(path).pruned_aus == model.pruned_aus
 
-    @pytest.mark.parametrize("mutation, field", [
-        ("regressor weights one column short", "regressor input width"),
-        ("au_ids_used one id short", "len(au_ids_used)"),
-        ("robot_stats one dimension short", "robot_stats.dim"),
-    ])
-    def test_inconsistent_file_fails_on_load(self, trained, tmp_path, capsys, mutation, field):
-        import json
-
+    @pytest.mark.parametrize(
+        "name, mutation, field", INCONSISTENT, ids=[f"{m}-{f}" for _, m, f in INCONSISTENT]
+    )
+    def test_inconsistent_file_fails_on_load(
+        self, persisted, tmp_path, capsys, name, mutation, field
+    ):
         from headlearn.cli import main
 
-        _, _, models = trained
-        doc = models["au"].to_dict()
-        if mutation.startswith("regressor"):
-            doc["regressor"]["weights"] = [row[:-1] for row in doc["regressor"]["weights"]]
-        elif mutation.startswith("au_ids_used"):
-            doc["au_ids_used"] = doc["au_ids_used"][:-1]
-        else:
+        doc = persisted.doc(name)
+        reg = doc["regressor"]
+        if mutation.startswith("regressor weights"):
+            reg["weights"] = [row[:-1] for row in reg["weights"]]
+        elif mutation.startswith("au_ids_used one"):
+            doc["au_ids_used"].pop()
+        elif mutation.startswith("au_ids_used with"):
+            doc["au_ids_used"][0] = 3
+        elif mutation.startswith("robot_stats"):
             for end in ("mins", "maxs"):
-                doc["robot_stats"][end] = doc["robot_stats"][end][:-1]
+                doc["robot_stats"][end].pop()
+        elif mutation.startswith("output layer"):
+            reg["weights"][1] = [row[:-1] for row in reg["weights"][1]]
+        elif mutation.startswith("inner bias"):
+            reg["biases"][0].pop()
+        elif mutation.startswith("output bias"):
+            reg["biases"][1].pop()
+        elif mutation.startswith("input_"):
+            reg[field].pop()
+        elif mutation.startswith("activation"):
+            reg["activation"] = "x"
+        elif mutation.startswith("intercept"):
+            reg["intercept"].pop()
+        elif mutation.startswith("pca"):
+            doc["pca"]["mean"].pop()
+        else:
+            doc["neutral_reference"].pop()
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match=re.escape(field)):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}.*{re.escape(field)}"):
             load_model(path)
         assert main(["facs", "happy", "--model", str(path)]) == 2
         assert field in capsys.readouterr().err
 
-    def test_older_file_with_kind_and_mlp_keys_loads(self, trained, calibrated, tmp_path):
+    def test_older_file_with_kind_and_mlp_keys_loads(self, persisted, calibrated, trained, tmp_path):
         # older builds tag each MinMax stats with its feature kind and store
         # the MLP's layer sizes and output scale; such files still load and
         # predict what those builds predicted, and new files omit the keys
-        import json
-
-        from headlearn.learn import HyperGrid
-
-        train, test, models = trained
-        au_mlp = fit_pipeline(
-            train, "au", regressor="mlp",
-            grid=HyperGrid([1], [8], ["tanh"], [1e-2], [0.0]), epochs=40, seed=11,
-        )
-        older = {
-            "au_mlp": calibrate_human(au_mlp, calibrated.frames),
-            "distances_ols": calibrated.models["distances"],
-        }
+        _, test, _ = trained
         stack = HumanFrame.stack(calibrated.frames)
         digests = {}
-        for name, model in older.items():
-            doc = model.to_dict()
+        for name in ("au_mlp", "distances_ols"):
+            model, doc = persisted.models[name], persisted.doc(name)
             stats = [doc[k] for k in ("robot_stats", "human_stats", "au_stats_full") if doc[k]]
             assert all("kind" not in s for s in stats)
             for s in stats:
@@ -738,9 +833,40 @@ class TestModelPersistence:
             "distances_ols": "ad894f20b57072a3f7cafc5f0e008752ad095de6b54112085b740cd297ada4c2",
         }
 
-    def test_unsupported_version(self, trained, tmp_path):
-        import json
+    @given(
+        name=st.sampled_from(["au_mlp", "distances_ols"]),
+        kind=st.sampled_from(MUTATIONS),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_file_names_the_key_or_computes_the_same(
+        self, persisted, calibrated, mutation_dir, name, kind, data
+    ):
+        # one mutation of a saved, calibrated model file either fails to
+        # load with an error naming the file and the key, or changes nothing
+        # the model computes; a key no record declares never loads
+        model, doc = persisted.models[name], persisted.doc(name)
+        path = data.draw(st.sampled_from(persisted.targets[name][kind]))
+        _mutate(doc, kind, path)
+        key = [step for step in path if isinstance(step, str)][-1]
+        file = mutation_dir / "m.json"
+        file.write_text(json.dumps(doc))
+        try:
+            loaded = load_model(file)
+        except HeadLearnError as e:
+            assert str(e).startswith(str(file)) and key in str(e)
+            return
+        assert kind != "add" or set(path) & set(FREE_FORM), "an undeclared key loaded"
+        frame = calibrated.frames[0]
+        row = model.frame_features(frame)[None, :]
+        assert np.array_equal(loaded.predict_raw(row), model.predict_raw(row))
+        if loaded.human_stats is None:
+            with pytest.raises(CalibrationRequiredError):
+                retarget_frame(loaded, frame)
+        else:
+            assert retarget_frame(loaded, frame) == retarget_frame(model, frame)
 
+    def test_unsupported_version(self, trained, tmp_path):
         _, _, models = trained
         path = tmp_path / "m.json"
         save_model(models["au"], path)

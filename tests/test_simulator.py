@@ -1,10 +1,13 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from headlearn.errors import ConfigError, InvalidCommandError
+from headlearn.features import AUDef
 from headlearn.geometry import MIRROR_INDEX, N_LANDMARKS
+from headlearn.records import to_json
 from headlearn.simulator import (
     CHANNEL_INDEX,
     CHANNELS,
@@ -294,6 +297,29 @@ class TestHeadConfig:
         loaded = HeadConfig.load(path)
         assert loaded.sha256() == default_head.sha256()
         assert np.array_equal(loaded.neutral_landmarks, default_head.neutral_landmarks)
+
+    def test_keys_with_defaults_may_be_left_out(self, default_head, tmp_path):
+        doc = to_json(default_head)
+        for key in ("landmark_noise_sigma", "pose_jitter_max_rotation",
+                    "pose_jitter_max_translation", "sensor_lag_frames", "rng_seed"):
+            del doc[key]
+        for act in doc["actuators"]:
+            del act["symmetric"]
+        for au in doc["au_defs"]:
+            del au["weights"], au["bias"], au["noise_sigma"]
+        path = tmp_path / "head.json"
+        path.write_text(json.dumps(doc))
+        expected = HeadConfig(
+            default_head.neutral_landmarks,
+            default_head.actuators,
+            au_defs=[AUDef(d.au, crosstalk=d.crosstalk) for d in default_head.au_defs],
+        )
+        assert HeadConfig.load(path).sha256() == expected.sha256()
+
+    def test_actuators_are_kept_in_channel_order(self, default_head):
+        shuffled = dataclasses.replace(default_head, actuators=default_head.actuators[::-1])
+        assert [a.channel for a in shuffled.actuators] == list(CHANNELS)
+        assert shuffled.sha256() == default_head.sha256()
 
     def test_asymmetric_neutral_rejected(self, default_head):
         pts = default_head.neutral_landmarks.copy()
