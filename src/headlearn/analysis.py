@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -37,9 +36,6 @@ class CorrMatrix:
 
     r: np.ndarray
     missing: np.ndarray
-
-    def to_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv_text())
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -139,9 +135,6 @@ class ComparisonReport:
 
     def column_means(self) -> np.ndarray:
         return self.values.mean(axis=0)
-
-    def to_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv_text())
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import sys
@@ -70,20 +71,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace, extra: dict | None = None) -> None:
-    resolved = {
-        k: v for k, v in sorted(vars(args).items()) if k != "func" and not k.startswith("_")
-    }
-    manifest = {
-        "tool": "headlearn",
-        "version": __version__,
-        "argv": sys.argv[1:],
-        "resolved": resolved,
-    }
-    if extra:
-        manifest.update(extra)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write_out(args: argparse.Namespace, files: dict, extra: dict | None = None) -> Path:
+    """Make the ``--out`` directory and write ``files`` into it (name -> text,
+    or -> a saver called with ``out / name``; "." is the directory itself),
+    then ``manifest.json``: argv, resolved flags and ``extra``."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if callable(content):
+            content(out / name)
+        else:
+            (out / name).write_text(content)
+    resolved = {k: v for k, v in vars(args).items() if k != "func"}
+    manifest = {"tool": "headlearn", "version": __version__, "argv": sys.argv[1:],
+                "resolved": resolved, **(extra or {})}
+    (out / "manifest.json").write_text(_json(manifest))
+    return out
 
 
 def _command_line(cmd) -> str:
@@ -112,9 +119,9 @@ def cmd_collect(args) -> int:
         rng_seed=args.seed,
     )
     d = collect(head, protocol)
-    out = Path(args.out)
-    save_dataset(d, out)
-    _write_manifest(out, args, {"head_config_sha256": head.sha256()})
+    out = _write_out(
+        args, {".": functools.partial(save_dataset, d)}, {"head_config_sha256": head.sha256()}
+    )
     counts = d.meta["recorded_frames"]
     print(
         f"collected {len(d)} target rows "
@@ -135,9 +142,6 @@ def cmd_fit(args) -> int:
         pca_k=args.pca_k,
         seed=args.seed,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(model, out / "model.json")
     per_channel = evaluate_pipeline(model, test)
     metrics = {
         "test_rmse_per_channel": {str(ch): float(v) for ch, v in zip(CHANNELS, per_channel)},
@@ -145,8 +149,9 @@ def cmd_fit(args) -> int:
         "pca_k": model.pca.k,
         "pruned_aus": list(model.pruned_aus or []),
     }
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, args)
+    out = _write_out(
+        args, {"model.json": functools.partial(save_model, model), "metrics.json": _json(metrics)}
+    )
     print(f"fit {args.kind}+{args.regressor}: mean test RMSE {metrics['test_rmse_mean']:.3f}")
     print(f"model -> {out / 'model.json'}")
     return EXIT_OK
@@ -164,14 +169,11 @@ def cmd_evaluate(args) -> int:
         print(f"actuator {ch}: RMSE {v:.3f}")
     print(f"mean: {float(np.mean(per_channel)):.3f}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         metrics = {
             "rmse_per_channel": {str(ch): float(v) for ch, v in zip(CHANNELS, per_channel)},
             "rmse_mean": float(np.mean(per_channel)),
         }
-        (out / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
-        _write_manifest(out, args)
+        _write_out(args, {"metrics.json": _json(metrics)})
     return EXIT_OK
 
 
@@ -182,11 +184,8 @@ def cmd_compare(args) -> int:
     )
     print(report.to_text())
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        report.to_csv(out / "comparison.csv")
-        (out / "comparison.txt").write_text(report.to_text() + "\n")
-        _write_manifest(out, args, {"distance_pca_dim": report.distance_pca_dim})
+        files = {"comparison.csv": report.to_csv_text(), "comparison.txt": report.to_text() + "\n"}
+        _write_out(args, files, {"distance_pca_dim": report.distance_pca_dim})
     return EXIT_OK
 
 
@@ -197,11 +196,9 @@ def cmd_correlate(args) -> int:
     print(corr.to_text())
     print(f"\nAUs under |r| < {args.threshold}: {pruned or 'none'}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        corr.to_csv(out / "correlations.csv")
-        (out / "pruned_aus.json").write_text(json.dumps(pruned) + "\n")
-        _write_manifest(out, args)
+        _write_out(args, {
+            "correlations.csv": corr.to_csv_text(), "pruned_aus.json": json.dumps(pruned) + "\n"
+        })
     return EXIT_OK
 
 
@@ -233,12 +230,8 @@ def cmd_retarget(args) -> int:
     lines = [f"{f.timestamp}," + ",".join(map(str, row)) for f, row in zip(frames, rows)]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "commands.csv").write_text(
-            "timestamp," + ",".join(f"a{ch}" for ch in CHANNELS) + "\n" + text
-        )
-        _write_manifest(out, args)
+        header = "timestamp," + ",".join(f"a{ch}" for ch in CHANNELS) + "\n"
+        out = _write_out(args, {"commands.csv": header + text})
         print(f"retargeted {len(lines)} frames -> {out / 'commands.csv'}")
     else:
         sys.stdout.write(text)

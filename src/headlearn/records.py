@@ -6,16 +6,19 @@ under its name or ``field(metadata={"json": key})``.  Reading follows each
 field's annotation.  A key is required exactly when its field has no
 default, the tag must match (else UnsupportedVersionError), and a key the
 class does not declare is rejected unless it is in the class's ``RETIRED``
-tuple: keys older builds wrote, which this one ignores.  Every failure,
-a ValueError from a record's constructor included, names the file and the
-key path first, e.g. ``m.json.pca.mean: could not convert string to
-float: 'abc'``.
+tuple: keys older builds wrote, which this one ignores.  Leaves are
+checked, not converted: a bool must be a JSON bool, an int a JSON integer,
+a float any number but a bool, and an array must hold numbers only.
+Every failure, a ValueError from a record's constructor included, names
+the file and the key path first, e.g. ``m.json.pca.mean: could not
+convert string to float: 'abc'``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import types
 import typing
 
@@ -26,20 +29,37 @@ from .errors import ConfigError, UnsupportedVersionError
 _NONE = type(None)
 
 
-def _instance(kind: type):
-    """Reader of a leaf that must already be a ``kind``."""
+def _got(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _instance(kind: type, *also: type):
+    """Reader of a leaf that must already be a ``kind``, or one of ``also``
+    read as a ``kind``; a bool is never read as a number."""
     def read(value):
-        if not isinstance(value, kind):
-            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
-        return value
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, (kind, *also)):
+            raise TypeError(f"expected {kind.__name__}, got {_got(value)}")
+        return kind(value)
     return read
+
+
+def _array(value) -> np.ndarray:
+    """Float array of a JSON number, or of nested lists of numbers."""
+    array = np.array(value, dtype=float)
+    level = [value]
+    while level and all(isinstance(v, list) for v in level):
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        bad = next(v for v in level if type(v) not in (int, float))
+        raise TypeError(f"expected numbers, got {_got(bad)}")
+    return array
 
 
 # How each leaf type is read; every other annotation is a record, a list, a
 # tuple or a union of these.
 READERS = {
-    np.ndarray: lambda value: np.array(value, dtype=float),
-    int: int, float: float, bool: bool, str: _instance(str), dict: _instance(dict),
+    np.ndarray: _array, int: _instance(int), float: _instance(float, int),
+    bool: _instance(bool), str: _instance(str), dict: _instance(dict),
 }
 
 

@@ -89,7 +89,14 @@ class ActuatorCommand:
 
 class SparseBasis:
     """Mixin for a ``basis`` field holding sparse (index, dx, dy, dz)
-    landmark displacements: its dense form."""
+    landmark displacements: its index check and its dense form."""
+
+    def _check_basis(self, owner: str) -> None:
+        for i, (idx, *_) in enumerate(self.basis):
+            if not 0 <= idx < N_LANDMARKS:
+                raise ConfigError(
+                    f"{owner}: basis[{i}] landmark index {idx} outside [0, {N_LANDMARKS})"
+                )
 
     def dense_basis(self) -> np.ndarray:
         """Expand the sparse (index, dx, dy, dz) list to a (68, 3) field."""
@@ -108,6 +115,9 @@ class ActuatorDef(SparseBasis):
     basis: list[tuple[int, float, float, float]]
     symmetric: bool = True
 
+    def __post_init__(self) -> None:
+        self._check_basis(f"actuator {self.channel} ({self.name})")
+
 
 @dataclass
 class QuadraticTerm(SparseBasis):
@@ -119,6 +129,13 @@ class QuadraticTerm(SparseBasis):
     channel_a: int
     channel_b: int
     basis: list[tuple[int, float, float, float]]
+
+    def __post_init__(self) -> None:
+        owner = f"quadratic term ({self.channel_a}, {self.channel_b})"
+        for key, ch in (("channel_a", self.channel_a), ("channel_b", self.channel_b)):
+            if ch not in CHANNEL_INDEX:
+                raise ConfigError(f"{owner}: {key} {ch} is not one of {CHANNELS}")
+        self._check_basis(owner)
 
 
 @dataclass

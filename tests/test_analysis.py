@@ -154,10 +154,9 @@ class TestCompareRepresentations:
         )
         assert tiny_report.distance_pca_dim == 39
 
-    def test_renderings(self, tiny_report, tmp_path):
+    def test_renderings(self, tiny_report):
         text = tiny_report.to_text()
         assert "mean" in text and "Dist. + LR" in text
-        tiny_report.to_csv(tmp_path / "cmp.csv")
-        lines = (tmp_path / "cmp.csv").read_text().splitlines()
+        lines = tiny_report.to_csv_text().splitlines()
         assert lines[0] == "actuator,au_lr,au_mlp,landmarks_lr,distances_lr"
         assert len(lines) == 1 + 9 + 1

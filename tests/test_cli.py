@@ -1,12 +1,15 @@
+import functools
 import hashlib
 import io
 import json
+import operator
 import sys
 
 import numpy as np
 import pytest
 
-from headlearn.cli import main
+from headlearn import __version__
+from headlearn.cli import build_parser, main
 from headlearn.dataset import CollectionProtocol, collect, save_dataset
 from headlearn.features import AU_INDEX
 from headlearn.records import to_json
@@ -279,6 +282,82 @@ class TestHumanFlows:
         assert (out / "manifest.json").exists()
 
 
+OUT_DIGESTS = {
+    "collect": {
+        "frames.csv": "48ec1577e7b9cfc7e5d870d4694ff241f7e33a957d2b81620db6a263d88c3a28",
+        "metadata.json": "475c17ef30500f0e8b89f7b1b517488d802093a14193b0b8b9accb45a69c5380",
+    },
+    "fit": {
+        "model.json": "9cd8109e3f76a5a514d58c86c57ce85d4c77b25cdc374b592a0a475cf39ed2a6",
+        "metrics.json": "0a018060ebaf4cf638ebb6aa75b71c3f5fb8c36daf22f19083a99bc8c4adc52f",
+    },
+    "evaluate": {
+        "metrics.json": "0b8ea2d60b0ba3bed4f0be8822b03c152fea097ae63a728e2668c95ed66236f9",
+    },
+    "compare": {
+        "comparison.csv": "495285c46dbbdd00e0aed7c32259a4cdf0a5701f86dbf05143053d1ccd853b8b",
+        "comparison.txt": "6b1c5541c59b2fd5b9b69073a7ff2cb21f3e734d92fa54ab4c06304e6c255634",
+    },
+    "correlate": {
+        "correlations.csv": "5dec75053a503dcb2ab420144c801c0dc18439a0a191d27e384860e5bcc280c4",
+        "pruned_aus.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    },
+    "retarget": {
+        "commands.csv": "f6568766a6dbb813eccc353aa25dfbe555b39ab3d900a8f13dd8caaf60e5aec3",
+    },
+}
+MANIFEST_EXTRA = {"collect": {"head_config_sha256"}, "compare": {"distance_pca_dim"}}
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("subcommand", sorted(OUT_DIGESTS))
+    def test_files_pinned_and_manifest_keys(
+        self, subcommand, dataset_dir, model_path, human_csv, tmp_path, capsys
+    ):
+        # every file a subcommand writes under --out, by digest; the manifest,
+        # which holds the run's argv, by its keys, values and formatting
+        calibrated = tmp_path / "cal.json"
+        out = tmp_path / "out"
+        argv = {
+            "collect": ["collect", "--frames", "12", "--seed", "5"],
+            "evaluate": ["evaluate", "--model", str(model_path),
+                         "--dataset", str(dataset_dir), "--seed", "3"],
+            "compare": ["compare", "--dataset", str(dataset_dir), "--seed", "2",
+                        "--epochs", "5"],
+            "correlate": ["correlate", "--dataset", str(dataset_dir)],
+            "retarget": ["retarget", "--model", str(calibrated), "--csv", str(human_csv)],
+        }.get(subcommand)
+        if argv is None:  # fit: the model_path fixture ran it
+            out = model_path.parent
+            argv = ["fit", "--dataset", str(dataset_dir), "--kind", "au",
+                    "--regressor", "ols", "--seed", "3", "--out", str(out)]
+        else:
+            argv += ["--out", str(out)]
+            if subcommand == "retarget":
+                assert main(["calibrate-human", "--model", str(model_path),
+                             "--csv", str(human_csv), "--out", str(calibrated)]) == 0
+            assert main(argv) == 0
+        capsys.readouterr()
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.name != "manifest.json"
+        }
+        assert digests == OUT_DIGESTS[subcommand]
+
+        text = (out / "manifest.json").read_text()
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        assert set(manifest) == {"tool", "version", "argv", "resolved"} | MANIFEST_EXTRA.get(
+            subcommand, set()
+        )
+        assert manifest["tool"] == "headlearn"
+        assert manifest["version"] == __version__
+        assert manifest["argv"] == sys.argv[1:]
+        flags = vars(build_parser().parse_args(argv))
+        del flags["func"]
+        assert manifest["resolved"] == flags
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -337,6 +416,32 @@ class TestExitCodes:
         self, default_head, tmp_path, capsys, remove, add, error
     ):
         head = _changed_copy(to_json(default_head), remove, add, tmp_path / "head.json")
+        code = main(["collect", "--head", str(head), "--frames", "4",
+                     "--out", str(tmp_path / "ds")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"headlearn: error: {head}.{error}")
+
+    @pytest.mark.parametrize("path, value, error", [
+        (("actuators", 0, "basis", 0, 0), 70,
+         "actuators[0]: actuator 1 (upper eyelid down): basis[0] landmark index 70 outside"),
+        (("actuators", 0, "basis", 0, 0), -1,
+         "actuators[0]: actuator 1 (upper eyelid down): basis[0] landmark index -1 outside"),
+        (("quadratic_terms",), [{"channel_a": 99, "channel_b": 7, "basis": []}],
+         "quadratic_terms[0]: quadratic term (99, 7): channel_a 99 is not one of"),
+        (("actuators", 0, "symmetric"), "false",
+         "actuators[0].symmetric: expected bool, got str"),
+        (("sensor_lag_frames",), 1.9, "sensor_lag_frames: expected int, got float"),
+        (("rng_seed",), "12", "rng_seed: expected int, got str"),
+    ], ids=["index-70", "index-minus-1", "channel-99", "symmetric-str", "lag-float", "seed-str"])
+    def test_bad_head_value_names_file_and_key(
+        self, default_head, tmp_path, capsys, path, value, error
+    ):
+        doc = to_json(default_head)
+        doc["actuators"][0]["symmetric"] = False  # so index -1 breaks no symmetry
+        *parents, last = path
+        functools.reduce(operator.getitem, parents, doc)[last] = value
+        head = tmp_path / "head.json"
+        head.write_text(json.dumps(doc))
         code = main(["collect", "--head", str(head), "--frames", "4",
                      "--out", str(tmp_path / "ds")])
         assert code == 2

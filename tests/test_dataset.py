@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import json
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,39 @@ class TestPersistence:
         lines[2] = ",".join(cells)
         csv_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetCorruptError, match=":3:"):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("mutation, line, error", [
+        ("unparsable cell", 3, "could not convert string to float: 'abc'"),
+        ("role", 3, "dataset rows must have role 'target'"),
+        ("non-integer command", 3, "invalid literal for int() with base 10: '37.5'"),
+        ("row count", None, "has 59 rows, metadata says 60"),
+        ("header", None, "has an unexpected column layout"),
+        ("empty", None, "is empty"),
+    ], ids=["cell", "role", "command", "row-count", "header", "empty"])
+    def test_corrupt_frames_name_the_file_and_line(
+        self, small_dataset, tmp_path, mutation, line, error
+    ):
+        save_dataset(small_dataset, tmp_path / "d")
+        csv_path = tmp_path / "d" / "frames.csv"
+        lines = csv_path.read_text().splitlines()
+        cells = lines[2].split(",")  # the row on line 3
+        if mutation == "unparsable cell":
+            cells[-1] = "abc"
+        elif mutation == "role":
+            cells[1] = "neutral"
+        elif mutation == "non-integer command":
+            cells[2] = "37.5"
+        lines[2] = ",".join(cells)
+        if mutation == "row count":
+            del lines[-1]
+        elif mutation == "header":
+            lines[0] = lines[0].replace("X_0", "X_00")
+        elif mutation == "empty":
+            lines = []
+        csv_path.write_text("".join(f"{text}\n" for text in lines))
+        where = f"{csv_path}:{line}: " if line else f"{csv_path} "
+        with pytest.raises(DatasetCorruptError, match=re.escape(where + error)):
             load_dataset(tmp_path / "d")
 
     def test_version_mismatch_raises(self, small_dataset, tmp_path):

@@ -623,9 +623,11 @@ class TestNonFiniteInputs:
         assert cmd.values[CHANNELS[1]] == 100
 
 
-# The kinds of model-file mutation: delete a key, set a leaf to "x", drop
-# the last entry of a list, add a key
-MUTATIONS = ("delete", "leaf", "drop", "add")
+# The kinds of model-file mutation: delete a key, set a leaf to "x", to null
+# or to true, drop the last entry of a list, add a key
+MUTATIONS = ("delete", "leaf", "null", "true", "drop", "add")
+# The value each leaf mutation sets
+LEAF_VALUES = {"leaf": "x", "null": None, "true": True}
 # Free-form model dicts: a key added there is stored, not rejected
 FREE_FORM = ("provenance", "hyper")
 
@@ -643,7 +645,8 @@ def _targets(node, path=()):
         for i, value in enumerate(node):
             yield from _targets(value, path + (i,))
     else:
-        yield "leaf", path
+        for kind in LEAF_VALUES:
+            yield kind, path
 
 
 def _mutate(doc, kind: str, path: tuple) -> None:
@@ -652,7 +655,7 @@ def _mutate(doc, kind: str, path: tuple) -> None:
     if kind in ("delete", "drop"):
         del node[last]
     else:
-        node[last] = "x" if kind == "leaf" else 1
+        node[last] = LEAF_VALUES.get(kind, 1)
 
 
 class Persisted:

@@ -368,3 +368,17 @@ class TestHeadConfig:
         acts[0] = dup
         with pytest.raises(ConfigError):
             dataclasses.replace(default_head, actuators=acts)
+
+    @pytest.mark.parametrize("index", [-1, N_LANDMARKS, 70])
+    def test_basis_index_outside_the_landmarks_rejected(self, index):
+        with pytest.raises(ConfigError, match=f"basis\\[1\\] landmark index {index} outside"):
+            ActuatorDef(1, "lid", [(37, 0.0, -1.0, 0.0), (index, 0.0, -1.0, 0.0)], False)
+        with pytest.raises(ConfigError, match=r"quadratic term \(7, 11\): basis\[0\]"):
+            QuadraticTerm(7, 11, [(index, 0.0, 1.0, 0.0)])
+
+    @pytest.mark.parametrize("a, b, error", [
+        (99, 7, "channel_a 99 is not one of"), (7, 2, "channel_b 2 is not one of"),
+    ], ids=["channel_a", "channel_b"])
+    def test_quadratic_term_on_unknown_channel_rejected(self, a, b, error):
+        with pytest.raises(ConfigError, match=error):
+            QuadraticTerm(a, b, [(8, 0.0, 1.0, 0.0)])
