@@ -78,7 +78,8 @@ def _json(obj) -> str:
 def _write_out(args: argparse.Namespace, files: dict, extra: dict | None = None) -> Path:
     """Make the ``--out`` directory and write ``files`` into it (name -> text,
     or -> a saver called with ``out / name``; "." is the directory itself),
-    then ``manifest.json``: argv, resolved flags and ``extra``."""
+    then ``manifest.json``: the argv ``main`` parsed, resolved flags and
+    ``extra``."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
@@ -86,8 +87,8 @@ def _write_out(args: argparse.Namespace, files: dict, extra: dict | None = None)
             content(out / name)
         else:
             (out / name).write_text(content)
-    resolved = {k: v for k, v in vars(args).items() if k != "func"}
-    manifest = {"tool": "headlearn", "version": __version__, "argv": sys.argv[1:],
+    resolved = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
+    manifest = {"tool": "headlearn", "version": __version__, "argv": args.argv,
                 "resolved": resolved, **(extra or {})}
     (out / "manifest.json").write_text(_json(manifest))
     return out
@@ -344,13 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    args.argv = argv
     try:
         return args.func(args)
-    except (HeadLearnError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (HeadLearnError, ValueError, OSError) as e:
         print(f"headlearn: error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -44,7 +44,7 @@ from .geometry import (
     pairwise_distances,
     procrustes_align,
 )
-from .records import to_json
+from .records import read_json, to_json
 from .simulator import (
     CHANNELS,
     COMMAND_MAX,
@@ -286,7 +286,7 @@ def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
     csv_path = root / "frames.csv"
     if not meta_path.exists() or not csv_path.exists():
         raise DatasetCorruptError(f"{root} is not a dataset directory")
-    meta = json.loads(meta_path.read_text())
+    meta = read_json(meta_path, DatasetCorruptError)
     if meta.get("schema") != DATASET_SCHEMA:
         raise UnsupportedVersionError(
             f"dataset schema {meta.get('schema')!r} not supported (want {DATASET_SCHEMA})"

@@ -255,26 +255,24 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
 _ACTIVATIONS = ("tanh", "relu")
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    return np.tanh(z) if name == "tanh" else np.maximum(z, 0.0)
-
-
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return 1.0 - a * a if name == "tanh" else (z > 0.0).astype(float)
-
-
 def _forward(
     weights: list[np.ndarray], biases: list[np.ndarray], activation: str, a: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> list[np.ndarray]:
     """Forward pass: every layer's output, from the input ``a`` to the
-    (linear) network output, and every layer's pre-activation."""
+    (linear) network output.  Each hidden activation is written over its
+    pre-activation; the backward pass reads its derivative off the output."""
     last = len(weights) - 1
-    acts, zs = [a], []
+    acts = [a]
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w.T + b
-        zs.append(z)
-        acts.append(z if i == last else _act(activation, z))
-    return acts, zs
+        z = acts[-1] @ w.T
+        z += b
+        if i != last:
+            if activation == "tanh":
+                np.tanh(z, out=z)
+            else:
+                np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    return acts
 
 
 @dataclass
@@ -327,7 +325,7 @@ class MlpModel:
     def forward_scaled(self, x: np.ndarray) -> np.ndarray:
         """Network output on the internal [0, 1] target scale."""
         a = (np.asarray(x, dtype=float) - self.input_mean) / self.input_scale
-        return _forward(self.weights, self.biases, self.activation, a)[0][-1]
+        return _forward(self.weights, self.biases, self.activation, a)[-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward_scaled(x) * TARGET_SCALE
@@ -348,21 +346,29 @@ def mlp_loss_and_grads(
     separately so the backpropagation can be checked against finite
     differences.
     """
-    acts, zs = _forward(weights, biases, activation, np.asarray(x, dtype=float))
-    last = len(weights) - 1
+    acts = _forward(weights, biases, activation, np.asarray(x, dtype=float))
     n = x.shape[0]
     diff = acts[-1] - y
-    loss = float(np.sum(diff ** 2) / n) + l2 * float(sum(np.sum(w ** 2) for w in weights))
+    loss = float(np.sum(diff ** 2) / n)
+    if l2 != 0.0:
+        loss += l2 * float(sum(np.sum(w ** 2) for w in weights))
 
-    grad_w = [np.zeros_like(w) for w in weights]
-    grad_b = [np.zeros_like(b) for b in biases]
+    grad_w, grad_b = [], []
     delta = 2.0 * diff / n
-    for i in range(last, -1, -1):
-        grad_w[i] = delta.T @ acts[i] + 2.0 * l2 * weights[i]
-        grad_b[i] = delta.sum(axis=0)
+    for i in range(len(weights) - 1, -1, -1):
+        gw = delta.T @ acts[i]
+        if l2 != 0.0:
+            gw += 2.0 * l2 * weights[i]
+        grad_w.append(gw)
+        grad_b.append(delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ weights[i]) * _act_grad(activation, zs[i - 1], acts[i])
-    return loss, grad_w, grad_b
+            a = acts[i]
+            delta = delta @ weights[i]
+            if activation == "tanh":
+                delta *= 1.0 - a * a
+            else:
+                delta *= a > 0.0  # a > 0 exactly where its pre-activation is
+    return loss, grad_w[::-1], grad_b[::-1]
 
 
 def mlp_init(
@@ -433,11 +439,13 @@ def mlp_fit(
             loss, gw, gb = mlp_loss_and_grads(weights, biases, activation, l2, x, y01)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"training diverged with {hyper}")
-            for i in range(len(weights)):
-                vel_w[i] = MOMENTUM * vel_w[i] - learning_rate * gw[i]
-                vel_b[i] = MOMENTUM * vel_b[i] - learning_rate * gb[i]
-                weights[i] += vel_w[i]
-                biases[i] += vel_b[i]
+            for w, b, vw, vb, g, h in zip(weights, biases, vel_w, vel_b, gw, gb):
+                vw *= MOMENTUM
+                vw -= learning_rate * g
+                w += vw
+                vb *= MOMENTUM
+                vb -= learning_rate * h
+                b += vb
 
     return MlpModel(
         weights=weights,

@@ -19,8 +19,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import json
 import types
 import typing
+from pathlib import Path
 
 import numpy as np
 
@@ -135,6 +137,15 @@ def from_json(cls: type, doc, where: str):
         return cls(**kwargs)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from None
+
+
+def read_json(path, error: type[Exception] = ConfigError):
+    """The JSON document in the file at ``path``; a file that is not JSON
+    raises ``error`` starting with the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise error(f"{path}: {e}") from None
 
 
 def _load(tp, value, where: str):

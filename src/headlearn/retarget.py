@@ -64,7 +64,7 @@ from .learn import (
     ridge_fit,
     rmse,
 )
-from .records import from_json, to_json
+from .records import from_json, read_json, to_json
 from .simulator import CHANNELS, COMMAND_MAX, COMMAND_MIN, N_CHANNELS, ActuatorCommand
 
 REGRESSORS = ("ols", "ridge", "mlp")
@@ -264,7 +264,7 @@ def save_model(model: PipelineModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> PipelineModel:
-    return from_json(PipelineModel, json.loads(Path(path).read_text()), str(path))
+    return from_json(PipelineModel, read_json(path), str(path))
 
 
 # -- fitting ----------------------------------------------------------------

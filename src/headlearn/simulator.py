@@ -31,7 +31,7 @@ from .geometry import (
     apply_pose,
     check_landmarks,
 )
-from .records import from_json, to_json
+from .records import from_json, read_json, to_json
 
 # Controllable channels: eyelids (1, 4), eyebrows (5, 6), mouth (7-10),
 # jaw (11).  Eye-gaze (2, 3) and neck (12-14) channels of the physical
@@ -216,7 +216,7 @@ class HeadConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "HeadConfig":
-        return from_json(cls, json.loads(Path(path).read_text()), str(path))
+        return from_json(cls, read_json(path), str(path))
 
     def sha256(self) -> str:
         """Hash of the canonical serialized form, for provenance checks."""

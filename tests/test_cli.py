@@ -352,7 +352,7 @@ class TestOutputFiles:
         )
         assert manifest["tool"] == "headlearn"
         assert manifest["version"] == __version__
-        assert manifest["argv"] == sys.argv[1:]
+        assert manifest["argv"] == argv
         flags = vars(build_parser().parse_args(argv))
         del flags["func"]
         assert manifest["resolved"] == flags
@@ -446,6 +446,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "ds")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"headlearn: error: {head}.{error}")
+
+    @pytest.mark.parametrize("subcommand", ["facs", "collect", "correlate"])
+    def test_invalid_json_names_the_file(self, subcommand, tmp_path, capsys):
+        bad = tmp_path / ("metadata.json" if subcommand == "correlate" else "bad.json")
+        (tmp_path / "frames.csv").touch()  # with metadata.json, a dataset directory
+        argv = {
+            "facs": ["facs", "happy", "--model", str(bad)],
+            "collect": ["collect", "--head", str(bad), "--frames", "4",
+                        "--out", str(tmp_path / "out")],
+            "correlate": ["correlate", "--dataset", str(tmp_path)],
+        }[subcommand]
+        bad.write_text("{bad")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"headlearn: error: {bad}: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n"
+        )
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

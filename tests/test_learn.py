@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from headlearn.learn import (
     ridge_fit,
     rmse,
 )
+
+from conftest import array_sha256
 
 
 def covariance_eigr_oracle(x):
@@ -335,18 +339,83 @@ def central_difference_grads(weights, biases, activation, l2, x, y, eps=1e-6):
     return num_w, num_b
 
 
+def pin_problem():
+    """Seeded 300 x 16 inputs and 9 command targets in 0-255."""
+    rng = np.random.default_rng(27)
+    return rng.normal(size=(300, 16)), rng.uniform(0, 255, size=(300, 9))
+
+
+# SHA-256 over the array_sha256 of every weight then every bias, and the
+# repr of final_train_loss, of mlp_fit on pin_problem() at 200 epochs.
+MLP_FIT_PINS = {
+    (1, "tanh", 0.0): ("97f02a764fbd6897549dd8e3d54b6221f5628b931380812f1401124002262445",
+                       "0.6921832969214338"),
+    (1, "tanh", 1e-3): ("cf600b1f9ec69bc06ffa05292b85352cf0861aaf020decce5ed08495e99f3812",
+                        "0.7068827000643315"),
+    (1, "relu", 0.0): ("7fd8ea6fad97f81ed0bce307ceb39561a6d3b60bf6afa4132f1c137c39d99bab",
+                       "0.7215229719377974"),
+    (1, "relu", 1e-3): ("ff3feba744d16f65829a7a5d6bdc4323287f9be7942563b939c44868274a2381",
+                        "0.736251913895825"),
+    (2, "tanh", 0.0): ("be17cedc2f0a254d86803f8cf5085efc207db9015617d5d029756fe387469996",
+                       "0.6693617669583005"),
+    (2, "tanh", 1e-3): ("6ac9acbf4c95837cdf5b07a8c4f641048ea6183f6807caddf8c04b9e4acf49ca",
+                        "0.7006521572508548"),
+    (2, "relu", 0.0): ("fbb61a6761400f6f3a164995ceb3bd22dfc3af08f8d1fb7e57aca5d6e3099023",
+                       "0.7470623919789837"),
+    (2, "relu", 1e-3): ("1c5284df64d08a04f954ab0c608250b70fb85b24658c9ed0e67e2b17b2825fcd",
+                        "0.84862462892817"),
+}
+
+
 class TestMlp:
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("sizes", [[3, 4, 2], [3, 4, 4, 2]], ids=["1-hidden", "2-hidden"])
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_gradients_match_finite_differences(self, activation, l2, sizes):
         rng = np.random.default_rng(20)
         x = rng.normal(size=(5, 3))
         y = rng.normal(size=(5, 2))
-        for activation in ("tanh", "relu"):
-            weights, biases = mlp_init([3, 4, 2], activation, np.random.default_rng(21))
-            _, gw, gb = mlp_loss_and_grads(weights, biases, activation, 1e-3, x, y)
-            nw, nb = central_difference_grads(weights, biases, activation, 1e-3, x, y)
-            for a, n in zip(gw + gb, nw + nb):
-                denom = np.maximum(np.abs(n), 1e-8)
-                assert np.max(np.abs(a - n) / denom) < 1e-5
+        weights, biases = mlp_init(sizes, activation, np.random.default_rng(21))
+        _, gw, gb = mlp_loss_and_grads(weights, biases, activation, l2, x, y)
+        nw, nb = central_difference_grads(weights, biases, activation, l2, x, y)
+        for a, n in zip(gw + gb, nw + nb):
+            denom = np.maximum(np.abs(n), 1e-8)
+            assert np.max(np.abs(a - n) / denom) < 1e-5
+
+    @pytest.mark.parametrize("key", list(MLP_FIT_PINS), ids=lambda k: f"{k[0]}x16-{k[1]}-l2={k[2]}")
+    def test_fit_is_pinned_bit_for_bit(self, key):
+        depth, activation, l2 = key
+        x, y = pin_problem()
+        m = mlp_fit(x, y, hidden_layers=[16] * depth, activation=activation,
+                    epochs=200, l2=l2, seed=3)
+        digests = "".join(array_sha256(a) for a in m.weights + m.biases)
+        got = (hashlib.sha256(digests.encode()).hexdigest(), repr(m.final_train_loss))
+        assert got == MLP_FIT_PINS[key]
+
+    def test_pinned_problem_diverges_at_a_large_rate(self):
+        x, y = pin_problem()
+        with pytest.raises(TrainingDivergedError, match="'learning_rate': 1.0"):
+            mlp_fit(x, y, hidden_layers=[16], activation="relu", learning_rate=1.0,
+                    epochs=200, seed=3)
+
+    def test_inputs_are_left_unchanged(self):
+        x, y = pin_problem()
+        x_sub, y_sub = x[:20], y[:20] / 255.0
+        weights, biases = mlp_init([16, 8, 8, 9], "relu", np.random.default_rng(4))
+        arrays = [x_sub, y_sub, *weights, *biases]
+        before = [a.copy() for a in arrays]
+        mlp_loss_and_grads(weights, biases, "relu", 1e-3, x_sub, y_sub)
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b)
+
+        x_before, y_before = x.copy(), y.copy()
+        m = mlp_fit(x, y, hidden_layers=[8], activation="tanh", epochs=5, seed=0)
+        assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
+        params = [a.copy() for a in m.weights + m.biases]
+        m.predict(x)
+        assert np.array_equal(x, x_before)
+        for a, b in zip(m.weights + m.biases, params):
+            assert np.array_equal(a, b)
 
     def test_zero_hidden_layers_matches_ols(self):
         rng = np.random.default_rng(22)
