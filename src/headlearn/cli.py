@@ -123,11 +123,11 @@ def cmd_collect(args) -> int:
     out = _write_out(
         args, {".": functools.partial(save_dataset, d)}, {"head_config_sha256": head.sha256()}
     )
-    counts = d.meta["recorded_frames"]
+    counts = d.record.recorded_frames
     print(
         f"collected {len(d)} target rows "
-        f"({counts['neutral']} neutral / {counts['target']} target / "
-        f"{counts['interp']} interp frames recorded) -> {out}"
+        f"({counts.neutral} neutral / {counts.target} target / "
+        f"{counts.interp} interp frames recorded) -> {out}"
     )
     return EXIT_OK
 

@@ -8,12 +8,15 @@ interpolation frames are recorded (and counted) but never become dataset
 rows; each held expression collapses to exactly one row whose AU and
 landmark features are the window means.
 
-Persistence format: a directory holding ``metadata.json`` plus
+Persistence format: a directory holding ``metadata.json``, the
+:class:`DatasetMeta` record written and read by :mod:`records`, plus
 ``frames.csv`` with columns
 ``frame_id, role, a1,a4,a5,a6,a7,a8,a9,a10,a11, X_0..X_67, Y_0..Y_67,
 Z_0..Z_67, AU01..AU45``.
 Distance features are not stored; they are recomputed from the stored
-aligned landmarks on load.
+aligned landmarks on load.  Loading checks the record against its
+protocol and every row against the record; each error names the file,
+then the key path or the line.
 """
 
 from __future__ import annotations
@@ -21,18 +24,18 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DatasetCorruptError,
     OpenFaceFormatError,
     ProtocolError,
     ProvenanceWarning,
-    UnsupportedVersionError,
 )
 from .features import AU_IDS, AUReadout, window_average
 from .geometry import (
@@ -44,7 +47,7 @@ from .geometry import (
     pairwise_distances,
     procrustes_align,
 )
-from .records import read_json, to_json
+from .records import FieldError, from_json, read_json, to_json
 from .simulator import (
     CHANNELS,
     COMMAND_MAX,
@@ -53,14 +56,9 @@ from .simulator import (
     HeadConfig,
     HeadSimulator,
     interpolate_rows,
-    random_command,
 )
 
-DATASET_SCHEMA = "dataset/v1"
-
-ROLE_NEUTRAL = "neutral"
 ROLE_TARGET = "target"
-ROLE_INTERP = "interp"
 
 # Default share of the rows a seeded split holds out for testing.
 TEST_FRACTION = 0.2
@@ -94,6 +92,61 @@ class CollectionProtocol:
 
 
 @dataclass
+class RecordedFrames:
+    """How many frames of each role a collection recorded."""
+
+    neutral: int
+    target: int
+    interp: int
+
+
+@dataclass
+class DatasetSplit:
+    """Which part of a seeded :func:`split` a dataset is."""
+
+    part: str
+    test_fraction: float
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.part not in ("train", "test"):
+            raise ValueError(f"split part {self.part!r} is not 'train' or 'test'")
+
+
+@dataclass
+class DatasetMeta:
+    """The ``metadata.json`` record of a dataset, consistent with its protocol."""
+
+    TAG = ("schema", "dataset/v1")
+
+    head_config_sha256: str
+    protocol: CollectionProtocol
+    recorded_frames: RecordedFrames
+    n_rows: int
+    neutral_reference: np.ndarray  # (68, 3), the rows were aligned to it
+    split: DatasetSplit | None = None
+
+    def __post_init__(self) -> None:
+        ref = self.neutral_reference
+        if ref.shape != (N_LANDMARKS, 3) or not np.isfinite(ref).all():
+            raise FieldError(f"neutral_reference: not a finite ({N_LANDMARKS}, 3) array")
+        p, s = self.protocol, self.split
+        rows = p.n_target_frames
+        if s is not None:  # the part's share, train first
+            rows = len(split_indices(rows, s.test_fraction, s.seed)[s.part == "test"])
+        if self.n_rows != rows:
+            raise FieldError(f"n_rows: {self.n_rows}, but the protocol and split give {rows}")
+        implied = RecordedFrames(
+            neutral=sum(_neutral_block_sizes(p.n_target_frames, p.neutral_fraction)),
+            target=p.n_target_frames * p.au_window,
+            interp=(p.n_target_frames - 1) * p.interp_steps,
+        )
+        if self.recorded_frames != implied:
+            raise FieldError(f"recorded_frames: {to_json(self.recorded_frames)}, "
+                             f"but the protocol records {to_json(implied)}")
+
+
+@dataclass
 class Dataset:
     """Target rows with all three feature representations, plus provenance."""
 
@@ -102,10 +155,16 @@ class Dataset:
     landmarks: np.ndarray    # (n, 204) flattened aligned landmarks
     distances: np.ndarray    # (n, 2278) recomputed from `landmarks`
     commands: np.ndarray     # (n, 9) float copies of the integer commands
-    meta: dict = field(default_factory=dict)
+    record: DatasetMeta
 
     def __len__(self) -> int:
         return len(self.frame_ids)
+
+    @property
+    def meta(self) -> dict:
+        """The ``metadata.json`` document of this dataset, without null entries:
+        a dataset that is not a split part has no ``split`` key."""
+        return {key: value for key, value in to_json(self.record).items() if value is not None}
 
     def features(self, kind: str) -> np.ndarray:
         if kind == "au":
@@ -130,9 +189,8 @@ def _neutral_block_sizes(n_targets: int, neutral_fraction: float) -> list[int]:
     return [base + 1 if i < extra else base for i in range(n_targets)]
 
 
-# role codes of the recorded frames, in the order of ``_ROLES``
+# role codes of the recorded frames, in the field order of ``RecordedFrames``
 _NEUTRAL, _TARGET, _INTERP = range(3)
-_ROLES = (ROLE_NEUTRAL, ROLE_TARGET, ROLE_INTERP)
 
 
 def _schedule(
@@ -156,17 +214,20 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
     Deterministic: the command stream is seeded from ``protocol.rng_seed``,
     observation noise from ``head.rng_seed``, and AU detection noise from
     both.  Stored landmark rows are derotated, aligned to the neutral
-    reference, and averaged over each held expression.  The frames go
-    through the simulator and the alignment ``CHUNK`` at a time; only the
-    aligned target frames and the neutral frames' distances at the AU
-    pairs are kept.
+    reference, and averaged over each held expression.  Under a head with
+    ``sensor_lag_frames`` = ``lag`` > 0, the first ``lag`` frames of each
+    held window still show the commands of the ``lag`` frames recorded
+    before it (the neutral block's, where that block holds at least
+    ``lag`` frames), and they enter the row's average like the rest of
+    the window.  The frames go through the simulator and the alignment
+    ``CHUNK`` at a time; only the aligned target frames and the neutral
+    frames' distances at the AU pairs are kept.
     """
     rng_cmd = np.random.default_rng(protocol.rng_seed)
     rng_au = np.random.default_rng([head.rng_seed, protocol.rng_seed, 0xAE])
     n, window = protocol.n_target_frames, protocol.au_window
 
-    # one draw call per target: integers buffers its draws within a call
-    targets = np.array([random_command(head, rng_cmd).as_array() for _ in range(n)])
+    targets = rng_cmd.integers(COMMAND_MIN, COMMAND_MAX + 1, size=(n, N_CHANNELS)).astype(float)
     blocks = _neutral_block_sizes(n, protocol.neutral_fraction)
     schedule, roles = _schedule(targets, blocks, window, protocol.interp_steps)
 
@@ -201,16 +262,13 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
         landmarks=landmarks,
         distances=pairwise_distances(landmarks.reshape(-1, N_LANDMARKS, 3)),
         commands=targets,
-        meta={
-            "schema": DATASET_SCHEMA,
-            "head_config_sha256": head.sha256(),
-            "protocol": protocol.to_dict(),
-            "recorded_frames": {
-                name: int(np.sum(roles == code)) for code, name in enumerate(_ROLES)
-            },
-            "n_rows": n,
-            "neutral_reference": [[float(c) for c in row] for row in reference],
-        },
+        record=DatasetMeta(
+            head_config_sha256=head.sha256(),
+            protocol=protocol,
+            recorded_frames=RecordedFrames(*np.bincount(roles, minlength=3).tolist()),
+            n_rows=n,
+            neutral_reference=reference,
+        ),
     )
 
 
@@ -228,20 +286,22 @@ def split_indices(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, 
 
 
 def split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded uniform shuffle then row-disjoint partition (see :func:`split_indices`)."""
+    """Seeded uniform shuffle then row-disjoint partition (see :func:`split_indices`)
+    of a dataset that is not a split part itself."""
+    if d.record.split is not None:
+        raise ValueError(f"the dataset is already the {d.record.split.part} part of a split")
     train_idx, test_idx = split_indices(len(d), test_fraction, seed)
 
     def take(idx: np.ndarray, part: str) -> Dataset:
-        meta = dict(d.meta)
-        meta["split"] = {"part": part, "test_fraction": test_fraction, "seed": seed}
-        meta["n_rows"] = int(idx.size)
         return Dataset(
             frame_ids=d.frame_ids[idx],
             aus=d.aus[idx],
             landmarks=d.landmarks[idx],
             distances=d.distances[idx],
             commands=d.commands[idx],
-            meta=meta,
+            record=replace(
+                d.record, split=DatasetSplit(part, test_fraction, seed), n_rows=int(idx.size)
+            ),
         )
 
     return take(train_idx, "train"), take(test_idx, "test")
@@ -264,15 +324,13 @@ def save_dataset(d: Dataset, path: str | Path) -> None:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metadata.json").write_text(json.dumps(d.meta, indent=2, sort_keys=True) + "\n")
+    xyz = d.landmarks.reshape(len(d), N_LANDMARKS, 3).transpose(0, 2, 1)  # X_*, Y_*, Z_*: a view
     with (out / "frames.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for frame_id, command, lm_row, aus in zip(d.frame_ids, d.commands, d.landmarks, d.aus):
-            row = [int(frame_id), ROLE_TARGET] + [int(v) for v in command]
-            # X_0..X_67, Y_0..Y_67, Z_0..Z_67
-            row += [repr(float(v)) for v in lm_row.reshape(N_LANDMARKS, 3).T.ravel()]
-            row += [repr(float(v)) for v in aus]
-            writer.writerow(row)
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        for frame_id, command, lm, aus in zip(d.frame_ids.tolist(), d.commands, xyz, d.aus):
+            fh.write(",".join([str(frame_id), ROLE_TARGET, *map(str, command.astype(int).tolist()),
+                               *map(repr, lm.ravel().tolist()), *map(repr, aus.tolist())])
+                     + "\r\n")
 
 
 def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
@@ -286,29 +344,19 @@ def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
     csv_path = root / "frames.csv"
     if not meta_path.exists() or not csv_path.exists():
         raise DatasetCorruptError(f"{root} is not a dataset directory")
-    meta = read_json(meta_path, DatasetCorruptError)
-    if meta.get("schema") != DATASET_SCHEMA:
-        raise UnsupportedVersionError(
-            f"dataset schema {meta.get('schema')!r} not supported (want {DATASET_SCHEMA})"
-        )
     try:
-        ref = np.asarray(meta.get("neutral_reference"), dtype=float)
-        ref_ok = ref.shape == (N_LANDMARKS, 3) and bool(np.isfinite(ref).all())
-    except (TypeError, ValueError):
-        ref_ok = False
-    if not ref_ok:
-        raise DatasetCorruptError(
-            f"{meta_path}: neutral_reference is not a finite ({N_LANDMARKS}, 3) array"
-        )
+        record = from_json(DatasetMeta, read_json(meta_path, DatasetCorruptError), str(meta_path))
+    except ConfigError as e:
+        raise DatasetCorruptError(str(e)) from None
 
-    if head is not None and head.sha256() != meta.get("head_config_sha256"):
+    if head is not None and head.sha256() != record.head_config_sha256:
         warnings.warn(
             "dataset was collected under a different head configuration",
             ProvenanceWarning,
             stacklevel=2,
         )
 
-    frame_ids, command_rows, au_rows, lm_rows = [], [], [], []
+    frame_ids, roles, commands, cells = [], [], [], []
     with csv_path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -321,40 +369,37 @@ def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
             if len(row) != len(_CSV_HEADER):
                 raise DatasetCorruptError(f"{csv_path}:{line_no}: truncated row")
             try:
-                frame_id = int(row[0])
-                role = row[1]
-                cmd_vals = [int(v) for v in row[2:2 + len(CHANNELS)]]
-                floats = [float(v) for v in row[2 + len(CHANNELS):]]
+                frame_ids.append(int(row[0]))
+                commands.append(list(map(int, row[2:2 + N_CHANNELS])))
+                cells.append(np.fromiter(map(float, row[2 + N_CHANNELS:]), float))
             except ValueError as e:
                 raise DatasetCorruptError(f"{csv_path}:{line_no}: {e}") from None
-            if role != ROLE_TARGET:
-                raise DatasetCorruptError(
-                    f"{csv_path}:{line_no}: dataset rows must have role 'target'"
-                )
-            if not all(COMMAND_MIN <= v <= COMMAND_MAX for v in cmd_vals):
-                raise DatasetCorruptError(
-                    f"{csv_path}:{line_no}: command value outside "
-                    f"[{COMMAND_MIN}, {COMMAND_MAX}]"
-                )
-            lm_xyz = np.array(floats[: 3 * N_LANDMARKS]).reshape(3, N_LANDMARKS)
-            frame_ids.append(frame_id)
-            command_rows.append(cmd_vals)
-            lm_rows.append(lm_xyz.T.reshape(-1))
-            au_rows.append(floats[3 * N_LANDMARKS:])
+            roles.append(row[1])
 
-    if len(frame_ids) != meta.get("n_rows"):
-        raise DatasetCorruptError(
-            f"{csv_path} has {len(frame_ids)} rows, metadata says {meta.get('n_rows')}"
-        )
+    n = len(frame_ids)
+    if n != record.n_rows:
+        raise DatasetCorruptError(f"{csv_path} has {n} rows, metadata says {record.n_rows}")
+    commands, cells = np.array(commands), np.array(cells)
+    for bad, first, problem in (  # each flags cells of the columns from _CSV_HEADER[first] on
+        (np.array(roles)[:, None] != ROLE_TARGET, 1, "dataset rows must have role 'target'"),
+        ((commands < COMMAND_MIN) | (commands > COMMAND_MAX), 2,
+         f"command value outside [{COMMAND_MIN}, {COMMAND_MAX}] in column {{}}"),
+        (~np.isfinite(cells), 2 + N_CHANNELS, "non-finite value in column {}"),
+    ):
+        if bad.any():
+            i, j = divmod(int(np.flatnonzero(bad)[0]), bad.shape[1])
+            column = repr(_CSV_HEADER[first + j])
+            raise DatasetCorruptError(f"{csv_path}:{i + 2}: " + problem.format(column))
 
-    landmarks = np.asarray(lm_rows)
+    xyz = cells[:, :3 * N_LANDMARKS].reshape(n, 3, N_LANDMARKS)
+    landmarks = xyz.transpose(0, 2, 1).reshape(n, -1)
     return Dataset(
-        frame_ids=np.array(frame_ids, dtype=int),
-        aus=np.array(au_rows, dtype=float),
+        frame_ids=np.array(frame_ids),
+        aus=cells[:, 3 * N_LANDMARKS:].copy(),
         landmarks=landmarks,
-        distances=pairwise_distances(landmarks.reshape(-1, N_LANDMARKS, 3)),
-        commands=np.array(command_rows, dtype=float),
-        meta=meta,
+        distances=pairwise_distances(landmarks.reshape(n, N_LANDMARKS, 3)),
+        commands=commands.astype(float),
+        record=record,
     )
 
 

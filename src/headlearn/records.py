@@ -11,7 +11,8 @@ checked, not converted: a bool must be a JSON bool, an int a JSON integer,
 a float any number but a bool, and an array must hold numbers only.
 Every failure, a ValueError from a record's constructor included, names
 the file and the key path first, e.g. ``m.json.pca.mean: could not
-convert string to float: 'abc'``.
+convert string to float: 'abc'``; a constructor's :class:`FieldError`
+names the key path of the field it blames.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ import numpy as np
 from .errors import ConfigError, UnsupportedVersionError
 
 _NONE = type(None)
+
+
+class FieldError(ValueError):
+    """A record's own check failed on one field; the message starts with its key."""
 
 
 def _got(value) -> str:
@@ -135,6 +140,8 @@ def from_json(cls: type, doc, where: str):
             raise ConfigError(f"{where}.{key}: required key is missing")
     try:
         return cls(**kwargs)
+    except FieldError as e:
+        raise ConfigError(f"{where}.{e}") from None
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from None
 

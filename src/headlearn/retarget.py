@@ -369,8 +369,8 @@ def fit_pipeline(
         )
 
     provenance = {
-        "dataset_head_sha256": train.meta.get("head_config_sha256"),
-        "dataset_split": train.meta.get("split"),
+        "dataset_head_sha256": train.record.head_config_sha256,
+        "dataset_split": to_json(train.record.split) if train.record.split else None,
         "seed": seed,
         "regressor": regressor,
     }
@@ -379,19 +379,12 @@ def fit_pipeline(
         robot_stats=fit_minmax(x),
         pca=pca,
         regressor=reg,
-        neutral_reference=_dataset_neutral_reference(train),
+        # centred once more (a shift of up to 1e-14 mm), as models have always stored it
+        neutral_reference=center(train.record.neutral_reference),
         au_ids_used=au_ids_used,
         au_stats_full=au_stats_full,
         provenance=provenance,
     )
-
-
-def _dataset_neutral_reference(d: Dataset) -> np.ndarray:
-    """The neutral landmark reference the dataset rows were aligned to."""
-    ref = d.meta.get("neutral_reference")
-    if ref is None:
-        raise ConfigError("dataset metadata lacks the neutral alignment reference")
-    return center(np.array(ref, dtype=float).reshape(N_LANDMARKS, 3))
 
 
 def evaluate_pipeline(model: PipelineModel, d: Dataset) -> np.ndarray:

@@ -187,7 +187,9 @@ class TestPersistence:
         ("row count", None, "has 59 rows, metadata says 60"),
         ("header", None, "has an unexpected column layout"),
         ("empty", None, "is empty"),
-    ], ids=["cell", "role", "command", "row-count", "header", "empty"])
+        ("nan landmark", 3, "non-finite value in column 'Y_4'"),
+        ("inf au", 3, "non-finite value in column 'AU45'"),
+    ], ids=["cell", "role", "command", "row-count", "header", "empty", "nan", "inf"])
     def test_corrupt_frames_name_the_file_and_line(
         self, small_dataset, tmp_path, mutation, line, error
     ):
@@ -201,6 +203,10 @@ class TestPersistence:
             cells[1] = "neutral"
         elif mutation == "non-integer command":
             cells[2] = "37.5"
+        elif mutation == "nan landmark":
+            cells[11 + N_LANDMARKS + 4] = "nan"
+        elif mutation == "inf au":
+            cells[-1] = "inf"
         lines[2] = ",".join(cells)
         if mutation == "row count":
             del lines[-1]
@@ -236,8 +242,47 @@ class TestPersistence:
         else:
             del meta["neutral_reference"]
         meta_path.write_text(json.dumps(meta))
-        with pytest.raises(DatasetCorruptError, match=r"metadata\.json: neutral_reference"):
+        with pytest.raises(DatasetCorruptError, match=r"metadata\.json\.neutral_reference: "):
             load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("mutation, key", [
+        ("recorded_frames", "recorded_frames"),
+        ("au_window", "recorded_frames"),
+        ("n_rows and a row", "n_rows"),
+        ("split share", "n_rows"),
+    ], ids=["counts", "au-window", "rows", "split-share"])
+    def test_metadata_disagreeing_with_its_protocol_names_the_key(
+        self, small_dataset, tmp_path, mutation, key
+    ):
+        d = split(small_dataset, 0.25, 3)[1] if mutation == "split share" else small_dataset
+        save_dataset(d, tmp_path / "d")
+        meta_path = tmp_path / "d" / "metadata.json"
+        meta = json.loads(meta_path.read_text())
+        if mutation == "recorded_frames":
+            meta["recorded_frames"]["interp"] += 1
+        elif mutation == "au_window":
+            meta["protocol"]["au_window"] = 6
+        elif mutation == "n_rows and a row":
+            meta["n_rows"] -= 1
+            csv_path = tmp_path / "d" / "frames.csv"
+            csv_path.write_text("".join(csv_path.read_text().splitlines(True)[:-1]))
+        else:
+            meta["split"]["test_fraction"] = 0.2
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(DatasetCorruptError, match=re.escape(f"{meta_path}.{key}: ")):
+            load_dataset(tmp_path / "d")
+
+    def test_split_parts_round_trip(self, small_dataset, tmp_path):
+        for part in split(small_dataset, 0.25, 3):
+            save_dataset(part, tmp_path / part.record.split.part)
+            loaded = load_dataset(tmp_path / part.record.split.part)
+            assert loaded.meta == part.meta
+            assert loaded.meta["split"] == {"part": part.record.split.part,
+                                            "test_fraction": 0.25, "seed": 3}
+            assert loaded.meta["n_rows"] == len(loaded) == len(part)
+            assert np.array_equal(loaded.frame_ids, part.frame_ids)
+            with pytest.raises(ValueError, match="already the .* part of a split"):
+                split(loaded, 0.25, 3)
 
     def test_head_hash_mismatch_warns(self, small_dataset, quiet_head, tmp_path):
         save_dataset(small_dataset, tmp_path / "d")

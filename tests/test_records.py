@@ -8,7 +8,7 @@ import typing
 import numpy as np
 import pytest
 
-from headlearn.dataset import CollectionProtocol
+from headlearn.dataset import CollectionProtocol, DatasetMeta
 from headlearn.errors import ConfigError, UnsupportedVersionError
 from headlearn.features import MinMaxStats
 from headlearn.learn import LinearModel, MlpModel, PcaModel
@@ -41,7 +41,7 @@ def leaf_types(tp, seen: set):
             yield from leaf_types(arg, seen)
 
 
-@pytest.mark.parametrize("record", [PipelineModel, HeadConfig, CollectionProtocol])
+@pytest.mark.parametrize("record", [PipelineModel, HeadConfig, CollectionProtocol, DatasetMeta])
 def test_every_persisted_field_has_a_reader(record):
     assert set(leaf_types(record, set())) <= set(READERS)
 
