@@ -59,6 +59,7 @@ from .learn import (
     HyperGrid,
     LinearModel,
     MlpModel,
+    MlpRun,
     PcaModel,
     choose_pca_dim,
     default_grid,
@@ -69,6 +70,7 @@ from .learn import (
     pca_transform,
     ridge_fit,
     rmse,
+    rung_epochs,
 )
 from .retarget import (
     EMOTIONS,

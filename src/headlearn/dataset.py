@@ -133,11 +133,14 @@ class DatasetMeta:
         p, s = self.protocol, self.split
         rows = p.n_target_frames
         if s is not None:  # the part's share, train first
-            rows = len(split_indices(rows, s.test_fraction, s.seed)[s.part == "test"])
+            try:
+                rows = _split_sizes(rows, s.test_fraction)[s.part == "test"]
+            except ValueError as e:
+                raise FieldError(f"split: {e}") from None
         if self.n_rows != rows:
             raise FieldError(f"n_rows: {self.n_rows}, but the protocol and split give {rows}")
         implied = RecordedFrames(
-            neutral=sum(_neutral_block_sizes(p.n_target_frames, p.neutral_fraction)),
+            neutral=_neutral_total(p.n_target_frames, p.neutral_fraction),
             target=p.n_target_frames * p.au_window,
             interp=(p.n_target_frames - 1) * p.interp_steps,
         )
@@ -176,16 +179,17 @@ class Dataset:
         raise ValueError(f"unknown feature kind {kind!r}")
 
 
-def _neutral_block_sizes(n_targets: int, neutral_fraction: float) -> list[int]:
-    """Split the neutral-frame budget into one block per target expression.
-
-    Total neutral count is chosen so neutrals are ``neutral_fraction`` of
-    the neutral+target mix (targets counting once per expression).
-    """
+def _neutral_total(n_targets: int, neutral_fraction: float) -> int:
+    """The neutral-frame budget: neutrals make up ``neutral_fraction`` of
+    the neutral+target mix (targets counting once per expression)."""
     if neutral_fraction == 0.0:
-        return [0] * n_targets
-    total = round(n_targets * neutral_fraction / (1.0 - neutral_fraction))
-    base, extra = divmod(total, n_targets)
+        return 0
+    return round(n_targets * neutral_fraction / (1.0 - neutral_fraction))
+
+
+def _neutral_block_sizes(n_targets: int, neutral_fraction: float) -> list[int]:
+    """Split the neutral-frame budget into one block per target expression."""
+    base, extra = divmod(_neutral_total(n_targets, neutral_fraction), n_targets)
     return [base + 1 if i < extra else base for i in range(n_targets)]
 
 
@@ -272,15 +276,22 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
     )
 
 
-def split_indices(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded uniform shuffle of ``n`` rows, then sorted row-disjoint
-    (train, test) index arrays; the test part takes the first
-    ``round(n * test_fraction)`` shuffled rows."""
+def _split_sizes(n: int, test_fraction: float) -> tuple[int, int]:
+    """(train, test) row counts of a split of ``n`` rows; ValueError when
+    either part would be empty."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     n_test = int(round(n * test_fraction))
     if not 1 <= n_test <= n - 1:
         raise ValueError(f"test_fraction {test_fraction} leaves an empty partition")
+    return n - n_test, n_test
+
+
+def split_indices(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform shuffle of ``n`` rows, then sorted row-disjoint
+    (train, test) index arrays; the test part takes the first
+    ``round(n * test_fraction)`` shuffled rows."""
+    n_test = _split_sizes(n, test_fraction)[1]
     perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 

@@ -4,12 +4,14 @@ PCA uses the sample covariance eigendecomposition for narrow inputs and
 switches to the Gram-matrix route when there are fewer rows than columns
 (the pairwise-distance representation: 2278 columns, a few hundred rows).
 Regressors are multi-output throughout; MLP training is plain full-batch
-gradient descent with a fixed epoch budget, deterministic under a seed.
+gradient descent with a fixed epoch budget, deterministic under a seed,
+and the MLP grid search drops losing points early by successive halving.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -386,6 +388,105 @@ def mlp_init(
     return weights, biases
 
 
+class MlpRun:
+    """One full-batch gradient-descent run with classical momentum
+    (``MOMENTUM``) that can be trained on in steps.
+
+    The whole state (weights, biases and their velocities) lives on the
+    run and the learning rate is constant, so ``train(a)`` then
+    ``train(b)`` is the same arithmetic, bit for bit, as ``train(a + b)``.
+    Deterministic under ``seed``.  Targets are actuator commands on the
+    0-255 scale; they are divided by ``TARGET_SCALE`` internally.  An empty
+    ``hidden_layers`` gives a pure linear model.
+    """
+
+    def __init__(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        hidden_layers: Sequence[int],
+        activation: str,
+        learning_rate: float,
+        l2: float,
+        seed: int,
+    ) -> None:
+        if activation not in _ACTIVATIONS:
+            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+        if learning_rate <= 0 or l2 < 0:
+            raise ValueError("bad hyperparameters: need lr > 0, l2 >= 0")
+        x, y = _check_xy(x, y)
+        self.y = y / TARGET_SCALE
+        self.input_mean = x.mean(axis=0)
+        self.input_scale = x.std(axis=0)
+        self.input_scale[self.input_scale == 0.0] = 1.0
+        self.x = (x - self.input_mean) / self.input_scale
+
+        self.hidden_layers = [int(h) for h in hidden_layers]
+        self.activation = activation
+        self.learning_rate = learning_rate
+        self.l2 = l2
+        self.seed = seed
+        layer_sizes = [x.shape[1], *self.hidden_layers, self.y.shape[1]]
+        self.weights, self.biases = mlp_init(layer_sizes, activation, np.random.default_rng(seed))
+        self.vel_w = [np.zeros_like(w) for w in self.weights]
+        self.vel_b = [np.zeros_like(b) for b in self.biases]
+        self.epochs = 0  # trained so far
+        self.loss = float("nan")  # training loss before the last update
+
+    def hyper(self, epochs: int) -> dict:
+        """The hyperparameters of this run trained to ``epochs`` epochs."""
+        return {
+            "hidden_layers": list(self.hidden_layers),
+            "activation": self.activation,
+            "learning_rate": self.learning_rate,
+            "epochs": epochs,
+            "l2": self.l2,
+            "seed": self.seed,
+            "momentum": MOMENTUM,
+        }
+
+    def train(self, epochs: int) -> None:
+        """Train ``epochs`` more epochs.  Raise TrainingDivergedError at the
+        first non-finite loss; ``self.epochs`` then counts the updates made."""
+        if epochs < 1:
+            raise ValueError("bad hyperparameters: need epochs >= 1")
+        loss = self.loss
+        # overflow during a diverging run is expected; it surfaces as the
+        # non-finite loss check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for done in range(epochs):
+                loss, gw, gb = mlp_loss_and_grads(
+                    self.weights, self.biases, self.activation, self.l2, self.x, self.y
+                )
+                if not np.isfinite(loss):
+                    target = self.epochs + epochs
+                    self.epochs += done
+                    raise TrainingDivergedError(f"training diverged with {self.hyper(target)}")
+                for w, b, vw, vb, g, h in zip(
+                    self.weights, self.biases, self.vel_w, self.vel_b, gw, gb
+                ):
+                    vw *= MOMENTUM
+                    vw -= self.learning_rate * g
+                    w += vw
+                    vb *= MOMENTUM
+                    vb -= self.learning_rate * h
+                    b += vb
+        self.epochs += epochs
+        self.loss = loss
+
+    def model(self) -> MlpModel:
+        """The network as trained so far, holding copies of the run's arrays."""
+        return MlpModel(
+            weights=[w.copy() for w in self.weights],
+            biases=[b.copy() for b in self.biases],
+            activation=self.activation,
+            input_mean=self.input_mean,
+            input_scale=self.input_scale,
+            hyper=self.hyper(self.epochs),
+            final_train_loss=self.loss,
+        )
+
+
 def mlp_fit(
     x: np.ndarray,
     y: np.ndarray,
@@ -396,66 +497,10 @@ def mlp_fit(
     l2: float = 0.0,
     seed: int = 0,
 ) -> MlpModel:
-    """Train by full-batch gradient descent with classical momentum
-    (``MOMENTUM``).
-
-    Deterministic under ``seed``.  Targets are actuator commands on the
-    0-255 scale; they are divided by ``TARGET_SCALE`` internally.  An empty
-    ``hidden_layers`` gives a pure linear model.
-    """
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"activation must be one of {_ACTIVATIONS}")
-    if learning_rate <= 0 or epochs < 1 or l2 < 0:
-        raise ValueError("bad hyperparameters: need lr > 0, epochs >= 1, l2 >= 0")
-    x, y = _check_xy(x, y)
-    y01 = y / TARGET_SCALE
-
-    input_mean = x.mean(axis=0)
-    input_scale = x.std(axis=0)
-    input_scale[input_scale == 0.0] = 1.0
-    x = (x - input_mean) / input_scale
-
-    layer_sizes = [x.shape[1], *[int(h) for h in hidden_layers], y01.shape[1]]
-    rng = np.random.default_rng(seed)
-    weights, biases = mlp_init(layer_sizes, activation, rng)
-
-    hyper = {
-        "hidden_layers": [int(h) for h in hidden_layers],
-        "activation": activation,
-        "learning_rate": learning_rate,
-        "epochs": epochs,
-        "l2": l2,
-        "seed": seed,
-        "momentum": MOMENTUM,
-    }
-
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
-    loss = float("nan")
-    # overflow during a diverging run is expected; it surfaces as the
-    # non-finite loss check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
-            loss, gw, gb = mlp_loss_and_grads(weights, biases, activation, l2, x, y01)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"training diverged with {hyper}")
-            for w, b, vw, vb, g, h in zip(weights, biases, vel_w, vel_b, gw, gb):
-                vw *= MOMENTUM
-                vw -= learning_rate * g
-                w += vw
-                vb *= MOMENTUM
-                vb -= learning_rate * h
-                b += vb
-
-    return MlpModel(
-        weights=weights,
-        biases=biases,
-        activation=activation,
-        input_mean=input_mean,
-        input_scale=input_scale,
-        hyper=hyper,
-        final_train_loss=loss,
-    )
+    """Train an :class:`MlpRun` for ``epochs`` epochs and return its model."""
+    run = MlpRun(x, y, hidden_layers, activation, learning_rate, l2, seed)
+    run.train(epochs)
+    return run.model()
 
 
 # -- grid search ----------------------------------------------------------
@@ -495,7 +540,7 @@ def default_grid() -> HyperGrid:
 
 @dataclass
 class GridEntry:
-    """One evaluated grid point."""
+    """One grid point, as far as the search trained it."""
 
     depth: int
     width: int
@@ -504,6 +549,7 @@ class GridEntry:
     l2: float
     val_rmse: float
     n_params: int
+    epochs: int  # trained; for a diverged point, the updates before the divergence
     error: str | None = None
 
     def sort_key(self) -> tuple:
@@ -519,6 +565,31 @@ class GridEntry:
         )
 
 
+def rung_epochs(epochs: int) -> list[int]:
+    """The epochs at which :func:`grid_search` scores and culls its points:
+    ``epochs // 16``, ``epochs // 4`` and ``epochs``, without zeros or repeats."""
+    if epochs < 1:
+        raise ValueError("bad hyperparameters: need epochs >= 1")
+    return sorted({r for r in (epochs // 16, epochs // 4, epochs) if r >= 1})
+
+
+def _train_to(run: MlpRun, point: tuple, epochs: int, x_val, y_val) -> GridEntry:
+    """Train ``run`` to ``epochs`` epochs and score it on the validation rows."""
+    try:
+        run.train(epochs - run.epochs)
+    except TrainingDivergedError as e:
+        error = str(e)
+    else:
+        model = run.model()
+        # the last update can overflow the weights after a finite loss
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = float(np.mean(rmse(model.predict(x_val), y_val)))
+        if np.isfinite(val):
+            return GridEntry(*point, val, model.n_params(), run.epochs)
+        error = f"validation RMSE is {val} after training with {model.hyper}"
+    return GridEntry(*point, float("inf"), 0, run.epochs, error=error)
+
+
 def grid_search(
     x_train: np.ndarray,
     y_train: np.ndarray,
@@ -528,35 +599,50 @@ def grid_search(
     epochs: int = DEFAULT_EPOCHS,
     seed: int = 0,
 ) -> tuple[MlpModel, list[GridEntry]]:
-    """Exhaustively train the grid and rank by validation RMSE.
+    """Successive halving over the grid, ranked by validation RMSE.
 
-    Each point gets its own deterministic seed derived from ``seed`` and
-    its position in the grid, so results do not depend on evaluation
-    order.
+    Every point trains to the first of :func:`rung_epochs` and is scored.
+    Each later rung takes a quarter, rounded up, as many points as the rung
+    before it: the best points so far, by rung reached and then by
+    :meth:`GridEntry.sort_key`, resume their runs up to the rung until that
+    many have reached it without diverging.  A point diverges when its
+    training loss or its validation RMSE is not finite.  A point that
+    trains to ``epochs`` has the weights an exhaustive search gives it; an
+    eliminated point reports its RMSE at the rung where it stopped, so on
+    other data the exhaustive winner can be dropped early.
+
+    The leaderboard lists the points that did not diverge, deepest rung
+    first, then by ``sort_key``, then the diverged ones; its first entry is
+    the returned model.  Each point gets its own deterministic seed derived
+    from ``seed`` and its position in the grid, so results do not depend on
+    evaluation order.
     """
-    results: list[tuple[GridEntry, MlpModel | None]] = []
-    for idx, (depth, width, act, lr, l2) in enumerate(grid.points()):
-        try:
-            model = mlp_fit(
-                x_train, y_train,
-                hidden_layers=[width] * depth,
-                activation=act,
-                learning_rate=lr,
-                epochs=epochs,
-                l2=l2,
-                seed=seed * 100003 + idx,
-            )
-        except TrainingDivergedError as e:
-            entry = GridEntry(depth, width, act, lr, l2, float("inf"), 0, error=str(e))
-            model = None
-        else:
-            val = float(np.mean(rmse(model.predict(x_val), y_val)))
-            entry = GridEntry(depth, width, act, lr, l2, val, model.n_params())
-        results.append((entry, model))
-    results.sort(key=lambda em: em[0].sort_key())
-    leaderboard = [e for e, _ in results]
-    best_entry, best_model = results[0]
-    if best_model is None:
+    rungs = rung_epochs(epochs)
+    points = grid.points()
+    runs = [
+        MlpRun(x_train, y_train, [width] * depth, act, lr, l2, seed * 100003 + idx)
+        for idx, (depth, width, act, lr, l2) in enumerate(points)
+    ]
+    entries: dict[int, GridEntry] = {}
+
+    def ranked() -> list[int]:
+        return sorted(entries, key=lambda i: (
+            entries[i].error is not None, -entries[i].epochs, entries[i].sort_key()
+        ))
+
+    candidates, quota = range(len(points)), len(points)
+    for rung in rungs:
+        reached = 0
+        for i in candidates:
+            if reached == quota:
+                break
+            entries[i] = _train_to(runs[i], points[i], rung, x_val, y_val)
+            reached += entries[i].error is None
+        candidates = [i for i in ranked() if entries[i].error is None]
+        quota = math.ceil(quota / 4)
+    order = ranked()
+    leaderboard = [entries[i] for i in order]
+    if leaderboard[0].error is not None:
         causes = "; ".join(f"{e.depth}x{e.width}/{e.activation}: {e.error}" for e in leaderboard)
         raise TrainingDivergedError(f"all grid candidates diverged: {causes}")
-    return best_model, leaderboard
+    return runs[order[0]].model(), leaderboard

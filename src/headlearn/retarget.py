@@ -63,6 +63,7 @@ from .learn import (
     pca_transform,
     ridge_fit,
     rmse,
+    rung_epochs,
 )
 from .records import from_json, read_json, to_json
 from .simulator import CHANNELS, COMMAND_MAX, COMMAND_MIN, N_CHANNELS, ActuatorCommand
@@ -295,7 +296,9 @@ def fit_pipeline(
       rows when none is given), using a linear readout.
 
     ``regressor`` is one of ``ols``, ``ridge``, ``mlp``; the MLP variant
-    grid-searches over ``grid``, validated on a seeded
+    grid-searches over ``grid`` by successive halving (see
+    :func:`~headlearn.learn.grid_search`; ``provenance["grid_search"]``
+    records the rule and its rungs), validated on a seeded
     ``VALIDATION_FRACTION`` of the training rows, then refits the winning
     configuration on the full training set.
     """
@@ -374,6 +377,12 @@ def fit_pipeline(
         "seed": seed,
         "regressor": regressor,
     }
+    if regressor == "mlp":
+        provenance["grid_search"] = {
+            "rule": "successive halving: each rung trains on a quarter as many points "
+                    "as the rung before, rounded up, best first",
+            "rung_epochs": rung_epochs(epochs),
+        }
     return PipelineModel(
         feature_kind=kind,
         robot_stats=fit_minmax(x),

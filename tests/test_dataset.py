@@ -2,12 +2,16 @@ import csv
 import filecmp
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from headlearn.dataset import (
     CollectionProtocol,
+    DatasetMeta,
+    DatasetSplit,
+    RecordedFrames,
     collect,
     ingest_openface_csv,
     load_dataset,
@@ -23,6 +27,7 @@ from headlearn.errors import (
     UnsupportedVersionError,
 )
 from headlearn.geometry import N_LANDMARKS
+from headlearn.records import FieldError
 from headlearn.simulator import CHANNELS
 
 from conftest import array_sha256, openface_csv_text
@@ -250,11 +255,12 @@ class TestPersistence:
         ("au_window", "recorded_frames"),
         ("n_rows and a row", "n_rows"),
         ("split share", "n_rows"),
-    ], ids=["counts", "au-window", "rows", "split-share"])
+        ("empty split part", "split"),
+    ], ids=["counts", "au-window", "rows", "split-share", "empty-part"])
     def test_metadata_disagreeing_with_its_protocol_names_the_key(
         self, small_dataset, tmp_path, mutation, key
     ):
-        d = split(small_dataset, 0.25, 3)[1] if mutation == "split share" else small_dataset
+        d = split(small_dataset, 0.25, 3)[1] if "split" in mutation else small_dataset
         save_dataset(d, tmp_path / "d")
         meta_path = tmp_path / "d" / "metadata.json"
         meta = json.loads(meta_path.read_text())
@@ -266,11 +272,36 @@ class TestPersistence:
             meta["n_rows"] -= 1
             csv_path = tmp_path / "d" / "frames.csv"
             csv_path.write_text("".join(csv_path.read_text().splitlines(True)[:-1]))
-        else:
+        elif mutation == "split share":
             meta["split"]["test_fraction"] = 0.2
+        else:
+            meta["split"]["test_fraction"] = 0.001
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(DatasetCorruptError, match=re.escape(f"{meta_path}.{key}: ")):
             load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("part", [None, "train", "test"])
+    def test_huge_protocol_is_checked_without_allocating(self, small_dataset, part):
+        # the counts a record must match come from closed forms, not from a
+        # list of neutral blocks or a permutation as long as the protocol
+        n = 10**12
+        protocol = CollectionProtocol(n_target_frames=n)
+        frames = RecordedFrames(neutral=3 * n, target=7 * n, interp=4 * (n - 1))
+        rows = {None: n, "train": n - n // 5, "test": n // 5}[part]
+        where = None if part is None else DatasetSplit(part, 0.2, 0)
+        ref = small_dataset.record.neutral_reference
+        tracemalloc.start()
+        try:
+            DatasetMeta("0" * 64, protocol, frames, rows, ref, where)
+            with pytest.raises(FieldError, match="^n_rows: "):
+                DatasetMeta("0" * 64, protocol, frames, rows + 1, ref, where)
+            with pytest.raises(FieldError, match="^recorded_frames: "):
+                DatasetMeta("0" * 64, protocol, RecordedFrames(0, 7 * n, 4 * (n - 1)),
+                            rows, ref, where)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_split_parts_round_trip(self, small_dataset, tmp_path):
         for part in split(small_dataset, 0.25, 3):

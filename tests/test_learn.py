@@ -9,6 +9,7 @@ from headlearn.learn import (
     PCA_DIM_REL_TOL,
     GridEntry,
     HyperGrid,
+    MlpRun,
     choose_pca_dim,
     default_grid,
     grid_search,
@@ -20,6 +21,7 @@ from headlearn.learn import (
     pca_transform,
     ridge_fit,
     rmse,
+    rung_epochs,
 )
 
 from conftest import array_sha256
@@ -392,6 +394,22 @@ class TestMlp:
         got = (hashlib.sha256(digests.encode()).hexdigest(), repr(m.final_train_loss))
         assert got == MLP_FIT_PINS[key]
 
+    @pytest.mark.parametrize("key", list(MLP_FIT_PINS), ids=lambda k: f"{k[0]}x16-{k[1]}-l2={k[2]}")
+    def test_resumed_run_equals_one_fit(self, key):
+        # 60 then 140 epochs of one run are the pinned 200-epoch fit, bit for bit
+        depth, activation, l2 = key
+        x, y = pin_problem()
+        run = MlpRun(x, y, [16] * depth, activation, 1e-2, l2, seed=3)
+        run.train(60)
+        run.train(140)
+        m = run.model()
+        whole = mlp_fit(x, y, hidden_layers=[16] * depth, activation=activation,
+                        epochs=200, l2=l2, seed=3)
+        for a, b in zip(m.weights + m.biases, whole.weights + whole.biases):
+            assert np.array_equal(a, b)
+        assert repr(m.final_train_loss) == repr(whole.final_train_loss) == MLP_FIT_PINS[key][1]
+        assert m.hyper == whole.hyper and run.epochs == m.hyper["epochs"] == 200
+
     def test_pinned_problem_diverges_at_a_large_rate(self):
         x, y = pin_problem()
         with pytest.raises(TrainingDivergedError, match="'learning_rate': 1.0"):
@@ -488,8 +506,8 @@ class TestGridSearch:
 
     def test_ties_break_by_fewer_parameters(self):
         entries = [
-            GridEntry(2, 8, "tanh", 1e-2, 0.0, 1.0, 200),
-            GridEntry(1, 8, "tanh", 1e-2, 0.0, 1.0, 100),
+            GridEntry(2, 8, "tanh", 1e-2, 0.0, 1.0, 200, 100),
+            GridEntry(1, 8, "tanh", 1e-2, 0.0, 1.0, 100, 100),
         ]
         assert sorted(entries, key=lambda e: e.sort_key())[0].n_params == 100
 
@@ -502,6 +520,54 @@ class TestGridSearch:
         grid = HyperGrid([1], [8, 16], ["relu"], [1e9], [0.0])
         with pytest.raises(TrainingDivergedError, match="all grid candidates"):
             grid_search(xt, yt, xv, yv, grid, epochs=50, seed=0)
+
+    def test_overflow_in_the_last_update_counts_as_diverged(self):
+        # the loss before the last update is finite, the weights after it are
+        # not: both points are diverged, each after training to the last rung
+        xt, yt, xv, yv = self.small_problem()
+        grid = HyperGrid([1], [8, 16], ["relu"], [1e3], [0.0])
+        with pytest.raises(TrainingDivergedError, match=(
+            r"all grid candidates diverged: 1x8/relu: validation RMSE is inf .*'epochs': 4"
+            r".*; 1x16/relu: validation RMSE is inf .*'epochs': 4"
+        )):
+            grid_search(xt, yt, xv, yv, grid, epochs=4, seed=0)
+
+    def test_returned_model_leads_the_board(self):
+        xt, yt, xv, yv = self.small_problem()
+        grid = HyperGrid([1, 2], [4, 8], ["tanh"], [1e-2], [0.0, 1e-3])
+        best, board = grid_search(xt, yt, xv, yv, grid, epochs=160, seed=0)
+        top = board[0]
+        assert top.epochs == best.hyper["epochs"] == 160
+        assert best.hyper["hidden_layers"] == [top.width] * top.depth
+        assert (best.activation, best.hyper["learning_rate"], best.hyper["l2"]) == (
+            top.activation, top.learning_rate, top.l2)
+        assert float(np.mean(rmse(best.predict(xv), yv))) == top.val_rmse
+        h = best.hyper
+        whole = mlp_fit(xt, yt, hidden_layers=h["hidden_layers"], activation=h["activation"],
+                        learning_rate=h["learning_rate"], epochs=160, l2=h["l2"], seed=h["seed"])
+        for a, b in zip(best.weights + best.biases, whole.weights + whole.biases):
+            assert np.array_equal(a, b)
+        keys = [(-e.epochs, e.sort_key()) for e in board]
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("grid, epochs, per_rung, total", [
+        (HyperGrid([1, 2], [32], ["tanh", "relu"], [1e-2, 1e-3], [0.0, 1e-3]), 1000,
+         {62: 12, 250: 3, 1000: 1}, 16 * 62 + 4 * 188 + 1 * 750),
+        (default_grid(), 2000, {125: 36, 500: 9, 2000: 3}, 48 * 125 + 12 * 375 + 3 * 1500),
+    ], ids=["16-points", "48-points"])
+    def test_epochs_trained_follow_the_rungs(self, grid, epochs, per_rung, total):
+        xt, yt, xv, yv = self.small_problem()
+        _, board = grid_search(xt, yt, xv, yv, grid, epochs=epochs, seed=0)
+        assert rung_epochs(epochs) == sorted(per_rung)
+        assert {e: sum(1 for b in board if b.epochs == e) for e in per_rung} == per_rung
+        assert sum(e.epochs for e in board) == total
+
+    def test_rungs_drop_zeros_and_repeats(self):
+        assert rung_epochs(4) == [1, 4]
+        assert rung_epochs(1) == [1]
+        assert rung_epochs(17) == [1, 4, 17]
+        with pytest.raises(ValueError):
+            rung_epochs(0)
 
     def test_default_grid_axes(self):
         g = default_grid()

@@ -894,6 +894,7 @@ class TestFitPipeline:
         )
         assert isinstance(model.regressor, MlpModel)
         assert np.all(np.isfinite(evaluate_pipeline(model, test)))
+        assert model.provenance["grid_search"]["rung_epochs"] == [2, 10, 40]
 
     def test_ridge_regressor_path(self, small_dataset):
         train, test = split(small_dataset, 0.25, 22)
