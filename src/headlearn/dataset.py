@@ -25,6 +25,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -419,19 +420,31 @@ def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
 @dataclass
 class HumanFrame:
     """One tracked frame of a human face (OpenFace 2.0 FeatureExtraction),
-    or a stack of n frames: every field then gains a leading axis of n."""
+    or a stack of n frames: every field then gains a leading axis of n.
+
+    ``source`` and ``line`` say where a parsed frame was read: the CSV's
+    name and the frame's line number (an (n,) int array for a stack).  A
+    frame built in code leaves both None, as does a stack whose frames
+    come from different sources.
+    """
 
     landmarks: np.ndarray  # (68, 3) mm, camera frame
     aus: np.ndarray        # (17,) intensities in [0, 5]
     pose: Pose
     timestamp: float       # or an (n,) array
     confidence: float      # or an (n,) array
+    source: str | None = None
+    line: int | np.ndarray | None = None
 
     @classmethod
     def stack(cls, frames: list["HumanFrame"]) -> "HumanFrame":
         """Stack a nonempty list of single frames into one n-frame stack."""
         if not frames:
             raise ValueError("a HumanFrame stack needs at least one frame")
+        source = frames[0].source
+        located = source is not None and all(
+            f.source == source and f.line is not None for f in frames
+        )
         return cls(
             landmarks=np.stack([f.landmarks for f in frames]),
             aus=np.stack([f.aus for f in frames]),
@@ -441,17 +454,36 @@ class HumanFrame:
             ),
             timestamp=np.array([f.timestamp for f in frames], dtype=float),
             confidence=np.array([f.confidence for f in frames], dtype=float),
+            source=source if located else None,
+            line=np.array([f.line for f in frames]) if located else None,
         )
+
+    def location(self, i: int = 0) -> str:
+        """``"<source>:<line>: "`` of the frame (frame ``i`` of a stack), the
+        prefix of a data error about it; empty when it was not parsed."""
+        if self.source is None or self.line is None:
+            return ""
+        return f"{self.source}:{np.atleast_1d(self.line)[i]}: "
 
 
 _OPENFACE_AU_COLS = [f"AU{au:02d}_r" for au in AU_IDS]
 _OPENFACE_POSE_COLS = ["pose_Tx", "pose_Ty", "pose_Tz", "pose_Rx", "pose_Ry", "pose_Rz"]
+_OPENFACE_TAIL_COLS = (
+    _OPENFACE_AU_COLS + [f"pose_R{ax}" for ax in "xyz"] + [f"pose_T{ax}" for ax in "xyz"]
+    + ["timestamp"]
+)
 # The order a row's cells are read in: confidence first, so a low-confidence
 # row is skipped unparsed; an unparsable row names its first bad cell in it.
-_OPENFACE_READ_COLS = (
-    ["confidence"] + _LANDMARK_COLS + _OPENFACE_AU_COLS
-    + [f"pose_R{ax}" for ax in "xyz"] + [f"pose_T{ax}" for ax in "xyz"] + ["timestamp"]
+_OPENFACE_READ_COLS = ["confidence"] + _LANDMARK_COLS + _OPENFACE_TAIL_COLS
+# The cells of a parsed frame's value array, in its order: the landmarks
+# point by point, so that the (68, 3) landmarks are a view of it, then the
+# AUs, the pose rotation and translation, and the timestamp.
+_OPENFACE_VALUE_COLS = (
+    [f"{ax}_{i}" for i in range(N_LANDMARKS) for ax in "XYZ"] + _OPENFACE_TAIL_COLS
 )
+_AUS_AT = slice(3 * N_LANDMARKS, 3 * N_LANDMARKS + len(AU_IDS))
+_ROTATION_AT = slice(_AUS_AT.stop, _AUS_AT.stop + 3)
+_TRANSLATION_AT = slice(_ROTATION_AT.stop, _ROTATION_AT.stop + 3)
 
 
 def parse_openface_lines(
@@ -465,7 +497,13 @@ def parse_openface_lines(
     columns (``AU01_r..AU45_r``), pose, timestamp and confidence.  Rows
     under the confidence threshold are dropped.  Header names may carry
     OpenFace's leading spaces.  Each frame is yielded as soon as its line
-    is read; errors name ``source`` and the line number.
+    is read, with ``source`` and its line number; errors name both.
+
+    A row is split at every comma and only the columns above are converted,
+    so other columns may hold anything.  Blank lines (and lines of blank
+    cells) are skipped, and CRLF endings are accepted.  Cells are not
+    unquoted: OpenFace writes none, and a quoted number is an unparsable
+    value.
     """
     required = (
         ["timestamp", "confidence"]
@@ -473,42 +511,47 @@ def parse_openface_lines(
         + _LANDMARK_COLS
         + _OPENFACE_AU_COLS
     )
-    reader = csv.reader(lines)
+    rows = iter(lines)
     try:
-        raw_header = next(reader)
+        raw_header = next(rows)
     except StopIteration:
         raise OpenFaceFormatError(f"{source}: empty file") from None
-    header = [h.strip() for h in raw_header]
+    header = [h.strip() for h in raw_header.split(",")]
     col = {name: i for i, name in enumerate(header)}
     missing = [name for name in required if name not in col]
     if missing:
         raise OpenFaceFormatError(f"{source}: missing required columns {missing}")
 
-    idx = [col[name] for name in _OPENFACE_READ_COLS]
-    lm_end = 3 * N_LANDMARKS
-    au_end = lm_end + len(AU_IDS)
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    confidence_at = col["confidence"]
+    values_of = itemgetter(*(col[name] for name in _OPENFACE_VALUE_COLS))
+    width = len(_OPENFACE_VALUE_COLS)
+    for line_no, line in enumerate(rows, start=2):
+        cells = line.split(",")
         try:
-            confidence = float(row[idx[0]])
+            confidence = float(cells[confidence_at])
             if confidence < confidence_threshold:
                 continue
-            vals = [float(row[i]) for i in idx[1:]]
+            values = np.fromiter(map(float, values_of(cells)), float, width)
         except (ValueError, IndexError):
-            for name, i in zip(_OPENFACE_READ_COLS, idx):
+            if not line.replace(",", "").strip():  # a blank line, or one of blank cells
+                continue
+            for name in _OPENFACE_READ_COLS:
                 try:
-                    float(row[i])
+                    float(cells[col[name]])
                 except (ValueError, IndexError):
                     raise OpenFaceFormatError(
                         f"{source}:{line_no}: unparsable value for column {name!r}"
                     ) from None
+        aus = values[_AUS_AT]
+        np.clip(aus, 0.0, 5.0, out=aus)
         yield HumanFrame(
-            landmarks=np.array(vals[:lm_end]).reshape(3, N_LANDMARKS).T.copy(),
-            aus=np.clip(vals[lm_end:au_end], 0.0, 5.0),
-            pose=Pose(rotation=vals[au_end:au_end + 3], translation=vals[au_end + 3:au_end + 6]),
-            timestamp=vals[-1],
+            landmarks=values[:_AUS_AT.start].reshape(N_LANDMARKS, 3),
+            aus=aus,
+            pose=Pose(rotation=values[_ROTATION_AT], translation=values[_TRANSLATION_AT]),
+            timestamp=float(values[-1]),
             confidence=confidence,
+            source=source,
+            line=line_no,
         )
 
 

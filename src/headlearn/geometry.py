@@ -33,6 +33,8 @@ CHUNK = 32
 # the element order of every pairwise-distance vector.
 _TRIU = np.triu_indices(N_LANDMARKS, k=1)
 PAIR_INDICES = np.stack(_TRIU, axis=1)
+# The same pairs as indices of their x, y, z cells in a flat (68, 3) set
+_TRIU_CELLS = tuple((i[:, None] * 3 + np.arange(3)).ravel() for i in _TRIU)
 
 # Left/right landmark correspondence under the x -> -x mirror.
 _MIRROR_PAIRS = (
@@ -75,7 +77,8 @@ def center(points: np.ndarray) -> np.ndarray:
     """Translate a point set (each set of a stack) so its centroid is at
     the origin."""
     pts = np.asarray(points, dtype=float)
-    return pts - pts.mean(axis=-2, keepdims=True)
+    # the sum and division np.mean makes, without its per-call cost
+    return pts - np.add.reduce(pts, axis=-2, keepdims=True) / pts.shape[-2]
 
 
 # Entries of the three elementary rotations Rx, Ry, Rz, as indices into
@@ -85,6 +88,12 @@ _ELEMENTARY = np.array([
     1, 10, 4, 10, 9, 10, 7, 10, 1,   # Ry
     2, 8, 10, 5, 2, 10, 10, 10, 9,   # Rz
 ])
+
+
+def _wrap_angle(a: float) -> float:
+    """One angle wrapped into (-pi, pi], as :class:`Pose` wraps a stack."""
+    a = (a + math.pi) % (2.0 * math.pi) - math.pi
+    return math.pi if a == -math.pi else a
 
 
 @dataclass
@@ -99,11 +108,16 @@ class Pose:
 
     def __post_init__(self) -> None:
         # wrap into (-pi, pi]; an infinite angle becomes NaN without a warning
-        with np.errstate(invalid="ignore"):
-            rot = np.remainder(np.asarray(self.rotation, dtype=float) + math.pi, 2.0 * math.pi)
-        rot -= math.pi
-        rot[rot == -math.pi] = math.pi
-        self.rotation = rot
+        rot = np.asarray(self.rotation, dtype=float)
+        if rot.shape == (3,):
+            # one pose: Python's float % rounds as np.remainder does
+            self.rotation = np.array([_wrap_angle(a) for a in rot.tolist()])
+        else:
+            with np.errstate(invalid="ignore"):
+                rot = np.remainder(rot + math.pi, 2.0 * math.pi)
+            rot -= math.pi
+            rot[rot == -math.pi] = math.pi
+            self.rotation = rot
         self.translation = np.asarray(self.translation, dtype=float).copy()
         if (
             self.rotation.shape[-1:] != (3,)
@@ -153,6 +167,11 @@ def pair_distances(points: np.ndarray, first: np.ndarray, second: np.ndarray) ->
     # take gathers about twice as fast as fancy indexing, and keeps a
     # stacked result C-ordered
     diff = np.take(pts, first, axis=-2) - np.take(pts, second, axis=-2)
+    return _lengths(diff)
+
+
+def _lengths(diff: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of (..., k, 3) difference vectors, (..., k)."""
     return np.sqrt(np.einsum("...ij,...ij->...i", diff, diff))
 
 
@@ -167,7 +186,10 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 2:
-        return pair_distances(pts, *_TRIU)
+        # one set: gathering cells of the flat set is faster than gathering
+        # rows, and gives the same C-ordered differences
+        first, second = _TRIU_CELLS
+        return _lengths((pts.take(first) - pts.take(second)).reshape(N_PAIRS, 3))
     out = np.empty((len(pts), N_PAIRS))
     for start in range(0, len(pts), CHUNK):
         out[start:start + CHUNK] = pair_distances(pts[start:start + CHUNK], *_TRIU)
@@ -218,7 +240,14 @@ def procrustes_align(
         )
 
     u, _, vt = np.linalg.svd(_t(src) @ ref)
-    d = np.sign(np.linalg.det(_t(vt) @ _t(u)))
+    vu = _t(vt) @ _t(u)
+    if vu.ndim == 2:
+        # one set: vu is orthogonal, so its determinant is +-1 and the
+        # cofactor expansion has the sign LU gives
+        (a, b, c), (e, f, g), (h, i, j) = vu.tolist()
+        d = np.sign(a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h))
+    else:
+        d = np.sign(np.linalg.det(vu))
     # diag(1, 1, d), multiplied in as the single-set algebra has it
     flip = np.zeros(d.shape + (3, 3))
     flip[..., 0, 0] = flip[..., 1, 1] = 1.0

@@ -17,6 +17,7 @@ Flows:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -133,13 +134,24 @@ def command_from_raw(raw: np.ndarray) -> ActuatorCommand | np.ndarray:
         raise InvalidCommandError(
             f"channel {CHANNELS[np.nonzero(nan)[-1][0]]} prediction is NaN"
         )
-    rows = np.clip(np.floor(raw + 0.5), COMMAND_MIN, COMMAND_MAX).astype(int)
-    return ActuatorCommand.from_array(rows) if rows.ndim == 1 else rows
+    if raw.ndim > 1:
+        return np.clip(np.floor(raw + 0.5), COMMAND_MIN, COMMAND_MAX).astype(int)
+    # one row in Python floats: clipping before the floor gives the same
+    # integers, as the range ends are integers
+    return ActuatorCommand.from_array([
+        math.floor(min(max(v + 0.5, COMMAND_MIN), COMMAND_MAX)) for v in raw.tolist()
+    ])
 
 
 @dataclass
 class PipelineModel:
-    """A persisted retargeting model (one feature kind, one regressor)."""
+    """A persisted retargeting model (one feature kind, one regressor).
+
+    A calibrated model with a linear regressor is affine from the tracked
+    features to raw commands, so it derives that map once, when it is
+    built: see :meth:`human_raw`.  ``calibrate_human`` builds a new model,
+    which derives its own; do not assign ``human_stats`` in place.
+    """
 
     TAG = ("schema", "pipeline-model/v1")
     RETIRED = ("pruned_aus", "clip_range")
@@ -170,6 +182,28 @@ class PipelineModel:
             np.array([AU_INDEX[a] for a in self.au_ids_used])
             if self.feature_kind == "au" else None
         )
+        linear = isinstance(self.regressor, LinearModel)
+        self.affine = self._fold() if linear and self.human_stats is not None else None
+
+    def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The MinMax map, the PCA projection and the linear regressor as
+        one map ``raw = (x - mins) @ weights + bias``: (mins, weights, bias).
+
+        The human minimum is subtracted first, as the MinMax map does: after
+        a short calibration the human spans are tiny, and folding it into
+        the bias would cancel two huge terms.  A degenerate human dimension
+        weighs 0 and contributes the robot midpoint, as the map gives it.
+        """
+        human, robot = self.human_stats, self.robot_stats
+        span = human.maxs - human.mins
+        degenerate = span == 0.0
+        scale = np.where(
+            degenerate, 0.0, (robot.maxs - robot.mins) / np.where(degenerate, 1.0, span)
+        )
+        base = np.where(degenerate, (robot.mins + robot.maxs) / 2.0, robot.mins)
+        projection = self.pca.components.T @ self.regressor.weights.T  # (d, 9)
+        bias = (base - self.pca.mean) @ projection + self.regressor.intercept
+        return human.mins, scale[:, None] * projection, bias
 
     def _check_widths(self) -> None:
         """Raise ConfigError unless the parts agree on their widths, so a
@@ -252,10 +286,17 @@ class PipelineModel:
 
         Pipeline: derotate -> align to the neutral reference -> extract the
         model's feature kind (AUs come straight from the tracker) -> MinMax-map
-        the human range onto the robot range -> PCA -> regress.
+        the human range onto the robot range -> PCA -> regress.  A linear
+        model makes the last three steps one affine map (``affine``), equal
+        to the staged steps within 1e-9 relative; an MLP model takes them
+        one by one.
         """
         self._check_calibrated()
-        mapped = minmax_map(self.frame_features(frame), self.human_stats, self.robot_stats)
+        features = self.frame_features(frame)
+        if self.affine is not None:
+            mins, weights, bias = self.affine
+            return (features - mins) @ weights + bias
+        mapped = minmax_map(features, self.human_stats, self.robot_stats)
         raw = self.predict_raw(np.atleast_2d(mapped))
         return raw[0] if mapped.ndim == 1 else raw
 
@@ -423,7 +464,7 @@ def calibrate_human(model: PipelineModel, frames: Iterable[HumanFrame]) -> Pipel
     observed range spans the actor's expression space.  The frames go
     through the model as one stack.  A frame with a non-finite value in an
     input the model reads raises OpenFaceFormatError naming the frame's
-    index and timestamp.
+    index and timestamp, after its CSV source and line when it was parsed.
     """
     frames = list(frames)
     if len(frames) < 2:
@@ -433,7 +474,7 @@ def calibrate_human(model: PipelineModel, frames: Iterable[HumanFrame]) -> Pipel
     if not finite.all():
         i = int(np.argmin(finite))
         raise OpenFaceFormatError(
-            f"calibration frame {i} (timestamp {frames[i].timestamp}): "
+            f"{frames[i].location()}calibration frame {i} (timestamp {frames[i].timestamp}): "
             f"non-finite value in an input the {model.feature_kind} model reads"
         )
     stats = fit_minmax(model.frame_features(stack))
@@ -448,13 +489,15 @@ def retarget_frame(
     :meth:`PipelineModel.human_raw` prediction, rounded and clipped.
 
     A non-finite value in an input the model reads raises
-    OpenFaceFormatError naming the timestamp of the first such frame.
+    OpenFaceFormatError naming the timestamp of the first such frame, after
+    its CSV source and line when it was parsed.
     """
     finite = np.atleast_1d(model.reads_finite(frame))
     if not finite.all():
-        timestamp = float(np.atleast_1d(frame.timestamp)[np.argmin(finite)])
+        i = int(np.argmin(finite))
+        timestamp = float(np.atleast_1d(frame.timestamp)[i])
         raise OpenFaceFormatError(
-            f"frame at timestamp {timestamp}: "
+            f"{frame.location(i)}frame at timestamp {timestamp}: "
             f"non-finite value in an input the {model.feature_kind} model reads"
         )
     return command_from_raw(model.human_raw(frame))
@@ -480,15 +523,20 @@ def stream(
     """
     if smoothing_window < 1:
         raise ValueError("smoothing_window must be >= 1")
-    buffer: list[np.ndarray] = []
+    # the last n raw predictions, oldest first; their sum and division are
+    # the ones np.mean makes over them
+    buffer = np.empty((smoothing_window, N_CHANNELS))
+    n = 0
     last = ActuatorCommand.neutral()
     for frame in frames:
         model._check_calibrated()
         if frame.confidence < confidence_threshold or not model.reads_finite(frame):
             yield last
             continue
-        buffer.append(model.human_raw(frame))
-        if len(buffer) > smoothing_window:
-            buffer.pop(0)
-        last = command_from_raw(np.mean(buffer, axis=0))
+        if n == smoothing_window:
+            buffer[:-1] = buffer[1:]
+        else:
+            n += 1
+        buffer[n - 1] = model.human_raw(frame)
+        last = command_from_raw(np.add.reduce(buffer[:n], axis=0) / n)
         yield last

@@ -224,7 +224,7 @@ class TestHumanFlows:
         assert "run calibrate_human first" in captured.err
 
     def nan_csv(self, head, path):
-        """Four confident rows, one AU12_r cell NaN in the third."""
+        """Four confident rows, one AU12_r cell NaN in the third (line 4)."""
         rng = np.random.default_rng(31)
         rows = frames_from_simulator(
             head, [random_command(head, rng) for _ in range(4)], rng_seed=9
@@ -241,7 +241,8 @@ class TestHumanFlows:
             "calibrate-human", "--model", str(model_path), "--csv", str(csv),
             "--out", str(out),
         ]) == 2
-        assert f"frame 2 (timestamp {stamp})" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{csv}:4: calibration frame 2 (timestamp {stamp})" in err
         assert not out.exists()
 
     def test_retarget_on_nan_is_data_error(
@@ -255,7 +256,7 @@ class TestHumanFlows:
         assert main(["retarget", "--model", str(calibrated), "--csv", str(csv)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"timestamp {stamp}" in captured.err
+        assert f"{csv}:4: frame at timestamp {stamp}" in captured.err
 
     def test_retarget_output_pinned(self, model_path, human_csv, tmp_path, capsys):
         calibrated = tmp_path / "cal.json"

@@ -442,3 +442,103 @@ class TestOpenFaceIngestion:
         path.write_text(openface_csv_text(frames))
         out = ingest_openface_csv(path)
         assert np.all(out[0].aus == 5.0)
+
+
+def frame_fields(frame):
+    return (
+        frame.landmarks, frame.aus, frame.pose.rotation, frame.pose.translation,
+        frame.timestamp, frame.confidence,
+    )
+
+
+def assert_same_frames(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for x, y in zip(frame_fields(a), frame_fields(b)):
+            assert np.array_equal(x, y)
+
+
+class TestOpenFaceParsingRules:
+    """What a row may look like: the rules a cell-by-cell split must keep."""
+
+    def frames(self):
+        rng = np.random.default_rng(40)
+        return [
+            {
+                "landmarks": rng.normal(scale=30.0, size=(68, 3)),
+                "aus": rng.uniform(0.0, 5.0, size=17),
+                "rotation": rng.uniform(-0.3, 0.3, size=3),
+                "translation": rng.normal(scale=10.0, size=3) + [0.0, 0.0, 450.0],
+                "timestamp": i / 30.0,
+                "confidence": 0.95,
+            }
+            for i in range(3)
+        ]
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "of.csv"
+        path.write_bytes(text.encode())  # line endings as given
+        return ingest_openface_csv(path)
+
+    def padded(self, text):
+        """``text`` with blank, whitespace-only and blank-cell lines mixed in."""
+        header, *rows = text.splitlines()
+        return "\n".join([header, "", rows[0], "   \t", rows[1], " , ,", "", rows[2], ""]) + "\n"
+
+    def test_frames_carry_their_source_and_line(self, tmp_path):
+        text = openface_csv_text(self.frames())
+        out = self.read(tmp_path, text)
+        assert [f.source for f in out] == [str(tmp_path / "of.csv")] * 3
+        assert [f.line for f in out] == [2, 3, 4]
+        # skipped lines still count
+        assert [f.line for f in self.read(tmp_path, self.padded(text))] == [3, 5, 8]
+
+    def test_crlf_line_endings(self, tmp_path):
+        text = openface_csv_text(self.frames())
+        plain = self.read(tmp_path, text)
+        assert_same_frames(self.read(tmp_path, text.replace("\n", "\r\n")), plain)
+
+    def test_blank_and_whitespace_only_lines_are_skipped(self, tmp_path):
+        text = openface_csv_text(self.frames())
+        assert_same_frames(self.read(tmp_path, self.padded(text)), self.read(tmp_path, text))
+
+    def test_blank_lines_count_in_the_error_line(self, tmp_path):
+        header, *rows = openface_csv_text(self.frames()).splitlines()
+        cells = rows[1].split(",")
+        cells[[c.strip() for c in header.split(",")].index("X_1")] = " x"
+        text = "\n".join([header, "", rows[0], "  ", ",".join(cells)]) + "\n"
+        message = r"of\.csv:5: unparsable value for column 'X_1'"
+        with pytest.raises(OpenFaceFormatError, match=message):
+            self.read(tmp_path, text)
+
+    def test_header_names_with_leading_spaces(self, tmp_path):
+        text = openface_csv_text(self.frames())
+        header, rest = text.split("\n", 1)
+        assert header.split(",")[1].startswith(" ")  # as OpenFace writes them
+        tight = ",".join(c.strip() for c in header.split(",")) + "\n" + rest
+        assert_same_frames(self.read(tmp_path, text), self.read(tmp_path, tight))
+
+    def test_unread_columns_may_hold_anything(self, tmp_path):
+        text = openface_csv_text(self.frames())
+        lines = text.splitlines()
+        extra = ["face_id, " + lines[0] + ", note"] + [
+            f"face-{i}, " + line + ", n/a" for i, line in enumerate(lines[1:])
+        ]
+        assert_same_frames(self.read(tmp_path, "\n".join(extra) + "\n"), self.read(tmp_path, text))
+
+    def test_short_row_names_its_line_and_first_missing_column(self, tmp_path):
+        lines = openface_csv_text(self.frames()).splitlines()
+        names = [c.strip() for c in lines[0].split(",")]
+        lines[2] = ",".join(lines[2].split(",")[:names.index("AU04_r")])
+        with pytest.raises(OpenFaceFormatError, match=r":3: unparsable value for column 'AU04_r'"):
+            self.read(tmp_path, "\n".join(lines) + "\n")
+
+    def test_quoted_numeric_cell_is_unparsable(self, tmp_path):
+        # OpenFace never quotes a cell; cells are not unquoted
+        lines = openface_csv_text(self.frames()).splitlines()
+        names = [c.strip() for c in lines[0].split(",")]
+        cells = lines[3].split(",")
+        cells[names.index("Z_9")] = '"1.5"'
+        lines[3] = ",".join(cells)
+        with pytest.raises(OpenFaceFormatError, match=r":4: unparsable value for column 'Z_9'"):
+            self.read(tmp_path, "\n".join(lines) + "\n")

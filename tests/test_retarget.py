@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headlearn.dataset import CollectionProtocol, HumanFrame, collect, split
+from headlearn.dataset import (
+    CONFIDENCE_THRESHOLD,
+    CollectionProtocol,
+    HumanFrame,
+    collect,
+    ingest_openface_csv,
+    split,
+)
 from headlearn.errors import (
     CalibrationRequiredError,
     ConfigError,
@@ -17,7 +24,7 @@ from headlearn.errors import (
     InvalidCommandError,
     OpenFaceFormatError,
 )
-from headlearn.features import AU_IDS, AU_INDEX, MinMaxStats
+from headlearn.features import AU_IDS, AU_INDEX, MinMaxStats, minmax_map
 from headlearn.geometry import Pose, apply_pose
 from headlearn.learn import HyperGrid
 from headlearn.retarget import (
@@ -36,7 +43,13 @@ from headlearn.retarget import (
 from headlearn.records import to_json
 from headlearn.simulator import CHANNELS, HeadSimulator, random_command
 
-from conftest import array_sha256, assert_valid_command, frames_from_simulator, random_rigid
+from conftest import (
+    array_sha256,
+    assert_valid_command,
+    frames_from_simulator,
+    openface_csv_text,
+    random_rigid,
+)
 
 FACS_EMOTION_AUS = {
     "anger": {4, 7, 23},
@@ -270,6 +283,22 @@ class TestStackedFrames:
             )
         with pytest.raises(ValueError):
             HumanFrame.stack([])
+
+    def test_stack_keeps_the_csv_lines_of_one_source(self, frames):
+        located = [
+            dataclasses.replace(f, source="a.csv", line=10 + i) for i, f in enumerate(frames)
+        ]
+        stack = HumanFrame.stack(located)
+        assert stack.source == "a.csv"
+        assert np.array_equal(stack.line, np.arange(10, 20))
+        assert stack.location(3) == "a.csv:13: " and located[3].location() == "a.csv:13: "
+        for mixed in (
+            located[:5] + [dataclasses.replace(located[5], source="b.csv")] + located[6:],
+            located[:5] + frames[5:],
+        ):
+            stack = HumanFrame.stack(mixed)
+            assert stack.source is None and stack.line is None and stack.location(2) == ""
+        assert HumanFrame.stack(frames).location(0) == ""
 
     def test_features_and_finite_reads_equal_loop(self, trained, frames):
         _, _, models = trained
@@ -608,6 +637,45 @@ class TestNonFiniteInputs:
         with pytest.raises(OpenFaceFormatError, match="timestamp 4.25"):
             retarget_frame(model, bad)
 
+    def nan_csv(self, head, seed, path, kind, model):
+        """Five confident frames as OpenFace CSV, one cell of the fourth
+        (line 5) NaN in an input a ``kind`` model reads."""
+        rows = frames_from_simulator(
+            head, [random_command(head, np.random.default_rng(seed)) for _ in range(5)],
+            rng_seed=seed,
+        )
+        if kind == "au":
+            rows[3]["aus"] = np.array(rows[3]["aus"])
+            rows[3]["aus"][AU_INDEX[model.au_ids_used[0]]] = np.nan
+        else:
+            rows[3]["landmarks"] = np.array(rows[3]["landmarks"])
+            rows[3]["landmarks"][8, 0] = np.nan
+        path.write_text(openface_csv_text(rows))
+        return ingest_openface_csv(path)
+
+    def test_calibrate_human_names_the_csv_line(self, trained, default_head, tmp_path):
+        _, _, models = trained
+        for kind in ("au", "distances"):
+            path = tmp_path / f"{kind}.csv"
+            frames = self.nan_csv(default_head, 20, path, kind, models[kind])
+            message = (
+                rf"^{re.escape(str(path))}:5: "
+                rf"calibration frame 3 \(timestamp {frames[3].timestamp}\)"
+            )
+            with pytest.raises(OpenFaceFormatError, match=message):
+                calibrate_human(models[kind], frames)
+
+    def test_retarget_frame_names_the_csv_line(self, trained, default_head, tmp_path):
+        _, _, models = trained
+        for kind in ("au", "distances"):
+            model = calibrate_human(models[kind], self.frames(default_head, 21))
+            path = tmp_path / f"{kind}.csv"
+            frames = self.nan_csv(default_head, 22, path, kind, model)
+            message = rf"^{re.escape(str(path))}:5: frame at timestamp {frames[3].timestamp}: "
+            for batch in (frames[3], HumanFrame.stack(frames)):
+                with pytest.raises(OpenFaceFormatError, match=message):
+                    retarget_frame(model, batch)
+
     def test_command_from_raw_nan_names_channel(self):
         raw = np.full(len(CHANNELS), 100.0)
         raw[1] = np.nan
@@ -621,6 +689,148 @@ class TestNonFiniteInputs:
         assert_valid_command(cmd)
         assert cmd.values[CHANNELS[0]] == 255 and cmd.values[CHANNELS[-1]] == 0
         assert cmd.values[CHANNELS[1]] == 100
+
+
+def staged_raw(model, frame):
+    """``human_raw`` step by step: the MinMax map, the PCA projection, the
+    regressor."""
+    mapped = minmax_map(model.frame_features(frame), model.human_stats, model.robot_stats)
+    raw = model.predict_raw(np.atleast_2d(mapped))
+    return raw[0] if mapped.ndim == 1 else raw
+
+
+def assert_folded_equals_staged(model, frames):
+    """``human_raw`` equals the staged path within 1e-9 relative, frame by
+    frame and on the stack."""
+    for f in frames:
+        np.testing.assert_allclose(model.human_raw(f), staged_raw(model, f), rtol=1e-9, atol=0.0)
+    stack = HumanFrame.stack(frames)
+    np.testing.assert_allclose(
+        model.human_raw(stack), staged_raw(model, stack), rtol=1e-9, atol=0.0
+    )
+
+
+@pytest.fixture(scope="module")
+def linear_models(trained):
+    """OLS and ridge models of all three kinds, by (kind, regressor)."""
+    train, _, models = trained
+    out = {(kind, "ols"): m for kind, m in models.items()}
+    for kind in models:
+        out[kind, "ridge"] = fit_pipeline(
+            train, kind, regressor="ridge", pca_candidates=(3, 5, 7), seed=11
+        )
+    return out
+
+
+class TestFoldedMap:
+    """A calibrated linear model maps features to raw commands in one
+    affine step, equal to the staged path."""
+
+    @pytest.fixture(scope="class")
+    def frames(self, default_head):
+        # the 10-frame calibration of TestStackedFrames: its human spans are
+        # tiny, which a fold of the human minimum into the bias cannot take
+        rng = np.random.default_rng(26)
+        return [
+            human_frame(default_head, random_command(default_head, rng), rng_seed=260 + i)
+            for i in range(10)
+        ]
+
+    @pytest.fixture(scope="class")
+    def others(self, default_head):
+        rng = np.random.default_rng(27)
+        return [
+            human_frame(default_head, random_command(default_head, rng), rng_seed=270 + i)
+            for i in range(8)
+        ]
+
+    @pytest.mark.parametrize("regressor", ["ols", "ridge"])
+    @pytest.mark.parametrize("kind", ["au", "landmarks", "distances"])
+    def test_equals_staged_path(self, linear_models, frames, others, kind, regressor):
+        model = linear_models[kind, regressor]
+        assert model.affine is None  # no human stats yet
+        model = calibrate_human(model, frames)
+        assert model.affine is not None
+        # the calibration frames, then frames outside their ranges
+        assert_folded_equals_staged(model, frames)
+        assert_folded_equals_staged(model, others)
+
+    @pytest.mark.parametrize("kind", ["au", "landmarks", "distances"])
+    def test_zero_span_maps_to_the_robot_midpoint(self, linear_models, frames, kind):
+        model = calibrate_human(linear_models[kind, "ols"], frames)
+        stats = model.human_stats
+        maxs = stats.maxs.copy()
+        maxs[::3] = stats.mins[::3]
+        some = dataclasses.replace(model, human_stats=MinMaxStats(stats.mins, maxs))
+        assert_folded_equals_staged(some, frames)
+        flat = dataclasses.replace(model, human_stats=MinMaxStats(stats.mins, stats.mins.copy()))
+        robot = model.robot_stats
+        midpoint = model.predict_raw(((robot.mins + robot.maxs) / 2.0)[None, :])[0]
+        for f in frames:
+            np.testing.assert_allclose(flat.human_raw(f), midpoint, rtol=1e-9, atol=0.0)
+
+    def test_mlp_model_keeps_the_staged_path(self, persisted, calibrated):
+        model = persisted.models["au_mlp"]
+        assert model.affine is None
+        for f in calibrated.frames:
+            assert np.array_equal(model.human_raw(f), staged_raw(model, f))
+        stack = HumanFrame.stack(calibrated.frames)
+        assert np.array_equal(model.human_raw(stack), staged_raw(model, stack))
+
+    def test_recalibration_derives_a_new_map(self, linear_models, frames, others):
+        first = calibrate_human(linear_models["distances", "ols"], frames)
+        second = calibrate_human(first, others)
+        assert not np.array_equal(second.affine[1], first.affine[1])
+        assert_folded_equals_staged(second, others + frames)
+        assert not np.allclose(second.human_raw(frames[0]), first.human_raw(frames[0]))
+
+
+class TestStreamBuffer:
+    """stream's fixed buffer averages what a list and np.mean average, bit
+    for bit, around held low-confidence and non-finite frames."""
+
+    def reference_means(self, model, frames, window):
+        """The raw rows a list-and-np.mean stream rounds, one per used frame."""
+        buffer, means = [], []
+        for f in frames:
+            if f.confidence < CONFIDENCE_THRESHOLD or not model.reads_finite(f):
+                continue
+            buffer.append(model.human_raw(f))
+            if len(buffer) > window:
+                buffer.pop(0)
+            means.append(np.mean(buffer, axis=0))
+        return means
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", ["au", "landmarks", "distances"])
+    def test_equals_list_mean(self, calibrated, kind, window, monkeypatch):
+        import headlearn.retarget as retarget_mod
+
+        model = calibrated.models[kind]
+        pool = calibrated.frames
+        read_au = AU_INDEX[calibrated.models["au"].au_ids_used[0]]
+        nan = corrupt(pool[4], [(("aus", read_au), np.nan), (("landmarks", 7), np.nan)])
+        low = dataclasses.replace(pool[5], confidence=0.3)
+        seq = [pool[0], pool[1], low, pool[2], nan, pool[3], pool[6], low, low,
+               pool[7], pool[0], nan, pool[2], pool[5], pool[1], pool[3]]
+
+        rounded = []
+        real = retarget_mod.command_from_raw
+
+        def recording(raw):
+            rounded.append(np.array(raw))
+            return real(raw)
+
+        monkeypatch.setattr(retarget_mod, "command_from_raw", recording)
+        out = list(stream(model, seq, smoothing_window=window))
+        want = self.reference_means(model, seq, window)
+        assert len(out) == len(seq)
+        assert len(rounded) == len(want) == len(seq) - 5
+        for got, ref in zip(rounded, want):
+            assert got.tobytes() == ref.tobytes()
+        for i, f in enumerate(seq):
+            if f is low or f is nan:
+                assert out[i] == out[i - 1]
 
 
 # The kinds of model-file mutation: delete a key, set a leaf to "x", to null
