@@ -269,6 +269,33 @@ class TestHumanFlows:
             "d9c5bdc4c40c081aba6240baa278c4921f5f4273f759066bfb0c6e307067c3ab"
         )
 
+    def test_distances_model_outputs_pinned(self, dataset_dir, human_csv, tmp_path, capsys):
+        # a distances model's commands, from calibrate-human through
+        # retarget and stream, by digest and line
+        fit, calibrated, out = tmp_path / "fit", tmp_path / "cal.json", tmp_path / "ret"
+        assert main(["fit", "--dataset", str(dataset_dir), "--kind", "distances",
+                     "--pca-k", "7", "--seed", "3", "--out", str(fit)]) == 0
+        assert main(["calibrate-human", "--model", str(fit / "model.json"),
+                     "--csv", str(human_csv), "--out", str(calibrated)]) == 0
+        assert main(["retarget", "--model", str(calibrated), "--csv", str(human_csv),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "commands.csv").read_bytes()).hexdigest() == (
+            "20d81299199928428d563e55b039ac494a78c82107749bc5ea1b62c11b7791ae"
+        )
+        capsys.readouterr()
+        assert main(["stream", "--model", str(calibrated), "--csv", str(human_csv),
+                     "--window", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "0.0,115,102,189,0,114,195,67,0,89",
+            "0.03333333333333333,131,134,110,18,45,175,74,90,190",
+            "0.06666666666666667,172,152,52,116,86,171,35,154,149",
+            "0.1,172,152,52,116,86,171,35,154,149",  # held: confidence 0.2
+            "0.13333333333333333,157,128,167,229,230,151,88,74,36",
+            "0.16666666666666666,148,112,251,232,216,66,241,40,112",
+            "0.2,107,133,255,209,166,78,255,106,166",
+            "0.23333333333333334,100,142,241,168,58,89,205,156,165",
+        ]
+
     def test_retarget_to_directory(self, model_path, human_csv, tmp_path, capsys):
         calibrated = tmp_path / "cal.json"
         main(["calibrate-human", "--model", str(model_path), "--csv", str(human_csv),
