@@ -13,6 +13,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -243,10 +244,10 @@ def cmd_stream(args) -> int:
     model = load_model(args.model)
     source = open(args.csv, newline="") if args.csv else contextlib.nullcontext(sys.stdin)
     with source as fh:
-        # rows are parsed as they arrive; low-confidence rows stay in the
-        # stream so hold-last can fill them
+        # rows are parsed as they arrive; every row stays in the stream, so
+        # hold-last fills the low-confidence ones and each row gets a line
         frames, stamped = itertools.tee(
-            parse_openface_lines(fh, confidence_threshold=0.0, source=args.csv or "<stdin>")
+            parse_openface_lines(fh, confidence_threshold=-math.inf, source=args.csv or "<stdin>")
         )
         commands = stream(
             model, frames, smoothing_window=args.window, confidence_threshold=args.threshold

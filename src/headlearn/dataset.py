@@ -495,7 +495,8 @@ def parse_openface_lines(
 
     Requires 3D landmark columns (``X_0..Z_67``), the 17 AU intensity
     columns (``AU01_r..AU45_r``), pose, timestamp and confidence.  Rows
-    under the confidence threshold are dropped.  Header names may carry
+    under the confidence threshold are dropped; a NaN confidence reads as
+    0.0, a frame the tracker has no confidence in.  Header names may carry
     OpenFace's leading spaces.  Each frame is yielded as soon as its line
     is read, with ``source`` and its line number; errors name both.
 
@@ -529,6 +530,8 @@ def parse_openface_lines(
         cells = line.split(",")
         try:
             confidence = float(cells[confidence_at])
+            if confidence != confidence:  # NaN: the tracker has no confidence
+                confidence = 0.0
             if confidence < confidence_threshold:
                 continue
             values = np.fromiter(map(float, values_of(cells)), float, width)

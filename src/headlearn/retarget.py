@@ -147,6 +147,12 @@ def command_from_raw(raw: np.ndarray) -> ActuatorCommand | np.ndarray:
 class PipelineModel:
     """A persisted retargeting model (one feature kind, one regressor).
 
+    What a tracked frame feeds it depends on the kind: the kept AUs (au),
+    the landmarks derotated by the tracked pose and aligned onto
+    ``neutral_reference`` (landmarks), or the distances between the
+    tracked landmarks as they are (distances: a rigid head motion does not
+    change them, so neither the pose nor the reference is read).
+
     A calibrated model with a linear regressor is affine from the tracked
     features to raw commands, so it derives that map once, when it is
     built: see :meth:`human_raw`.  ``calibrate_human`` builds a new model,
@@ -247,23 +253,34 @@ class PipelineModel:
 
     def frame_features(self, frame: HumanFrame) -> np.ndarray:
         """Model-space features for one tracked human frame, (d,), or for a
-        stack of n frames, (n, d)."""
+        stack of n frames, (n, d).
+
+        Only the landmarks kind derotates and aligns, and raises
+        AlignmentDegenerateError on a collinear set.  Distances are
+        measured on the tracked landmarks as they are: the distances of the
+        aligned set equal them up to the rounding of the two rotations
+        (within 1e-12 relative), so aligning first would only cost time.
+        """
         if self.feature_kind == "au":
             return frame.aus[..., self.au_index]
+        if self.feature_kind == "distances":
+            return pairwise_distances(frame.landmarks)
         face = derotate(frame.landmarks, frame.pose)
         aligned, _ = procrustes_align(face, self.neutral_reference)
-        if self.feature_kind == "landmarks":
-            return aligned.reshape(aligned.shape[:-2] + (-1,))
-        return pairwise_distances(aligned)
+        return aligned.reshape(aligned.shape[:-2] + (-1,))
 
     def reads_finite(self, frame: HumanFrame) -> np.ndarray:
         """Per frame, whether every input the model reads is finite: the
-        kept AUs for the au kind, the landmarks and the pose otherwise.
-        A 0-d bool for one frame, an (n,) bool array for a stack."""
+        kept AUs for the au kind, the landmarks for the distances kind, the
+        landmarks and the pose for the landmarks kind.  A 0-d bool for one
+        frame, an (n,) bool array for a stack."""
         if self.feature_kind == "au":
             return np.isfinite(frame.aus[..., self.au_index]).all(axis=-1)
+        finite = np.isfinite(frame.landmarks).all(axis=(-2, -1))
+        if self.feature_kind == "distances":
+            return finite
         return (
-            np.isfinite(frame.landmarks).all(axis=(-2, -1))
+            finite
             & np.isfinite(frame.pose.rotation).all(axis=-1)
             & np.isfinite(frame.pose.translation).all(axis=-1)
         )
@@ -284,12 +301,12 @@ class PipelineModel:
         """Unrounded command for one tracked human frame, (9,), or for a
         stack of n frames, (n, 9).
 
-        Pipeline: derotate -> align to the neutral reference -> extract the
-        model's feature kind (AUs come straight from the tracker) -> MinMax-map
-        the human range onto the robot range -> PCA -> regress.  A linear
-        model makes the last three steps one affine map (``affine``), equal
-        to the staged steps within 1e-9 relative; an MLP model takes them
-        one by one.
+        Pipeline: the model's features (:meth:`frame_features`: AUs and
+        distances straight from the tracker, landmarks derotated and aligned
+        to the neutral reference) -> MinMax-map the human range onto the
+        robot range -> PCA -> regress.  A linear model makes the last three
+        steps one affine map (``affine``), equal to the staged steps within
+        1e-9 relative; an MLP model takes them one by one.
         """
         self._check_calibrated()
         features = self.frame_features(frame)
@@ -512,11 +529,12 @@ def stream(
     """Per-frame retargeting with trailing smoothing and hold-last gaps.
 
     Emits exactly one command per input frame.  Frames under the
-    confidence threshold, and frames with a non-finite value in an input
-    the model reads, repeat the previously emitted command (the neutral
-    command before any frame passed); other frames enter a trailing moving
-    average of raw predictions of length ``smoothing_window`` before
-    rounding.
+    confidence threshold (or with a NaN confidence), and frames with a
+    non-finite value in an input the model reads (see
+    :meth:`PipelineModel.reads_finite`), repeat the previously emitted
+    command (the neutral command before any frame passed); other frames
+    enter a trailing moving average of raw predictions of length
+    ``smoothing_window`` before rounding.
 
     A model without human stats raises CalibrationRequiredError when the
     first frame arrives, before any command is emitted.
@@ -530,7 +548,8 @@ def stream(
     last = ActuatorCommand.neutral()
     for frame in frames:
         model._check_calibrated()
-        if frame.confidence < confidence_threshold or not model.reads_finite(frame):
+        # a NaN confidence counts as low
+        if not frame.confidence >= confidence_threshold or not model.reads_finite(frame):
             yield last
             continue
         if n == smoothing_window:

@@ -223,6 +223,28 @@ class TestHumanFlows:
         assert captured.out == ""
         assert "run calibrate_human first" in captured.err
 
+    def test_nan_and_negative_confidences_are_held(
+        self, model_path, default_head, tmp_path, capsys
+    ):
+        rng = np.random.default_rng(32)
+        rows = frames_from_simulator(
+            default_head, [random_command(default_head, rng) for _ in range(6)], rng_seed=9
+        )
+        for row, confidence in zip(rows, (0.95, "nan", 0.9, -1.0, "-inf", 0.97)):
+            row["confidence"] = confidence
+        csv = tmp_path / "conf.csv"
+        csv.write_text(openface_csv_text(rows))
+        calibrated = tmp_path / "cal.json"
+        assert main(["calibrate-human", "--model", str(model_path), "--csv", str(csv),
+                     "--out", str(calibrated)]) == 0
+        assert "calibrated on 3 frames" in capsys.readouterr().out
+        assert main(["stream", "--model", str(calibrated), "--csv", str(csv)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(",", 1)[0] for line in out] == [str(r["timestamp"]) for r in rows]
+        commands = [line.split(",", 1)[1] for line in out]
+        assert commands[1] == commands[0]
+        assert commands[3] == commands[4] == commands[2]
+
     def nan_csv(self, head, path):
         """Four confident rows, one AU12_r cell NaN in the third (line 4)."""
         rng = np.random.default_rng(31)

@@ -382,6 +382,19 @@ class TestOpenFaceIngestion:
         # threshold configurable
         assert len(ingest_openface_csv(path, confidence_threshold=0.0)) == 2
 
+    def test_nan_confidence_reads_as_zero(self, tmp_path):
+        frames = self.fixture_frames() + self.fixture_frames()
+        for f, c in zip(frames, ("nan", 0.3, "-inf", 0.95)):
+            f["confidence"] = c
+        path = tmp_path / "of.csv"
+        path.write_text(openface_csv_text(frames))
+        out = ingest_openface_csv(path)
+        assert [(f.line, f.confidence) for f in out] == [(5, 0.95)]
+        out = ingest_openface_csv(path, confidence_threshold=-np.inf)
+        assert [(f.line, f.confidence) for f in out] == [
+            (2, 0.0), (3, 0.3), (4, -np.inf), (5, 0.95)
+        ]
+
     def test_missing_columns_named_in_error(self, tmp_path):
         text = openface_csv_text(self.fixture_frames())
         lines = text.splitlines()

@@ -18,14 +18,22 @@ from headlearn.dataset import (
     split,
 )
 from headlearn.errors import (
+    AlignmentDegenerateError,
     CalibrationRequiredError,
     ConfigError,
     HeadLearnError,
     InvalidCommandError,
     OpenFaceFormatError,
 )
-from headlearn.features import AU_IDS, AU_INDEX, MinMaxStats, minmax_map
-from headlearn.geometry import Pose, apply_pose
+from headlearn.features import AU_IDS, AU_INDEX, MinMaxStats, fit_minmax, minmax_map
+from headlearn.geometry import (
+    N_LANDMARKS,
+    Pose,
+    apply_pose,
+    derotate,
+    pairwise_distances,
+    procrustes_align,
+)
 from headlearn.learn import HyperGrid
 from headlearn.retarget import (
     EMOTIONS,
@@ -90,6 +98,22 @@ def human_frame(head, command, rng_seed=2):
         timestamp=row["timestamp"],
         confidence=row["confidence"],
     )
+
+
+def simulated_frames(head, seed, n):
+    """``n`` frames of random commands, the i-th observed at ``seed * 10 + i``."""
+    rng = np.random.default_rng(seed)
+    return [
+        human_frame(head, random_command(head, rng), rng_seed=seed * 10 + i) for i in range(n)
+    ]
+
+
+def aligned_distances(model, frame):
+    """The distances of the tracked landmarks derotated and aligned onto
+    the model's reference, as a distances model measured them before it
+    read the landmarks as they are."""
+    face = derotate(frame.landmarks, frame.pose)
+    return pairwise_distances(procrustes_align(face, model.neutral_reference)[0])
 
 
 class TestEmotionSpecs:
@@ -235,11 +259,7 @@ class TestCalibrateHuman:
         # the human-side MinMax stats feed every retargeted command; they
         # must reproduce bit for bit for each feature kind
         _, _, models = trained
-        rng = np.random.default_rng(25)
-        frames = [
-            human_frame(default_head, random_command(default_head, rng), rng_seed=250 + i)
-            for i in range(12)
-        ]
+        frames = simulated_frames(default_head, 25, 12)
         digests = {}
         for kind, model in models.items():
             stats = calibrate_human(model, frames).human_stats
@@ -253,11 +273,108 @@ class TestCalibrateHuman:
                 "f61f92f1e2cd6f248667ed802427d0c37a910dff258f67c7e049d0cb847fb615",
                 "9dc98843ff23646e454694dbfacdf6bb8c0d99d1204fa28fc6977fd5af0d8f89",
             ),
+            # measured on the tracked landmarks, not on aligned ones; the
+            # stats equal the aligned path's within 1e-12 relative (below)
             "distances": (
-                "e8c86e7a6b359c2ceab20b87bfd3ad788c16ae96093d4b76420c524f2b1ad0b9",
-                "c5110ef3828774ccd2bed3c35cfb41bea4a745ecb7f49651aa9d28aaebc8cbf8",
+                "5599d136eecdbc621a78aa4edd1a7c2bba3c8574b1115bb4d2052deeb1674180",
+                "803fae183621c8c78955fd1866e2be8c7cadb76d3717fd1175cf0b0b29ca8e2d",
             ),
         }
+        aligned = fit_minmax(aligned_distances(models["distances"], HumanFrame.stack(frames)))
+        stats = calibrate_human(models["distances"], frames).human_stats
+        np.testing.assert_allclose(stats.mins, aligned.mins, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(stats.maxs, aligned.maxs, rtol=1e-12, atol=0.0)
+
+
+POSES = st.lists(
+    st.tuples(
+        st.integers(0, 7),                                           # which simulated face
+        st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),  # rotation
+        st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),  # translation
+        st.sampled_from([0.0, 450.0]),                               # camera distance in z
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestUnalignedDistances:
+    """A distances model measures the tracked landmarks as they are: what
+    the derotated and aligned landmarks give, without aligning them."""
+
+    @given(poses=POSES)
+    @settings(max_examples=100, deadline=None)
+    def test_equal_aligned_distances_under_rigid_poses(self, calibrated, poses):
+        model = calibrated.models["distances"]
+        frames = []
+        for i, rotation, translation, offset in poses:
+            source = calibrated.frames[i]
+            pose = Pose(rotation=rotation, translation=np.add(translation, [0.0, 0.0, offset]))
+            face = derotate(source.landmarks, source.pose)
+            frames.append(dataclasses.replace(source, landmarks=apply_pose(face, pose), pose=pose))
+        for frame in frames + [HumanFrame.stack(frames)]:
+            np.testing.assert_allclose(
+                model.frame_features(frame), aligned_distances(model, frame), rtol=1e-12, atol=0.0
+            )
+
+    # the frames of TestCalibrateHuman's pinned stats and of TestStackedFrames
+    @pytest.mark.parametrize("seed, n", [(25, 12), (26, 10)])
+    def test_commands_equal_the_aligned_path(self, trained, default_head, seed, n, tmp_path):
+        _, _, models = trained
+        model = models["distances"]
+        frames = simulated_frames(default_head, seed, n)
+        stack = HumanFrame.stack(frames)
+        aligned = aligned_distances(model, stack)
+        # calibrated and retargeted on aligned landmarks, as older models were
+        older = dataclasses.replace(model, human_stats=fit_minmax(aligned))
+        mins, weights, bias = older.affine
+        expected = command_from_raw((aligned - mins) @ weights + bias)
+        new = calibrate_human(model, frames)
+        assert np.array_equal(retarget_frame(new, stack), expected)
+        assert [retarget_frame(new, f).as_array().tolist() for f in frames] == expected.tolist()
+        # a file calibrated on aligned landmarks loads and gives them too
+        save_model(older, tmp_path / "older.json")
+        assert np.array_equal(retarget_frame(load_model(tmp_path / "older.json"), stack), expected)
+
+    def test_stream_makes_no_alignment(self, calibrated, monkeypatch):
+        import headlearn.retarget as retarget_mod
+
+        def no_alignment(*args, **kwargs):
+            raise AssertionError("the distances stream aligned a frame")
+
+        expected = [retarget_frame(calibrated.models["distances"], f) for f in calibrated.frames]
+        for name in ("derotate", "procrustes_align"):
+            monkeypatch.setattr(retarget_mod, name, no_alignment)
+        assert list(stream(calibrated.models["distances"], calibrated.frames)) == expected
+
+    def test_pose_is_read_by_the_landmarks_model_only(self, calibrated):
+        frames = calibrated.frames
+        bad = dataclasses.replace(
+            frames[1], pose=Pose(rotation=[np.nan, 0.0, 0.0], translation=[0.0, np.inf, 450.0])
+        )
+        distances, landmarks = calibrated.models["distances"], calibrated.models["landmarks"]
+        assert distances.reads_finite(bad) and not landmarks.reads_finite(bad)
+        # retargeted by a distances model, as the frame with its pose
+        expected = retarget_frame(distances, frames[1])
+        assert retarget_frame(distances, bad) == expected
+        assert list(stream(distances, [frames[0], bad])) == [
+            retarget_frame(distances, frames[0]), expected
+        ]
+        # held by a landmarks model
+        out = list(stream(landmarks, [frames[0], bad]))
+        assert out[1] == out[0]
+        with pytest.raises(OpenFaceFormatError, match="input the landmarks model reads"):
+            retarget_frame(landmarks, bad)
+
+    def test_collinear_landmarks(self, calibrated):
+        along = np.linspace(-40.0, 40.0, N_LANDMARKS)[:, None] * [0.6, 0.0, 0.8]
+        line = dataclasses.replace(calibrated.frames[0], landmarks=along + [0.0, 0.0, 450.0])
+        distances = calibrated.models["distances"]
+        cmd = retarget_frame(distances, line)
+        assert_valid_command(cmd)
+        assert list(stream(distances, [line])) == [cmd]
+        with pytest.raises(AlignmentDegenerateError):
+            retarget_frame(calibrated.models["landmarks"], line)
 
 
 class TestStackedFrames:
@@ -265,11 +382,7 @@ class TestStackedFrames:
 
     @pytest.fixture(scope="class")
     def frames(self, default_head):
-        rng = np.random.default_rng(26)
-        return [
-            human_frame(default_head, random_command(default_head, rng), rng_seed=260 + i)
-            for i in range(10)
-        ]
+        return simulated_frames(default_head, 26, 10)
 
     def test_stack_equals_frames(self, frames):
         stack = HumanFrame.stack(frames)
@@ -309,6 +422,9 @@ class TestStackedFrames:
         mixed = list(frames)
         mixed[2] = dataclasses.replace(frames[2], aus=aus)
         mixed[5] = dataclasses.replace(frames[5], landmarks=landmarks)
+        mixed[7] = dataclasses.replace(
+            frames[7], pose=Pose(rotation=[0.0, np.nan, 0.0], translation=[0.0, 0.0, 450.0])
+        )
         for kind, model in models.items():
             assert np.array_equal(
                 model.frame_features(HumanFrame.stack(frames)),
@@ -418,6 +534,12 @@ class TestStream:
         out = list(stream(model, seq, confidence_threshold=0.8))
         assert len(out) == len(seq)
         assert out[1] == out[0] and out[2] == out[0]
+
+    def test_nan_confidence_is_held(self, calibrated):
+        frames = calibrated.frames
+        for model in calibrated.models.values():
+            out = list(stream(model, [frames[0], dataclasses.replace(frames[1], confidence=np.nan)]))
+            assert out == [retarget_frame(model, frames[0])] * 2
 
     def test_leading_dropped_frames_emit_neutral(self, trained, default_head):
         from headlearn.simulator import ActuatorCommand
@@ -536,7 +658,7 @@ CELLS = st.one_of(
 FRAMES = st.lists(
     st.tuples(
         st.integers(0, 7),                               # which simulated frame
-        st.floats(0.0, 1.0),                             # tracker confidence
+        st.one_of(st.floats(0.0, 1.0), st.just(np.nan)),  # tracker confidence
         st.lists(st.tuples(CELLS, NON_FINITE), max_size=3),
     ),
     max_size=10,
@@ -596,11 +718,7 @@ class TestNonFiniteInputs:
     NaN statistic or a garbage command."""
 
     def frames(self, head, seed):
-        rng = np.random.default_rng(seed)
-        return [
-            human_frame(head, random_command(head, rng), rng_seed=seed * 10 + i)
-            for i in range(6)
-        ]
+        return simulated_frames(head, seed, 6)
 
     def test_calibrate_human_names_the_frame(self, trained, default_head):
         _, _, models = trained
