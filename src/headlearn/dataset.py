@@ -22,10 +22,10 @@ then the key path or the line.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -475,15 +475,125 @@ _OPENFACE_TAIL_COLS = (
 # The order a row's cells are read in: confidence first, so a low-confidence
 # row is skipped unparsed; an unparsable row names its first bad cell in it.
 _OPENFACE_READ_COLS = ["confidence"] + _LANDMARK_COLS + _OPENFACE_TAIL_COLS
-# The cells of a parsed frame's value array, in its order: the landmarks
-# point by point, so that the (68, 3) landmarks are a view of it, then the
-# AUs, the pose rotation and translation, and the timestamp.
+# The columns of the parsed value array, in its order: the landmarks point
+# by point, so that a frame's (68, 3) landmarks are a view of its row, then
+# the AUs, the pose rotation and translation, the timestamp and the
+# confidence.
 _OPENFACE_VALUE_COLS = (
     [f"{ax}_{i}" for i in range(N_LANDMARKS) for ax in "XYZ"] + _OPENFACE_TAIL_COLS
+    + ["confidence"]
 )
 _AUS_AT = slice(3 * N_LANDMARKS, 3 * N_LANDMARKS + len(AU_IDS))
 _ROTATION_AT = slice(_AUS_AT.stop, _AUS_AT.stop + 3)
 _TRANSLATION_AT = slice(_ROTATION_AT.stop, _ROTATION_AT.stop + 3)
+_TIMESTAMP_AT = _TRANSLATION_AT.stop
+_CONFIDENCE_AT = _TIMESTAMP_AT + 1
+
+
+def _openface_columns(rows: Iterator[str], source: str) -> list[int]:
+    """Read the header line off ``rows``; return the file's column index of
+    each column of the value array (``_OPENFACE_VALUE_COLS``)."""
+    try:
+        raw_header = next(rows)
+    except StopIteration:
+        raise OpenFaceFormatError(f"{source}: empty file") from None
+    col = {h.strip(): i for i, h in enumerate(raw_header.split(","))}
+    required = (
+        ["timestamp", "confidence"]
+        + _OPENFACE_POSE_COLS
+        + _LANDMARK_COLS
+        + _OPENFACE_AU_COLS
+    )
+    missing = [name for name in required if name not in col]
+    if missing:
+        raise OpenFaceFormatError(f"{source}: missing required columns {missing}")
+    return [col[name] for name in _OPENFACE_VALUE_COLS]
+
+
+def _confident_rows(
+    rows: Iterator[str], confidence_at: int, confidence_threshold: float
+) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` of each data row to convert.
+
+    Only the confidence cell is read: a row under the threshold (NaN reads
+    as 0.0) and a blank row are skipped.  A row whose confidence cell is
+    not a number is kept, for the converter to name.
+    """
+    for line_no, line in enumerate(rows, start=2):
+        try:
+            confidence = float(line.split(",", confidence_at + 1)[confidence_at])
+        except (ValueError, IndexError):
+            if not line.replace(",", "").strip():  # a blank line, or one of blank cells
+                continue
+            try:  # numpy also reads a number padded with \x1c-\x1f
+                confidence = float(_loadtxt([line], [confidence_at])[0, 0])
+            except ValueError:
+                yield line_no, line
+                continue
+        if confidence != confidence:  # NaN: the tracker has no confidence
+            confidence = 0.0
+        if confidence < confidence_threshold:
+            continue
+        yield line_no, line
+
+
+def _loadtxt(lines: Iterable[str], usecols: list[int]) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", usecols=usecols, comments=None, ndmin=2)
+
+
+def _openface_frames(
+    kept: Iterable[tuple[int, str]], usecols: list[int], source: str
+) -> list[HumanFrame]:
+    """Convert kept rows to frames with one numpy parse.
+
+    The rows stream through the parser, so a file's text is never held
+    whole.  The read cells of every row become one (n, 229) array, in
+    ``_OPENFACE_VALUE_COLS`` order; each frame's fields are views of its
+    row.  If a cell does not parse, the error names the first such row and
+    its first bad cell in ``_OPENFACE_READ_COLS`` order.
+    """
+    rows = iter(kept)
+    first = next(rows, None)
+    if first is None:  # numpy would warn that the input holds no data
+        return []
+    line_nos: list[int] = []
+    line = ""
+
+    def lines() -> Iterator[str]:
+        nonlocal line
+        for line_no, line in itertools.chain([first], rows):
+            line_nos.append(line_no)
+            yield line
+
+    try:
+        values = _loadtxt(lines(), usecols)
+    except ValueError:
+        # numpy converts each row as it reads it, so the last row read is
+        # the first bad one
+        for name in _OPENFACE_READ_COLS:
+            try:
+                _loadtxt([line], [usecols[_OPENFACE_VALUE_COLS.index(name)]])
+            except ValueError:
+                raise OpenFaceFormatError(
+                    f"{source}:{line_nos[-1]}: unparsable value for column {name!r}"
+                ) from None
+        raise
+    aus = values[:, _AUS_AT]
+    np.clip(aus, 0.0, 5.0, out=aus)
+    confidence = values[:, _CONFIDENCE_AT]
+    confidence[np.isnan(confidence)] = 0.0  # the tracker has no confidence
+    return [
+        HumanFrame(
+            landmarks=row[:_AUS_AT.start].reshape(N_LANDMARKS, 3),
+            aus=row[_AUS_AT],
+            pose=Pose(rotation=row[_ROTATION_AT], translation=row[_TRANSLATION_AT]),
+            timestamp=float(row[_TIMESTAMP_AT]),
+            confidence=float(row[_CONFIDENCE_AT]),
+            source=source,
+            line=line_no,
+        )
+        for row, line_no in zip(values, line_nos)
+    ]
 
 
 def parse_openface_lines(
@@ -500,62 +610,17 @@ def parse_openface_lines(
     OpenFace's leading spaces.  Each frame is yielded as soon as its line
     is read, with ``source`` and its line number; errors name both.
 
-    A row is split at every comma and only the columns above are converted,
-    so other columns may hold anything.  Blank lines (and lines of blank
-    cells) are skipped, and CRLF endings are accepted.  Cells are not
-    unquoted: OpenFace writes none, and a quoted number is an unparsable
-    value.
+    Each kept line is converted on its own by the parser
+    :func:`ingest_openface_csv` runs once per file (``numpy.loadtxt`` on
+    the columns above), so other columns may hold anything.  Blank lines
+    (and lines of blank cells) are skipped, and CRLF endings are accepted.
+    Cells are not unquoted: OpenFace writes none, and a quoted number is an
+    unparsable value, as are digit separators (``1_0``) and non-ASCII digits.
     """
-    required = (
-        ["timestamp", "confidence"]
-        + _OPENFACE_POSE_COLS
-        + _LANDMARK_COLS
-        + _OPENFACE_AU_COLS
-    )
     rows = iter(lines)
-    try:
-        raw_header = next(rows)
-    except StopIteration:
-        raise OpenFaceFormatError(f"{source}: empty file") from None
-    header = [h.strip() for h in raw_header.split(",")]
-    col = {name: i for i, name in enumerate(header)}
-    missing = [name for name in required if name not in col]
-    if missing:
-        raise OpenFaceFormatError(f"{source}: missing required columns {missing}")
-
-    confidence_at = col["confidence"]
-    values_of = itemgetter(*(col[name] for name in _OPENFACE_VALUE_COLS))
-    width = len(_OPENFACE_VALUE_COLS)
-    for line_no, line in enumerate(rows, start=2):
-        cells = line.split(",")
-        try:
-            confidence = float(cells[confidence_at])
-            if confidence != confidence:  # NaN: the tracker has no confidence
-                confidence = 0.0
-            if confidence < confidence_threshold:
-                continue
-            values = np.fromiter(map(float, values_of(cells)), float, width)
-        except (ValueError, IndexError):
-            if not line.replace(",", "").strip():  # a blank line, or one of blank cells
-                continue
-            for name in _OPENFACE_READ_COLS:
-                try:
-                    float(cells[col[name]])
-                except (ValueError, IndexError):
-                    raise OpenFaceFormatError(
-                        f"{source}:{line_no}: unparsable value for column {name!r}"
-                    ) from None
-        aus = values[_AUS_AT]
-        np.clip(aus, 0.0, 5.0, out=aus)
-        yield HumanFrame(
-            landmarks=values[:_AUS_AT.start].reshape(N_LANDMARKS, 3),
-            aus=aus,
-            pose=Pose(rotation=values[_ROTATION_AT], translation=values[_TRANSLATION_AT]),
-            timestamp=float(values[-1]),
-            confidence=confidence,
-            source=source,
-            line=line_no,
-        )
+    usecols = _openface_columns(rows, source)
+    for row in _confident_rows(rows, usecols[_CONFIDENCE_AT], confidence_threshold):
+        yield from _openface_frames([row], usecols, source)
 
 
 def ingest_openface_csv(
@@ -563,7 +628,12 @@ def ingest_openface_csv(
 ) -> list[HumanFrame]:
     """Parse an OpenFace 2.0 FeatureExtraction CSV file into HumanFrames.
 
-    See :func:`parse_openface_lines` for the columns and the filtering.
+    All kept rows are converted by one numpy parse; see
+    :func:`parse_openface_lines` for the columns, the filtering and the
+    cell syntax, which are the same.
     """
+    source = str(path)
     with Path(path).open(newline="") as fh:
-        return list(parse_openface_lines(fh, confidence_threshold, source=str(path)))
+        usecols = _openface_columns(fh, source)
+        kept = _confident_rows(fh, usecols[_CONFIDENCE_AT], confidence_threshold)
+        return _openface_frames(kept, usecols, source)

@@ -23,7 +23,14 @@ class ProtocolError(HeadLearnError, ValueError):
 
 
 class AlignmentDegenerateError(HeadLearnError, ValueError):
-    """Rigid alignment is underdetermined (rank-deficient point set)."""
+    """Rigid alignment is underdetermined (rank-deficient point set).
+
+    ``index`` is the first such set of a stack (0 for a single set).
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class OpenFaceFormatError(HeadLearnError, ValueError):

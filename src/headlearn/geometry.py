@@ -223,7 +223,7 @@ def procrustes_align(
 
     Raises AlignmentDegenerateError when a source spans fewer than two
     dimensions, which leaves the rotation underdetermined; for a stack the
-    message names the first such frame by its index.
+    message and the error's ``index`` name the first such frame.
     """
     src = center(source)
     ref = center(reference)
@@ -234,9 +234,10 @@ def procrustes_align(
     top, second = spread.T[0], spread.T[1]
     bad = (top <= 0.0) | (second <= 1e-9 * top)
     if bad.any():
-        where = f"frame {np.flatnonzero(bad)[0]}: " if src.ndim > 2 else ""
+        i = int(np.flatnonzero(bad)[0])
+        where = f"frame {i}: " if src.ndim > 2 else ""
         raise AlignmentDegenerateError(
-            f"{where}source landmarks are rank-deficient; rotation is underdetermined"
+            f"{where}source landmarks are rank-deficient; rotation is underdetermined", i
         )
 
     u, _, vt = np.linalg.svd(_t(src) @ ref)

@@ -27,6 +27,7 @@ import numpy as np
 from .analysis import PRUNE_THRESHOLD, low_correlation_features, pearson_matrix
 from .dataset import CONFIDENCE_THRESHOLD, Dataset, HumanFrame, split_indices
 from .errors import (
+    AlignmentDegenerateError,
     CalibrationRequiredError,
     ConfigError,
     InvalidCommandError,
@@ -256,7 +257,8 @@ class PipelineModel:
         stack of n frames, (n, d).
 
         Only the landmarks kind derotates and aligns, and raises
-        AlignmentDegenerateError on a collinear set.  Distances are
+        AlignmentDegenerateError on a collinear set, after the frame's CSV
+        source and line when it was parsed.  Distances are
         measured on the tracked landmarks as they are: the distances of the
         aligned set equal them up to the rounding of the two rotations
         (within 1e-12 relative), so aligning first would only cost time.
@@ -266,7 +268,10 @@ class PipelineModel:
         if self.feature_kind == "distances":
             return pairwise_distances(frame.landmarks)
         face = derotate(frame.landmarks, frame.pose)
-        aligned, _ = procrustes_align(face, self.neutral_reference)
+        try:
+            aligned, _ = procrustes_align(face, self.neutral_reference)
+        except AlignmentDegenerateError as err:
+            raise AlignmentDegenerateError(f"{frame.location(err.index)}{err}", err.index) from None
         return aligned.reshape(aligned.shape[:-2] + (-1,))
 
     def reads_finite(self, frame: HumanFrame) -> np.ndarray:
@@ -481,7 +486,9 @@ def calibrate_human(model: PipelineModel, frames: Iterable[HumanFrame]) -> Pipel
     observed range spans the actor's expression space.  The frames go
     through the model as one stack.  A frame with a non-finite value in an
     input the model reads raises OpenFaceFormatError naming the frame's
-    index and timestamp, after its CSV source and line when it was parsed.
+    index and timestamp, after its CSV source and line when it was parsed;
+    collinear landmarks raise AlignmentDegenerateError for a landmarks
+    model, after the same source and line.
     """
     frames = list(frames)
     if len(frames) < 2:
@@ -507,7 +514,8 @@ def retarget_frame(
 
     A non-finite value in an input the model reads raises
     OpenFaceFormatError naming the timestamp of the first such frame, after
-    its CSV source and line when it was parsed.
+    its CSV source and line when it was parsed; collinear landmarks raise
+    AlignmentDegenerateError for a landmarks model, after the same prefix.
     """
     finite = np.atleast_1d(model.reads_finite(frame))
     if not finite.all():
@@ -531,7 +539,8 @@ def stream(
     Emits exactly one command per input frame.  Frames under the
     confidence threshold (or with a NaN confidence), and frames with a
     non-finite value in an input the model reads (see
-    :meth:`PipelineModel.reads_finite`), repeat the previously emitted
+    :meth:`PipelineModel.reads_finite`), or whose landmarks a landmarks
+    model cannot align (collinear), repeat the previously emitted
     command (the neutral command before any frame passed); other frames
     enter a trailing moving average of raw predictions of length
     ``smoothing_window`` before rounding.
@@ -552,10 +561,15 @@ def stream(
         if not frame.confidence >= confidence_threshold or not model.reads_finite(frame):
             yield last
             continue
+        try:
+            raw = model.human_raw(frame)
+        except AlignmentDegenerateError:  # collinear landmarks: no defined features
+            yield last
+            continue
         if n == smoothing_window:
             buffer[:-1] = buffer[1:]
         else:
             n += 1
-        buffer[n - 1] = model.human_raw(frame)
+        buffer[n - 1] = raw
         last = command_from_raw(np.add.reduce(buffer[:n], axis=0) / n)
         yield last

@@ -3,18 +3,22 @@ import filecmp
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from headlearn.dataset import (
+    CONFIDENCE_THRESHOLD,
     CollectionProtocol,
     DatasetMeta,
     DatasetSplit,
+    HumanFrame,
     RecordedFrames,
     collect,
     ingest_openface_csv,
     load_dataset,
+    parse_openface_lines,
     save_dataset,
     split,
     split_indices,
@@ -555,3 +559,165 @@ class TestOpenFaceParsingRules:
         lines[3] = ",".join(cells)
         with pytest.raises(OpenFaceFormatError, match=r":4: unparsable value for column 'Z_9'"):
             self.read(tmp_path, "\n".join(lines) + "\n")
+
+
+def with_cell(line, at, value):
+    """``line`` with its cell ``at`` replaced by ``value``."""
+    cells = line.split(",")
+    cells[at] = value
+    return ",".join(cells)
+
+
+class TestOpenFaceBatching:
+    """A file is converted in one batch, a stream of lines one line per
+    batch, by the same parser: the two give the same frames and errors."""
+
+    def rows(self):
+        rng = np.random.default_rng(41)
+        return [
+            {
+                "landmarks": rng.normal(scale=30.0, size=(68, 3)),
+                "aus": rng.uniform(-1.0, 6.0, size=17),  # clipped to [0, 5]
+                "rotation": rng.uniform(-4.0, 4.0, size=3),  # wrapped by Pose
+                "translation": rng.normal(scale=10.0, size=3) + [0.0, 0.0, 450.0],
+                "timestamp": i / 30.0,
+                "confidence": confidence,
+            }
+            for i, confidence in enumerate([0.95, 0.9, 0.5, 0.99, 0.85, 0.3, 0.97, 0.81])
+        ]
+
+    def both(self, path, threshold=CONFIDENCE_THRESHOLD):
+        """The frames of ``path`` read as a file and as a stream of lines."""
+        batch = ingest_openface_csv(path, threshold)
+        with open(path, newline="") as fh:
+            lazy = list(parse_openface_lines(fh, threshold, source=str(path)))
+        return batch, lazy
+
+    def streamed(self, path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(parse_openface_lines(fh, source=str(path)))
+
+    def write(self, tmp_path, *edits):
+        """Write the rows to ``of.csv``, each ``(row, column, cell)`` edit
+        replacing one cell of a data row; return the path."""
+        header, *lines = openface_csv_text(self.rows()).splitlines()
+        names = [c.strip() for c in header.split(",")]
+        for row, name, cell in edits:
+            lines[row] = with_cell(lines[row], names.index(name), cell)
+        path = tmp_path / "of.csv"
+        path.write_text("\n".join([header] + lines) + "\n", encoding="utf-8")
+        return path
+
+    def messy_text(self):
+        """The rows as a CRLF CSV with a text column in front, a blank line,
+        a line of commas, a ``nan`` confidence and low-confidence garbage."""
+        header, *lines = openface_csv_text(self.rows()).splitlines()
+        names = ["note"] + [c.strip() for c in header.split(",")]
+        lines = [f"face {i}, " + line for i, line in enumerate(lines)]
+        conf = names.index("confidence")
+        lines[1] = with_cell(lines[1], conf, " nan")
+        garbage = with_cell(lines[4], names.index("X_4"), "garbage")
+        garbage = with_cell(garbage, names.index("AU12_r"), "")
+        lines[4] = with_cell(garbage, conf, " -0.5")
+        lines.insert(6, "")
+        lines.insert(3, "," * (len(names) - 1))
+        return "\r\n".join(["note, " + header] + lines) + "\r\n"
+
+    @pytest.mark.parametrize("threshold", [CONFIDENCE_THRESHOLD, 0.0])
+    def test_file_and_lines_give_the_same_frames(self, tmp_path, threshold):
+        path = tmp_path / "of.csv"
+        path.write_bytes(self.messy_text().encode())
+        assert path.read_bytes().split(b",")[1].startswith(b" ")  # as OpenFace writes it
+        batch, lazy = self.both(path, threshold)
+        # the nan confidence reads as 0.0; skipped lines count
+        expected = [2, 3, 4, 6, 8, 10, 11] if threshold == 0.0 else [2, 6, 10, 11]
+        assert [f.line for f in batch] == expected
+        assert len(lazy) == len(batch)
+        for a, b in zip(batch, lazy):
+            for x, y in zip(frame_fields(a)[:4], frame_fields(b)[:4]):
+                assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+            assert (a.timestamp, a.confidence, a.source, a.line) == (
+                b.timestamp, b.confidence, b.source, b.line)
+        assert batch[1].confidence == (0.0 if threshold == 0.0 else 0.99)
+
+    def test_parsed_arrays_pinned(self, tmp_path):
+        # digests taken from the row-by-row parser this one replaced
+        path = tmp_path / "of.csv"
+        path.write_text(openface_csv_text(self.rows()))
+        stack = HumanFrame.stack(ingest_openface_csv(path))
+        fields = {
+            "landmarks": stack.landmarks, "aus": stack.aus,
+            "rotation": stack.pose.rotation, "translation": stack.pose.translation,
+            "timestamp": stack.timestamp, "confidence": stack.confidence, "line": stack.line,
+        }
+        assert {name: array_sha256(a) for name, a in fields.items()} == {
+            "landmarks": "1ac3cbbcf2804f91f3aa842a54396e56aee12f12df412619b0a9a39e2966866d",
+            "aus": "a30f2182ccfe26043542b968823f7cac53dee7085b75fc75290ca36695ab306a",
+            "rotation": "bfc0dceec46baf29b5db40fe1fed62f7e17a7694dfcd80846e2a4f8a00bb3a1d",
+            "translation": "1b8d6179fdf5162690760f804f357c30f326de2a7db1e36ef6e2e120aa61850e",
+            "timestamp": "8e291936e8b96b8f9384c68be427af29a1eb4246102d82f3e861e5aaa218b0e1",
+            "confidence": "b661b041a080ec1a2544ea351dd57e64cbac9272f0481238c60a45128273f814",
+            "line": "8709990727d8e4a264b60e777380fe25c8d906eee4b17227153348f46214dea8",
+        }
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"])  # float() reads 10.0, 12.0
+    @pytest.mark.parametrize("name", ["confidence", "Y_3", "AU45_r", "timestamp"])
+    def test_digit_separators_and_non_ascii_digits_are_unparsable(self, tmp_path, cell, name):
+        assert float(cell) in (10.0, 12.0)
+        path = self.write(tmp_path, (1, name, cell))
+        message = rf"of\.csv:3: unparsable value for column '{name}'$"
+        with pytest.raises(OpenFaceFormatError, match=message):
+            ingest_openface_csv(path)
+        with pytest.raises(OpenFaceFormatError, match=message):
+            self.streamed(path)
+
+    def test_cells_read_as_the_converter_reads_them(self, tmp_path):
+        # numpy strips the separators \x1c-\x1f around a number, which
+        # float() rejects; a confidence cell is read by numpy too
+        path = self.write(
+            tmp_path,
+            (0, "confidence", "\x1c0.95"),
+            (1, "Y_3", "1.5\x1f"),
+            (3, "confidence", "0.3\x1e"),  # dropped
+        )
+        for frames in self.both(path):
+            assert [f.line for f in frames[:3]] == [2, 3, 6]
+            assert frames[0].confidence == 0.95
+            assert frames[1].landmarks[3, 1] == 1.5
+
+    def test_file_text_is_not_held_whole(self, tmp_path):
+        # the rows stream through the parser: a file with wide unread
+        # columns costs about its frames, not its text
+        header, *lines = openface_csv_text(self.rows() * 25).splitlines()
+        path = tmp_path / "of.csv"
+        path.write_text("".join(line + ", n/a" * 2000 + "\n" for line in [header] + lines))
+        tracemalloc.start()
+        try:
+            frames = ingest_openface_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(frames) == 150
+        assert peak < path.stat().st_size / 3
+
+    def test_error_names_the_first_bad_row_in_line_order(self, tmp_path):
+        # a later row's bad confidence cell is found after an earlier
+        # row's bad landmark cell
+        path = self.write(tmp_path, (1, "Z_60", "bad"), (3, "confidence", "bad"))
+        message = r"of\.csv:3: unparsable value for column 'Z_60'$"
+        with pytest.raises(OpenFaceFormatError, match=message):
+            ingest_openface_csv(path)
+        with pytest.raises(OpenFaceFormatError, match=message):
+            self.streamed(path)
+
+    def test_no_confident_rows_gives_no_frames_and_no_warning(self, tmp_path):
+        rows = self.rows()
+        for row in rows:
+            row["confidence"] = 0.2
+        text = openface_csv_text(rows)
+        path = tmp_path / "of.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for body in (text, text.split("\n", 1)[0] + "\n"):  # low rows; header only
+                path.write_text(body)
+                assert self.both(path) == ([], [])

@@ -373,8 +373,24 @@ class TestUnalignedDistances:
         cmd = retarget_frame(distances, line)
         assert_valid_command(cmd)
         assert list(stream(distances, [line])) == [cmd]
-        with pytest.raises(AlignmentDegenerateError):
-            retarget_frame(calibrated.models["landmarks"], line)
+        # a landmarks model names the frame's line, alone and in a stack ...
+        landmarks = calibrated.models["landmarks"]
+        line = dataclasses.replace(line, source="a.csv", line=7)
+        with pytest.raises(AlignmentDegenerateError, match=r"^a\.csv:7: source landmarks"):
+            retarget_frame(landmarks, line)
+        frames = [
+            dataclasses.replace(f, source="a.csv", line=2 + i)
+            for i, f in enumerate(calibrated.frames[:5])
+        ]
+        with pytest.raises(AlignmentDegenerateError, match=r"^a\.csv:7: frame 5: source"):
+            calibrate_human(landmarks, frames + [line])
+        with pytest.raises(AlignmentDegenerateError, match=r"^a\.csv:7: frame 5: source"):
+            retarget_frame(landmarks, HumanFrame.stack(frames + [line]))
+        # ... and its stream holds it, as it holds a non-finite frame
+        out = list(stream(landmarks, [frames[1], line, frames[1]]))
+        assert len(out) == 3
+        assert out[1] == out[0]
+        assert_valid_command(out[2])
 
 
 class TestStackedFrames:
