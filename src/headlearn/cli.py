@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -252,9 +253,16 @@ def cmd_stream(args) -> int:
         commands = stream(
             model, frames, smoothing_window=args.window, confidence_threshold=args.threshold
         )
-        for frame, command in zip(stamped, commands):
-            sys.stdout.write(f"{frame.timestamp}," + _command_line(command) + "\n")
-            sys.stdout.flush()
+        try:
+            for frame, command in zip(stamped, commands):
+                sys.stdout.write(f"{frame.timestamp}," + _command_line(command) + "\n")
+                sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout (``stream ... | head``): end quietly,
+            # with stdout on devnull for the interpreter's flush at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import N_PAIRS, PAIR_INDICES, pair_distances, pair_index
+from .geometry import N_PAIRS, PAIR_INDICES, pair_distances, pair_index, pair_indices
 
 # The 17 AU intensity channels emitted by OpenFace 2.0, in fixed order.
 AU_IDS = (1, 2, 4, 5, 6, 7, 9, 10, 12, 14, 15, 17, 20, 23, 25, 26, 45)
@@ -76,13 +76,12 @@ class AUReadout:
         if missing:
             raise ConfigError(f"au_defs missing definitions for AUs {missing}")
         self.defs = [by_id[au] for au in AU_IDS]
-        read = [pair_index(i, j) for d in self.defs for i, j, _ in d.weights]
-        self.pairs = np.unique(np.array(read, dtype=int))
+        ends = [end for d in self.defs for i, j, _ in d.weights for end in (i, j)]
+        read = pair_indices(*np.array(ends, dtype=int).reshape(-1, 2).T)
+        self.pairs = np.unique(read)
         self._first, self._second = PAIR_INDICES[self.pairs].T
-        column = {p: c for c, p in enumerate(self.pairs.tolist())}
-        self._terms = [
-            [(column[pair_index(i, j)], w) for i, j, w in d.weights] for d in self.defs
-        ]
+        column = iter(np.searchsorted(self.pairs, read).tolist())
+        self._terms = [[(next(column), w) for _, _, w in d.weights] for d in self.defs]
         self._sigmas = np.array([d.noise_sigma for d in self.defs])
 
     def distances(self, landmarks: np.ndarray) -> np.ndarray:

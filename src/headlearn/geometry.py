@@ -33,8 +33,9 @@ CHUNK = 32
 # the element order of every pairwise-distance vector.
 _TRIU = np.triu_indices(N_LANDMARKS, k=1)
 PAIR_INDICES = np.stack(_TRIU, axis=1)
-# The same pairs as indices of their x, y, z cells in a flat (68, 3) set
-_TRIU_CELLS = tuple((i[:, None] * 3 + np.arange(3)).ravel() for i in _TRIU)
+# The same pairs as indices of cells in a flat (68, 3) set, (2, 3, 2278):
+# [first or second landmark, x y or z, pair]
+_TRIU_CELLS = np.stack([np.arange(3)[:, None] + 3 * i for i in _TRIU])
 
 # Left/right landmark correspondence under the x -> -x mirror.
 _MIRROR_PAIRS = (
@@ -167,12 +168,21 @@ def pair_distances(points: np.ndarray, first: np.ndarray, second: np.ndarray) ->
     # take gathers about twice as fast as fancy indexing, and keeps a
     # stacked result C-ordered
     diff = np.take(pts, first, axis=-2) - np.take(pts, second, axis=-2)
-    return _lengths(diff)
+    diff *= diff
+    return _lengths(diff[..., 0], diff[..., 1], diff[..., 2])
 
 
-def _lengths(diff: np.ndarray) -> np.ndarray:
-    """Euclidean lengths of (..., k, 3) difference vectors, (..., k)."""
-    return np.sqrt(np.einsum("...ij,...ij->...i", diff, diff))
+def _lengths(x2: np.ndarray, y2: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of difference vectors from their squared x, y and
+    z components.
+
+    The squares are summed as (x² + z²) + y²: the order numpy's einsum
+    kernel took on x86-64 (numpy 2.4), which measured these lengths before,
+    so they keep their bits.
+    """
+    out = x2 + z2
+    out += y2
+    return np.sqrt(out, out=out)
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
@@ -186,10 +196,12 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 2:
-        # one set: gathering cells of the flat set is faster than gathering
-        # rows, and gives the same C-ordered differences
-        first, second = _TRIU_CELLS
-        return _lengths((pts.take(first) - pts.take(second)).reshape(N_PAIRS, 3))
+        # one set: one gather of both endpoints' cells of the flat set, laid
+        # out component by component, is faster than gathering rows
+        cells = pts.take(_TRIU_CELLS)
+        diff = cells[0] - cells[1]
+        diff *= diff
+        return _lengths(*diff)
     out = np.empty((len(pts), N_PAIRS))
     for start in range(0, len(pts), CHUNK):
         out[start:start + CHUNK] = pair_distances(pts[start:start + CHUNK], *_TRIU)
@@ -204,6 +216,22 @@ def pair_index(i: int, j: int) -> int:
         i, j = j, i
     if not 0 <= i < j < N_LANDMARKS:
         raise ValueError(f"landmark indices out of range: ({i}, {j})")
+    return _triu_offset(i, j)
+
+
+def pair_indices(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """:func:`pair_index` of each pair (``first[k]``, ``second[k]``) of two
+    int arrays; the first pair it would reject raises its error."""
+    lo, hi = np.minimum(first, second), np.maximum(first, second)
+    bad = (lo == hi) | (lo < 0) | (hi >= N_LANDMARKS)
+    if bad.any():
+        k = int(np.argmax(bad))
+        pair_index(int(first[k]), int(second[k]))
+    return _triu_offset(lo, hi)
+
+
+def _triu_offset(i, j):
+    """Flat index of pairs i < j: ints, or int arrays of equal shape."""
     # offset of row i in the upper triangle, then column offset
     return i * (2 * N_LANDMARKS - i - 1) // 2 + (j - i - 1)
 

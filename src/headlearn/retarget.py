@@ -16,11 +16,13 @@ Flows:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,18 +132,33 @@ def command_from_raw(raw: np.ndarray) -> ActuatorCommand | np.ndarray:
     InvalidCommandError naming its channel.
     """
     raw = np.asarray(raw, dtype=float)
+    if raw.ndim > 1:
+        _check_not_nan(raw)
+        return np.clip(np.floor(raw + 0.5), COMMAND_MIN, COMMAND_MAX).astype(int)
+    if raw.shape != (N_CHANNELS,):
+        raise InvalidCommandError(f"expected {N_CHANNELS} values, got {raw.shape}")
+    # one row in Python floats, in one pass: inside the range int() is the
+    # floor; a NaN fails both comparisons, then int()
+    try:
+        values = {
+            ch: COMMAND_MIN if (u := v + 0.5) < COMMAND_MIN
+            else COMMAND_MAX if u >= COMMAND_MAX
+            else int(u)
+            for ch, v in zip(CHANNELS, raw.tolist())
+        }
+    except ValueError:
+        _check_not_nan(raw)
+        raise
+    return ActuatorCommand(values)
+
+
+def _check_not_nan(raw: np.ndarray) -> None:
+    """Raise InvalidCommandError naming the channel of the first NaN."""
     nan = np.isnan(raw)
     if nan.any():
         raise InvalidCommandError(
             f"channel {CHANNELS[np.nonzero(nan)[-1][0]]} prediction is NaN"
         )
-    if raw.ndim > 1:
-        return np.clip(np.floor(raw + 0.5), COMMAND_MIN, COMMAND_MAX).astype(int)
-    # one row in Python floats: clipping before the floor gives the same
-    # integers, as the range ends are integers
-    return ActuatorCommand.from_array([
-        math.floor(min(max(v + 0.5, COMMAND_MIN), COMMAND_MAX)) for v in raw.tolist()
-    ])
 
 
 @dataclass
@@ -264,7 +281,7 @@ class PipelineModel:
         (within 1e-12 relative), so aligning first would only cost time.
         """
         if self.feature_kind == "au":
-            return frame.aus[..., self.au_index]
+            return frame.aus.take(self.au_index, axis=-1)
         if self.feature_kind == "distances":
             return pairwise_distances(frame.landmarks)
         face = derotate(frame.landmarks, frame.pose)
@@ -314,13 +331,38 @@ class PipelineModel:
         1e-9 relative; an MLP model takes them one by one.
         """
         self._check_calibrated()
-        features = self.frame_features(frame)
+        return self.features_raw(self.frame_features(frame))
+
+    def features_raw(self, features: np.ndarray) -> np.ndarray:
+        """:meth:`human_raw` from the model-space features of a tracked
+        frame, (d,), or of a stack of frames, (n, d)."""
         if self.affine is not None:
             mins, weights, bias = self.affine
             return (features - mins) @ weights + bias
         mapped = minmax_map(features, self.human_stats, self.robot_stats)
         raw = self.predict_raw(np.atleast_2d(mapped))
         return raw[0] if mapped.ndim == 1 else raw
+
+    def live_raw(self, frame: HumanFrame) -> np.ndarray | None:
+        """:meth:`human_raw` of one confident tracked frame, for a calibrated
+        model, or None when :func:`stream` holds it: an input the model reads is not finite
+        (see :meth:`reads_finite`), a landmarks model cannot align its
+        landmarks (collinear), or the prediction is not finite.  Each input
+        is read once: the kept AUs in one gather, checked and mapped."""
+        # a few values are checked faster as Python floats than by numpy
+        if self.feature_kind == "au":
+            features = self.frame_features(frame)
+            if not all(map(math.isfinite, features.tolist())):
+                return None
+        elif not self.reads_finite(frame):
+            return None
+        else:
+            try:
+                features = self.frame_features(frame)
+            except AlignmentDegenerateError:  # collinear landmarks: no defined features
+                return None
+        raw = self.features_raw(features)
+        return raw if all(map(math.isfinite, raw.tolist())) else None
 
 
 def save_model(model: PipelineModel, path: str | Path) -> None:
@@ -485,24 +527,20 @@ def calibrate_human(model: PipelineModel, frames: Iterable[HumanFrame]) -> Pipel
     The recording should cover neutral plus expressive frames so the
     observed range spans the actor's expression space.  The frames go
     through the model as one stack.  A frame with a non-finite value in an
-    input the model reads raises OpenFaceFormatError naming the frame's
-    index and timestamp, after its CSV source and line when it was parsed;
-    collinear landmarks raise AlignmentDegenerateError for a landmarks
-    model, after the same source and line.
+    input the model reads, or in the features the model computes from them,
+    raises OpenFaceFormatError naming the frame's index and timestamp, after
+    its CSV source and line when it was parsed; collinear landmarks raise
+    AlignmentDegenerateError for a landmarks model, after the same source
+    and line.
     """
     frames = list(frames)
     if len(frames) < 2:
         raise ValueError("calibration needs at least 2 frames")
-    stack = HumanFrame.stack(frames)
-    finite = model.reads_finite(stack)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise OpenFaceFormatError(
-            f"{frames[i].location()}calibration frame {i} (timestamp {frames[i].timestamp}): "
-            f"non-finite value in an input the {model.feature_kind} model reads"
-        )
-    stats = fit_minmax(model.frame_features(stack))
-    return replace(model, human_stats=stats)
+    features = _finite_features(
+        model, HumanFrame.stack(frames),
+        lambda i: f"{frames[i].location()}calibration frame {i} (timestamp {frames[i].timestamp})",
+    )
+    return replace(model, human_stats=fit_minmax(features))
 
 
 def retarget_frame(
@@ -512,20 +550,40 @@ def retarget_frame(
     n frames onto (n, 9) int command rows: the
     :meth:`PipelineModel.human_raw` prediction, rounded and clipped.
 
-    A non-finite value in an input the model reads raises
-    OpenFaceFormatError naming the timestamp of the first such frame, after
-    its CSV source and line when it was parsed; collinear landmarks raise
-    AlignmentDegenerateError for a landmarks model, after the same prefix.
+    A non-finite value in an input the model reads, or in the features the
+    model computes from them, raises OpenFaceFormatError naming the
+    timestamp of the first such frame, after its CSV source and line when
+    it was parsed; collinear landmarks raise AlignmentDegenerateError for a
+    landmarks model, after the same prefix.
+    """
+    features = _finite_features(
+        model, frame,
+        lambda i: f"{frame.location(i)}frame at timestamp {float(np.atleast_1d(frame.timestamp)[i])}",
+    )
+    model._check_calibrated()
+    return command_from_raw(model.features_raw(features))
+
+
+def _finite_features(
+    model: PipelineModel, frame: HumanFrame, name: Callable[[int], str]
+) -> np.ndarray:
+    """The model's features of a tracked frame, (d,), or of a stack, (n, d).
+
+    The first frame with a non-finite value in an input the model reads, or
+    in the features computed from them (the squares in a distance overflow
+    past about 1e154 mm), raises OpenFaceFormatError after ``name(i)``, the
+    words for frame ``i``.
     """
     finite = np.atleast_1d(model.reads_finite(frame))
+    problem = f"non-finite value in an input the {model.feature_kind} model reads"
+    if finite.all():
+        features = model.frame_features(frame)
+        finite = np.atleast_1d(np.isfinite(features).all(axis=-1))
+        problem = f"non-finite {model.feature_kind} features computed from its inputs"
     if not finite.all():
         i = int(np.argmin(finite))
-        timestamp = float(np.atleast_1d(frame.timestamp)[i])
-        raise OpenFaceFormatError(
-            f"{frame.location(i)}frame at timestamp {timestamp}: "
-            f"non-finite value in an input the {model.feature_kind} model reads"
-        )
-    return command_from_raw(model.human_raw(frame))
+        raise OpenFaceFormatError(f"{name(i)}: {problem}")
+    return features
 
 
 def stream(
@@ -537,39 +595,28 @@ def stream(
     """Per-frame retargeting with trailing smoothing and hold-last gaps.
 
     Emits exactly one command per input frame.  Frames under the
-    confidence threshold (or with a NaN confidence), and frames with a
-    non-finite value in an input the model reads (see
-    :meth:`PipelineModel.reads_finite`), or whose landmarks a landmarks
-    model cannot align (collinear), repeat the previously emitted
-    command (the neutral command before any frame passed); other frames
-    enter a trailing moving average of raw predictions of length
-    ``smoothing_window`` before rounding.
+    confidence threshold (or with a NaN confidence), and frames that
+    :meth:`PipelineModel.live_raw` holds (a non-finite input the model
+    reads, collinear landmarks for a landmarks model, or a non-finite
+    prediction), repeat the previously emitted command (the neutral
+    command before any frame passed); other frames enter a trailing
+    moving average of raw predictions of length ``smoothing_window``
+    before rounding.
 
     A model without human stats raises CalibrationRequiredError when the
     first frame arrives, before any command is emitted.
     """
     if smoothing_window < 1:
         raise ValueError("smoothing_window must be >= 1")
-    # the last n raw predictions, oldest first; their sum and division are
-    # the ones np.mean makes over them
-    buffer = np.empty((smoothing_window, N_CHANNELS))
-    n = 0
+    # the last raw predictions, summed oldest first from 0.0: the sum
+    # np.add.reduce makes of the rows of an array (-0.0 columns sum to 0.0)
+    window = deque(maxlen=smoothing_window)
     last = ActuatorCommand.neutral()
     for frame in frames:
         model._check_calibrated()
         # a NaN confidence counts as low
-        if not frame.confidence >= confidence_threshold or not model.reads_finite(frame):
-            yield last
-            continue
-        try:
-            raw = model.human_raw(frame)
-        except AlignmentDegenerateError:  # collinear landmarks: no defined features
-            yield last
-            continue
-        if n == smoothing_window:
-            buffer[:-1] = buffer[1:]
-        else:
-            n += 1
-        buffer[n - 1] = raw
-        last = command_from_raw(np.add.reduce(buffer[:n], axis=0) / n)
+        raw = model.live_raw(frame) if frame.confidence >= confidence_threshold else None
+        if raw is not None:
+            window.append(raw)
+            last = command_from_raw(functools.reduce(np.add, window, 0.0) / len(window))
         yield last

@@ -38,6 +38,7 @@ from .records import from_json, read_json, to_json
 # head are not modelled.
 CHANNELS = (1, 4, 5, 6, 7, 8, 9, 10, 11)
 CHANNEL_INDEX = {ch: i for i, ch in enumerate(CHANNELS)}
+_CHANNEL_SET = frozenset(CHANNELS)
 N_CHANNELS = len(CHANNELS)
 
 COMMAND_MIN = 0
@@ -55,6 +56,21 @@ class ActuatorCommand:
     values: dict[int, int]
 
     def __post_init__(self) -> None:
+        keys, values = self.values.keys(), self.values.values()
+        # a valid command of ints in one pass; any other goes through the
+        # checks below, which convert its keys and values or word its first
+        # fault
+        if (
+            keys == _CHANNEL_SET
+            and {*map(type, keys), *map(type, values)} == {int}
+            and COMMAND_MIN <= min(values)
+            and max(values) <= COMMAND_MAX
+        ):
+            self.values = dict(self.values)
+        else:
+            self.values = self._checked_values()
+
+    def _checked_values(self) -> dict[int, int]:
         vals = {}
         for ch, v in self.values.items():
             ch = int(ch)
@@ -69,7 +85,7 @@ class ActuatorCommand:
         if set(vals) != set(CHANNELS):
             missing = sorted(set(CHANNELS) - set(vals))
             raise InvalidCommandError(f"command missing channels {missing}")
-        self.values = vals
+        return vals
 
     @classmethod
     def neutral(cls) -> "ActuatorCommand":

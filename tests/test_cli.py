@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import operator
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -205,6 +207,33 @@ class TestHumanFlows:
         assert all(len(line.split(",")) == 10 for line in from_stdin)
         # the header and the first row, then one command out per row in
         assert written == [0] + list(range(8))
+
+    def test_stream_ends_quietly_when_stdout_closes(self, model_path, human_csv, tmp_path):
+        calibrated = tmp_path / "cal.json"
+        assert main(["calibrate-human", "--model", str(model_path), "--csv", str(human_csv),
+                     "--out", str(calibrated)]) == 0
+        header, *rows = human_csv.read_text().splitlines(keepends=True)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "headlearn.cli", "stream", "--model", str(calibrated)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            # two rows in, two lines out, then the reader goes away while
+            # more rows arrive
+            proc.stdin.write("".join([header] + rows[:2]).encode())
+            proc.stdin.flush()
+            assert len(proc.stdout.readline().split(b",")) == 10
+            assert len(proc.stdout.readline().split(b",")) == 10
+            proc.stdout.close()
+            proc.stdin.write("".join(rows[2:]).encode())
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
 
     def test_stream_on_uncalibrated_model_writes_nothing(
         self, model_path, default_head, tmp_path, capsys

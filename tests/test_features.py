@@ -131,6 +131,65 @@ class TestExtractAus:
         assert readout.pairs.tolist() == sorted({pair_index(0, 16), pair_index(3, 5)})
         assert np.array_equal(readout.distances(pts), pairwise_distances(pts)[readout.pairs])
 
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_readout_equals_per_pair_construction(self, default_head, seed):
+        # the default head's definitions, or random ones whose pairs repeat
+        # and come in either order
+        if seed is None:
+            defs = default_head.au_defs
+        else:
+            rng = np.random.default_rng(seed)
+            defs = full_au_defs({
+                au: AUDef(
+                    au,
+                    weights=[
+                        (*rng.choice(12, size=2, replace=False).tolist(), float(rng.normal()))
+                        for _ in range(rng.integers(0, 5))
+                    ],
+                    bias=float(rng.normal()),
+                    crosstalk=[(AU_IDS[rng.integers(len(AU_IDS))], 0.3)],
+                )
+                for au in AU_IDS
+            })
+        readout = AUReadout(defs)
+        by_id = {d.au: d for d in defs}
+        ordered = [by_id[au] for au in AU_IDS]
+        pairs = np.unique([pair_index(i, j) for d in ordered for i, j, _ in d.weights]).astype(int)
+        column = {p: c for c, p in enumerate(pairs.tolist())}
+        terms = [[(column[pair_index(i, j)], w) for i, j, w in d.weights] for d in ordered]
+        assert readout.pairs.tolist() == pairs.tolist()
+        assert readout._terms == terms
+
+        pts = spread_landmarks()
+        neutral = pairwise_distances(pts + 0.5)
+        delta = pairwise_distances(pts) - neutral
+        base = np.empty(len(AU_IDS))
+        for k, d in enumerate(ordered):
+            acc = d.bias
+            for i, j, w in d.weights:
+                acc = acc + w * delta[pair_index(i, j)]
+            base[k] = acc
+        want = base.copy()
+        for k, d in enumerate(ordered):
+            for other, coeff in d.crosstalk:
+                want[k] += coeff * base[AU_INDEX[other]]
+        got = readout.intensities(readout.distances(pts), neutral[readout.pairs])
+        assert got.tobytes() == np.clip(want, 0.0, 5.0).tobytes()
+
+    def test_readout_names_the_first_bad_pair(self):
+        # a weight list changed after its AUDef checked it
+        defs = full_au_defs({
+            1: AUDef(1, weights=[(0, 16, 1.0)]),
+            2: AUDef(2, weights=[(3, 5, 1.0)]),
+        })
+        defs[AU_INDEX[2]].weights.append((7, 7, 1.0))
+        defs[AU_INDEX[1]].weights.append((70, 2, 1.0))
+        with pytest.raises(ValueError, match=r"^landmark indices out of range: \(2, 70\)$"):
+            AUReadout(defs)
+        defs[AU_INDEX[1]].weights.pop()
+        with pytest.raises(ValueError, match="^pair needs two distinct landmark indices$"):
+            AUReadout(defs)
+
     def test_output_always_inside_intensity_range(self):
         rng = np.random.default_rng(4)
         pts = spread_landmarks()

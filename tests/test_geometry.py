@@ -18,6 +18,7 @@ from headlearn.geometry import (
     derotate,
     pair_distances,
     pair_index,
+    pair_indices,
     pairwise_distances,
     procrustes_align,
 )
@@ -110,6 +111,9 @@ class TestPairwiseDistances:
             pair_index(3, 3)
         with pytest.raises(ValueError):
             pair_index(0, 68)
+        first, second = PAIR_INDICES.T
+        assert pair_indices(first, second).tolist() == list(range(N_PAIRS))
+        assert pair_indices(second, first).tolist() == list(range(N_PAIRS))
 
     def test_known_distance(self):
         pts = np.zeros((N_LANDMARKS, 3))
@@ -226,6 +230,25 @@ class TestStackEqualsLoop:
         assert 2 * CHUNK < len(pts) < 3 * CHUNK
         stacked = pairwise_distances(pts)
         assert np.array_equal(stacked, np.array([pairwise_distances(p) for p in pts]))
+
+    @given(
+        n=st.integers(1, 2 * CHUNK + 3),
+        exponent=st.integers(-100, 100),
+        seed=st.integers(0, 2**32 - 1),
+        shared=st.integers(0, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_set_equals_its_stacked_row_and_the_norm(self, n, exponent, seed, shared):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(scale=10.0**exponent, size=(n, N_LANDMARKS, 3))
+        pts[:, :shared] = pts[:, shared:2 * shared]  # coincident landmarks
+        stacked = pairwise_distances(pts)
+        first, second = PAIR_INDICES.T
+        for p, row in zip(pts, stacked):
+            one = pairwise_distances(p)
+            assert one.tobytes() == row.tobytes()
+            norm = np.linalg.norm(p[first] - p[second], axis=1)
+            np.testing.assert_allclose(one, norm, rtol=1e-15, atol=0.0)
 
     def test_pair_distances_are_the_selected_columns(self):
         pts = self.faces(27)

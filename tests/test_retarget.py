@@ -3,6 +3,8 @@ import functools
 import json
 import operator
 import re
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,7 +51,7 @@ from headlearn.retarget import (
     stream,
 )
 from headlearn.records import to_json
-from headlearn.simulator import CHANNELS, HeadSimulator, random_command
+from headlearn.simulator import CHANNELS, ActuatorCommand, HeadSimulator, random_command
 
 from conftest import (
     array_sha256,
@@ -664,6 +666,8 @@ def calibrated(trained, default_head):
 
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+# finite cells whose squares overflow, as the distances read them
+HUGE = st.sampled_from([1e155, -1e155, 1e300, -1e300])
 # (field, flat cell index) of one HumanFrame input cell
 CELLS = st.one_of(
     st.tuples(st.just("aus"), st.integers(0, 16)),
@@ -675,7 +679,7 @@ FRAMES = st.lists(
     st.tuples(
         st.integers(0, 7),                               # which simulated frame
         st.one_of(st.floats(0.0, 1.0), st.just(np.nan)),  # tracker confidence
-        st.lists(st.tuples(CELLS, NON_FINITE), max_size=3),
+        st.lists(st.tuples(CELLS, st.one_of(NON_FINITE, HUGE)), max_size=3),
     ),
     max_size=10,
 )
@@ -723,7 +727,8 @@ class TestStreamContract:
             dataclasses.replace(corrupt(pool[i], cells), confidence=c)
             for i, c, cells in spec
         ]
-        out = list(stream(model, frames, smoothing_window=window))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = list(stream(model, frames, smoothing_window=window))
         assert len(out) == len(frames)
         for cmd in out:
             assert_valid_command(cmd)
@@ -771,19 +776,20 @@ class TestNonFiniteInputs:
         with pytest.raises(OpenFaceFormatError, match="timestamp 4.25"):
             retarget_frame(model, bad)
 
-    def nan_csv(self, head, seed, path, kind, model):
+    def nan_csv(self, head, seed, path, kind, model, value=np.nan, landmark=8):
         """Five confident frames as OpenFace CSV, one cell of the fourth
-        (line 5) NaN in an input a ``kind`` model reads."""
+        (line 5) NaN, or ``value``, in an input a ``kind`` model reads: a
+        kept AU, or the x of ``landmark``."""
         rows = frames_from_simulator(
             head, [random_command(head, np.random.default_rng(seed)) for _ in range(5)],
             rng_seed=seed,
         )
         if kind == "au":
             rows[3]["aus"] = np.array(rows[3]["aus"])
-            rows[3]["aus"][AU_INDEX[model.au_ids_used[0]]] = np.nan
+            rows[3]["aus"][AU_INDEX[model.au_ids_used[0]]] = value
         else:
             rows[3]["landmarks"] = np.array(rows[3]["landmarks"])
-            rows[3]["landmarks"][8, 0] = np.nan
+            rows[3]["landmarks"][landmark, 0] = value
         path.write_text(openface_csv_text(rows))
         return ingest_openface_csv(path)
 
@@ -810,6 +816,44 @@ class TestNonFiniteInputs:
                 with pytest.raises(OpenFaceFormatError, match=message):
                     retarget_frame(model, batch)
 
+    def test_calibrate_human_names_non_finite_features(self, trained, default_head, tmp_path):
+        # X_5 = 1e200 is finite, but its squared differences overflow
+        _, _, models = trained
+        path = tmp_path / "huge.csv"
+        frames = self.nan_csv(default_head, 20, path, "distances", models["distances"], 1e200, 5)
+        message = (
+            rf"^{re.escape(str(path))}:5: calibration frame 3 \(timestamp {frames[3].timestamp}\): "
+            "non-finite distances features"
+        )
+        with np.errstate(over="ignore"), pytest.raises(OpenFaceFormatError, match=message):
+            calibrate_human(models["distances"], frames)
+
+    def test_retarget_frame_names_non_finite_features(self, trained, default_head, tmp_path):
+        _, _, models = trained
+        model = calibrate_human(models["distances"], self.frames(default_head, 21))
+        path = tmp_path / "huge.csv"
+        frames = self.nan_csv(default_head, 22, path, "distances", model, 1e200, 5)
+        message = (
+            rf"^{re.escape(str(path))}:5: frame at timestamp {frames[3].timestamp}: "
+            "non-finite distances features"
+        )
+        for batch in (frames[3], HumanFrame.stack(frames)):
+            with np.errstate(over="ignore"), pytest.raises(OpenFaceFormatError, match=message):
+                retarget_frame(model, batch)
+
+    @pytest.mark.parametrize("value", [1e160, 1e200, -1e300])
+    def test_stream_holds_a_non_finite_prediction(self, calibrated, value):
+        model = calibrated.models["distances"]
+        pool = calibrated.frames
+        landmarks = pool[2].landmarks.copy()
+        landmarks[5, 0] = value
+        huge = dataclasses.replace(pool[2], landmarks=landmarks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(model.human_raw(huge)).all()
+            out = list(stream(model, [pool[0], huge, pool[1]]))
+        assert len(out) == 3 and out[1] == out[0]
+        assert out[2] == retarget_frame(model, pool[1])
+
     def test_command_from_raw_nan_names_channel(self):
         raw = np.full(len(CHANNELS), 100.0)
         raw[1] = np.nan
@@ -823,6 +867,81 @@ class TestNonFiniteInputs:
         assert_valid_command(cmd)
         assert cmd.values[CHANNELS[0]] == 255 and cmd.values[CHANNELS[-1]] == 0
         assert cmd.values[CHANNELS[1]] == 100
+
+
+# Raw predictions: any float but NaN (infinities, signed zeros, huge
+# values), ties halfway between integers, and the range ends
+RAW = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(-300, 600).map(lambda k: k + 0.5),
+    st.sampled_from([0.0, -0.0, -0.5, 255.0, 255.5, 254.99999999999997]),
+)
+RAW_ROW = st.lists(RAW, min_size=len(CHANNELS), max_size=len(CHANNELS))
+
+
+class TestCommandFromRaw:
+    @given(rows=st.lists(RAW_ROW, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_one_row_equals_the_rows_branch(self, rows):
+        stacked = command_from_raw(np.array(rows, dtype=float))
+        assert stacked.shape == (len(rows), len(CHANNELS))
+        for row, ints in zip(rows, stacked.tolist()):
+            cmd = command_from_raw(np.array(row, dtype=float))
+            assert cmd.values == dict(zip(CHANNELS, ints))
+            assert all(type(v) is int for v in cmd.values.values())
+
+    @given(row=RAW_ROW, nans=st.sets(st.integers(0, len(CHANNELS) - 1), min_size=1))
+    @settings(max_examples=100, deadline=None)
+    def test_nan_names_the_first_nan_channel(self, row, nans):
+        raw = np.array(row, dtype=float)
+        raw[sorted(nans)] = np.nan
+        message = f"^channel {CHANNELS[min(nans)]} prediction is NaN$"
+        for batch in (raw, np.stack([np.zeros_like(raw), raw])):
+            with pytest.raises(InvalidCommandError, match=message):
+                command_from_raw(batch)
+
+
+class RowModel:
+    """A calibrated model's stand-in for :func:`stream`: its prediction
+    for a frame is the frame's ``raw`` row, None to hold it."""
+
+    def _check_calibrated(self):
+        pass
+
+    def live_raw(self, frame):
+        return frame.raw
+
+
+class TestStreamWindow:
+    @given(
+        rows=st.lists(
+            st.one_of(st.none(), st.lists(st.floats(-1e300, 1e300), min_size=9, max_size=9)),
+            max_size=12,
+        ),
+        window=st.integers(1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mean_equals_add_reduce(self, rows, window):
+        import headlearn.retarget as retarget_mod
+
+        rounded = []
+
+        def recording(raw):
+            rounded.append(np.array(raw))
+            return ActuatorCommand.neutral()
+
+        frames = [
+            SimpleNamespace(confidence=1.0, raw=None if r is None else np.array(r)) for r in rows
+        ]
+        with mock.patch.object(retarget_mod, "command_from_raw", recording):
+            out = list(stream(RowModel(), frames, smoothing_window=window))
+        assert len(out) == len(rows)
+        kept = np.array([r for r in rows if r is not None]).reshape(-1, 9)
+        want = [
+            np.add.reduce(kept[max(0, k + 1 - window):k + 1], axis=0) / min(k + 1, window)
+            for k in range(len(kept))
+        ]
+        assert [r.tobytes() for r in rounded] == [w.tobytes() for w in want]
 
 
 def staged_raw(model, frame):

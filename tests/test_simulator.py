@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headlearn.errors import ConfigError, InvalidCommandError
 from headlearn.features import AUDef
@@ -12,6 +14,7 @@ from headlearn.simulator import (
     CHANNEL_INDEX,
     CHANNELS,
     COMMAND_MAX,
+    COMMAND_MIN,
     ActuatorCommand,
     ActuatorDef,
     HeadConfig,
@@ -29,6 +32,14 @@ def command_with(channel, value):
     vals = {ch: 0 for ch in CHANNELS}
     vals[channel] = value
     return ActuatorCommand(vals)
+
+
+# Command values, valid or not, of every kind a caller may pass
+VALUES = st.one_of(
+    st.integers(-3, 258),
+    st.floats(-300.0, 300.0),
+    st.sampled_from([np.nan, np.inf, -np.inf, None, "7", "x", True]),
+)
 
 
 class TestActuatorCommand:
@@ -59,6 +70,52 @@ class TestActuatorCommand:
     def test_array_round_trip(self):
         cmd = ActuatorCommand({ch: i * 20 for i, ch in enumerate(CHANNELS)})
         assert ActuatorCommand.from_array(cmd.as_array()) == cmd
+
+    @given(values=st.one_of(
+        # any keys: most dicts have several faults
+        st.dictionaries(
+            st.one_of(st.sampled_from(CHANNELS + (0, 2, 12)), st.sampled_from(["4", "x", ""])),
+            VALUES,
+            max_size=12,
+        ),
+        # every channel, and at most a few faults
+        st.fixed_dictionaries(
+            {ch: st.one_of(st.integers(0, 255), VALUES) for ch in CHANNELS},
+            optional={2: VALUES, "4": VALUES},
+        ),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_checks_as_the_per_channel_loop(self, values):
+        # the values, or the error, that checking each entry in turn gives
+        def per_channel(values):
+            vals = {}
+            for ch, v in values.items():
+                ch = int(ch)
+                if ch not in CHANNEL_INDEX:
+                    raise InvalidCommandError(f"unknown channel id {ch}")
+                v = int(v)
+                if not COMMAND_MIN <= v <= COMMAND_MAX:
+                    raise InvalidCommandError(
+                        f"channel {ch} value {v} outside [{COMMAND_MIN}, {COMMAND_MAX}]"
+                    )
+                vals[ch] = v
+            if set(vals) != set(CHANNELS):
+                missing = sorted(set(CHANNELS) - set(vals))
+                raise InvalidCommandError(f"command missing channels {missing}")
+            return vals
+
+        def outcome(fn):
+            try:
+                return fn(dict(values))
+            except (InvalidCommandError, TypeError, ValueError, OverflowError) as e:
+                return type(e), str(e)
+
+        want = outcome(per_channel)
+        got = outcome(lambda v: ActuatorCommand(v).values)
+        assert got == want
+        if isinstance(got, dict):
+            assert [type(k) for k in got] == [type(k) for k in want]
+            assert all(type(v) is int for v in got.values())
 
 
 class TestForward:
