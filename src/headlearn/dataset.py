@@ -21,7 +21,6 @@ then the key path or the line.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import warnings
@@ -329,6 +328,8 @@ _LANDMARK_COLS = (
 )
 _AU_COLS = [f"AU{au:02d}" for au in AU_IDS]
 _CSV_HEADER = ["frame_id", "role"] + _COMMAND_COLS + _LANDMARK_COLS + _AU_COLS
+# the landmark and AU columns, parsed as floats by numpy
+_FLOAT_COLS = list(range(2 + N_CHANNELS, len(_CSV_HEADER)))
 
 
 def save_dataset(d: Dataset, path: str | Path) -> None:
@@ -350,6 +351,14 @@ def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
 
     If ``head`` is given, warns when the stored head-config hash differs
     from the current configuration.
+
+    The landmark and AU cells of all rows are parsed by one numpy call, so
+    they follow numpy's number syntax: a quoted number, a digit separator
+    (``1_0``) and non-ASCII digits are unparsable.  The frame id and the
+    commands are read by ``int()``.  LF and CRLF files load alike.  The
+    first faulty row, in line order, names its line: a truncated (or
+    blank) row, or its first unparsable cell; then the row count is
+    checked, then the roles, the command range and finiteness.
     """
     root = Path(path)
     meta_path = root / "metadata.json"
@@ -368,30 +377,40 @@ def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
             stacklevel=2,
         )
 
-    frame_ids, roles, commands, cells = [], [], [], []
-    with csv_path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetCorruptError(f"{csv_path} is empty") from None
-        if header != _CSV_HEADER:
+    with csv_path.open() as fh:  # universal newlines: LF and CRLF read alike
+        header = next(fh, None)
+        if header is None:
+            raise DatasetCorruptError(f"{csv_path} is empty")
+        if header.rstrip("\n").split(",") != _CSV_HEADER:
             raise DatasetCorruptError(f"{csv_path} has an unexpected column layout")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(_CSV_HEADER):
-                raise DatasetCorruptError(f"{csv_path}:{line_no}: truncated row")
-            try:
-                frame_ids.append(int(row[0]))
-                commands.append(list(map(int, row[2:2 + N_CHANNELS])))
-                cells.append(np.fromiter(map(float, row[2 + N_CHANNELS:]), float))
-            except ValueError as e:
-                raise DatasetCorruptError(f"{csv_path}:{line_no}: {e}") from None
-            roles.append(row[1])
+        frame_ids, roles, commands = [], [], []
+
+        def rows() -> Iterator[tuple[int, str]]:
+            """Each data line, once its frame id, role and commands are read."""
+            for line_no, line in enumerate(fh, start=2):
+                if line.count(",") != len(_CSV_HEADER) - 1:
+                    raise DatasetCorruptError(f"{csv_path}:{line_no}: truncated row")
+                frame_id, role, *command = line.split(",", 2 + N_CHANNELS)[:2 + N_CHANNELS]
+                try:
+                    frame_ids.append(int(frame_id))
+                    commands.append(list(map(int, command)))
+                except ValueError as e:
+                    raise DatasetCorruptError(f"{csv_path}:{line_no}: {e}") from None
+                roles.append(role)
+                yield line_no, line
+
+        try:
+            cells, _ = _parse_rows(rows(), _FLOAT_COLS)
+        except _UnparsableCell as e:
+            cell = e.line.rstrip("\n").split(",")[_FLOAT_COLS[e.at]]
+            raise DatasetCorruptError(
+                f"{csv_path}:{e.line_no}: could not convert string to float: {cell!r}"
+            ) from None
 
     n = len(frame_ids)
     if n != record.n_rows:
         raise DatasetCorruptError(f"{csv_path} has {n} rows, metadata says {record.n_rows}")
-    commands, cells = np.array(commands), np.array(cells)
+    commands = np.array(commands)
     for bad, first, problem in (  # each flags cells of the columns from _CSV_HEADER[first] on
         (np.array(roles)[:, None] != ROLE_TARGET, 1, "dataset rows must have role 'target'"),
         ((commands < COMMAND_MIN) | (commands > COMMAND_MAX), 2,
@@ -472,9 +491,6 @@ _OPENFACE_TAIL_COLS = (
     _OPENFACE_AU_COLS + [f"pose_R{ax}" for ax in "xyz"] + [f"pose_T{ax}" for ax in "xyz"]
     + ["timestamp"]
 )
-# The order a row's cells are read in: confidence first, so a low-confidence
-# row is skipped unparsed; an unparsable row names its first bad cell in it.
-_OPENFACE_READ_COLS = ["confidence"] + _LANDMARK_COLS + _OPENFACE_TAIL_COLS
 # The columns of the parsed value array, in its order: the landmarks point
 # by point, so that a frame's (68, 3) landmarks are a view of its row, then
 # the AUs, the pose rotation and translation, the timestamp and the
@@ -483,6 +499,13 @@ _OPENFACE_VALUE_COLS = (
     [f"{ax}_{i}" for i in range(N_LANDMARKS) for ax in "XYZ"] + _OPENFACE_TAIL_COLS
     + ["confidence"]
 )
+# The order a row's cells are read in, as columns of the value array:
+# confidence first, so a low-confidence row is skipped unparsed; an
+# unparsable row names its first bad cell in it.
+_OPENFACE_READ_ORDER = [
+    _OPENFACE_VALUE_COLS.index(name)
+    for name in ["confidence"] + _LANDMARK_COLS + _OPENFACE_TAIL_COLS
+]
 _AUS_AT = slice(3 * N_LANDMARKS, 3 * N_LANDMARKS + len(AU_IDS))
 _ROTATION_AT = slice(_AUS_AT.stop, _AUS_AT.stop + 3)
 _TRANSLATION_AT = slice(_ROTATION_AT.stop, _ROTATION_AT.stop + 3)
@@ -541,21 +564,32 @@ def _loadtxt(lines: Iterable[str], usecols: list[int]) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", usecols=usecols, comments=None, ndmin=2)
 
 
-def _openface_frames(
-    kept: Iterable[tuple[int, str]], usecols: list[int], source: str
-) -> list[HumanFrame]:
-    """Convert kept rows to frames with one numpy parse.
+class _UnparsableCell(ValueError):
+    """A cell numpy cannot parse: column ``at`` of the value array, in the
+    row ``line`` on line ``line_no``."""
 
-    The rows stream through the parser, so a file's text is never held
-    whole.  The read cells of every row become one (n, 229) array, in
-    ``_OPENFACE_VALUE_COLS`` order; each frame's fields are views of its
-    row.  If a cell does not parse, the error names the first such row and
-    its first bad cell in ``_OPENFACE_READ_COLS`` order.
+    def __init__(self, at: int, line_no: int, line: str):
+        super().__init__(f"line {line_no}: unparsable value in column {at}")
+        self.at, self.line_no, self.line = at, line_no, line
+
+
+def _parse_rows(
+    rows: Iterable[tuple[int, str]], usecols: list[int], order: Iterable[int] | None = None
+) -> tuple[np.ndarray, list[int]]:
+    """The ``usecols`` cells of ``(line number, line)`` rows as one (n,
+    len(usecols)) float array, parsed by one numpy call, and the rows' line
+    numbers.
+
+    The rows stream through the parser, so their text is never held whole.
+    numpy converts each row as it reads it, so when a cell does not parse
+    the row read last is the first bad one: its cells are re-read one at a
+    time, in ``order`` (columns of the value array, left to right by
+    default), and the first that fails raises :class:`_UnparsableCell`.
     """
-    rows = iter(kept)
+    rows = iter(rows)
     first = next(rows, None)
     if first is None:  # numpy would warn that the input holds no data
-        return []
+        return np.empty((0, len(usecols))), []
     line_nos: list[int] = []
     line = ""
 
@@ -566,18 +600,32 @@ def _openface_frames(
             yield line
 
     try:
-        values = _loadtxt(lines(), usecols)
+        return _loadtxt(lines(), usecols), line_nos
     except ValueError:
-        # numpy converts each row as it reads it, so the last row read is
-        # the first bad one
-        for name in _OPENFACE_READ_COLS:
+        for at in range(len(usecols)) if order is None else order:
             try:
-                _loadtxt([line], [usecols[_OPENFACE_VALUE_COLS.index(name)]])
+                _loadtxt([line], [usecols[at]])
             except ValueError:
-                raise OpenFaceFormatError(
-                    f"{source}:{line_nos[-1]}: unparsable value for column {name!r}"
-                ) from None
+                raise _UnparsableCell(at, line_nos[-1], line) from None
         raise
+
+
+def _openface_frames(
+    kept: Iterable[tuple[int, str]], usecols: list[int], source: str
+) -> list[HumanFrame]:
+    """Convert kept rows to frames with one numpy parse (:func:`_parse_rows`).
+
+    The read cells of every row become one (n, 229) array, in
+    ``_OPENFACE_VALUE_COLS`` order; each frame's fields are views of its
+    row.  If a cell does not parse, the error names the first such row and
+    its first bad cell in ``_OPENFACE_READ_ORDER``.
+    """
+    try:
+        values, line_nos = _parse_rows(kept, usecols, _OPENFACE_READ_ORDER)
+    except _UnparsableCell as e:
+        raise OpenFaceFormatError(
+            f"{source}:{e.line_no}: unparsable value for column {_OPENFACE_VALUE_COLS[e.at]!r}"
+        ) from None
     aus = values[:, _AUS_AT]
     np.clip(aus, 0.0, 5.0, out=aus)
     confidence = values[:, _CONFIDENCE_AT]

@@ -251,12 +251,21 @@ def procrustes_align(
 
     Raises AlignmentDegenerateError when a source spans fewer than two
     dimensions, which leaves the rotation underdetermined; for a stack the
-    message and the error's ``index`` name the first such frame.
+    message and the error's ``index`` name the first such frame.  A source
+    whose coordinates are not finite, or so near the end of the float range
+    that its centring or its cross-covariance with the reference overflows,
+    aligns to NaN, with a NaN rotation.
     """
     src = center(source)
     ref = center(reference)
     if ref.shape not in (src.shape, src.shape[-2:]):
         raise ValueError("source and reference must have the same shape")
+    cross = _t(src) @ ref
+    # a NaN or inf in the centred source reaches its cross-covariance too
+    finite = np.isfinite(cross).all(axis=(-2, -1))
+    if not finite.all():  # the reference stands in for such a source, then NaN replaces it
+        src = np.where(finite[..., None, None], src, ref)
+        cross = _t(src) @ ref
 
     spread = np.linalg.svd(src, compute_uv=False)
     top, second = spread.T[0], spread.T[1]
@@ -268,7 +277,7 @@ def procrustes_align(
             f"{where}source landmarks are rank-deficient; rotation is underdetermined", i
         )
 
-    u, _, vt = np.linalg.svd(_t(src) @ ref)
+    u, _, vt = np.linalg.svd(cross)
     vu = _t(vt) @ _t(u)
     if vu.ndim == 2:
         # one set: vu is orthogonal, so its determinant is +-1 and the
@@ -282,4 +291,7 @@ def procrustes_align(
     flip[..., 0, 0] = flip[..., 1, 1] = 1.0
     flip[..., 2, 2] = d
     rot = _t(vt) @ flip @ _t(u)
-    return src @ _t(rot), rot
+    aligned = src @ _t(rot)
+    if not finite.all():
+        aligned[~finite] = rot[~finite] = np.nan
+    return aligned, rot

@@ -8,7 +8,8 @@ default, the tag must match (else UnsupportedVersionError), and a key the
 class does not declare is rejected unless it is in the class's ``RETIRED``
 tuple: keys older builds wrote, which this one ignores.  Leaves are
 checked, not converted: a bool must be a JSON bool, an int a JSON integer,
-a float any number but a bool, and an array must hold numbers only.
+a float any number but a bool (NaN and infinities included), and an array
+must hold finite numbers only.
 Every failure, a ValueError from a record's constructor included, names
 the file and the key path first, e.g. ``m.json.pca.mean: could not
 convert string to float: 'abc'``; a constructor's :class:`FieldError`
@@ -59,6 +60,11 @@ def _array(value) -> np.ndarray:
     if not set(map(type, level)) <= {int, float}:
         bad = next(v for v in level if type(v) not in (int, float))
         raise TypeError(f"expected numbers, got {_got(bad)}")
+    finite = np.isfinite(array)
+    if not finite.all():
+        at = np.unravel_index(np.argmin(finite), array.shape)
+        cell = "".join(f"[{i}]" for i in at)
+        raise ValueError(f"expected finite numbers, got {array[at]}" + (cell and f" at {cell}"))
     return array
 
 

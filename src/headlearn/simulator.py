@@ -329,6 +329,9 @@ class HeadSimulator:
 
         Random draws go frame by frame (landmark noise, then rotation, then
         translation), so a stack observes exactly what n single calls would.
+        They are the draws of ``normal(0, sigma, (68, 3))`` and two
+        ``uniform(-b, b, 3)`` calls per frame: the same standard variates,
+        scaled by numpy's own arithmetic once for the stack.
         """
         cfg = self.config
         rows = _command_rows(commands)
@@ -337,15 +340,24 @@ class HeadSimulator:
         self._lag = queued[n:].copy()
         true_pts = forward(cfg, queued[:n])
 
-        noisy = true_pts.copy()
-        rot, trans = np.empty((n, 3)), np.empty((n, 3))
         sigma = cfg.landmark_noise_sigma
         r, t = cfg.pose_jitter_max_rotation, cfg.pose_jitter_max_translation
-        for i in range(n):
-            if sigma > 0:
-                noisy[i] += self.rng.normal(0.0, sigma, size=(N_LANDMARKS, 3))
-            rot[i] = self.rng.uniform(-r, r, size=3)
-            trans[i] = self.rng.uniform(-t, t, size=3)
+        # per frame: 204 standard normals, then 3 + 3 uniforms in [0, 1)
+        u = np.empty((n, 6))
+        if sigma > 0:
+            z = np.empty((n, N_LANDMARKS, 3))
+            for zi, ui in zip(z, u):
+                self.rng.standard_normal(out=zi)
+                self.rng.random(out=ui)
+            z *= sigma
+            z += 0.0  # normal() returns loc + scale * z, with loc = 0.0
+            noisy = np.add(z, true_pts, out=z)
+        else:
+            self.rng.random(out=u)  # frame after frame, as the per-frame draws
+            noisy = true_pts
+        # uniform(low, high) returns low + (high - low) * u
+        rot = -r + (r - -r) * u[:, :3]
+        trans = -t + (t - -t) * u[:, 3:]
 
         if isinstance(commands, ActuatorCommand):
             true_pts, noisy, rot, trans = true_pts[0], noisy[0], rot[0], trans[0]

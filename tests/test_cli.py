@@ -526,6 +526,45 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"headlearn: error: {head}.{error}")
 
+    @pytest.mark.parametrize("path, value, error", [
+        (("human_stats", "mins", 0), float("nan"), "human_stats.mins: expected finite "
+         "numbers, got nan at [0]"),
+        (("pca", "components", 0, 0), float("inf"), "pca.components: expected finite "
+         "numbers, got inf at [0][0]"),
+        (("regressor", "intercept", 2), float("-inf"), "regressor.intercept: expected finite "
+         "numbers, got -inf at [2]"),
+    ], ids=["human-mins-nan", "components-inf", "intercept-minus-inf"])
+    def test_non_finite_model_array_names_file_and_key(
+        self, model_path, human_csv, tmp_path, capsys, path, value, error
+    ):
+        # a calibrated model file with a NaN or an infinity in an array
+        # fails when it loads, not on the first streamed frame
+        calibrated = tmp_path / "cal.json"
+        assert main(["calibrate-human", "--model", str(model_path), "--csv", str(human_csv),
+                     "--out", str(calibrated)]) == 0
+        doc = json.loads(calibrated.read_text())
+        *parents, last = path
+        functools.reduce(operator.getitem, parents, doc)[last] = value
+        calibrated.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["stream", "--model", str(calibrated), "--csv", str(human_csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"headlearn: error: {calibrated}.{error}\n"
+
+    def test_non_finite_head_array_names_file_and_key(self, default_head, tmp_path, capsys):
+        doc = to_json(default_head)
+        doc["neutral_landmarks"][3][1] = float("nan")
+        head = tmp_path / "head.json"
+        head.write_text(json.dumps(doc))
+        code = main(["collect", "--head", str(head), "--frames", "4",
+                     "--out", str(tmp_path / "ds")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"headlearn: error: {head}.neutral_landmarks: expected finite numbers, "
+            "got nan at [3][1]\n"
+        )
+
     @pytest.mark.parametrize("subcommand", ["facs", "collect", "correlate"])
     def test_invalid_json_names_the_file(self, subcommand, tmp_path, capsys):
         bad = tmp_path / ("metadata.json" if subcommand == "correlate" else "bad.json")

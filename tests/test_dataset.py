@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from headlearn.dataset import (
     CONFIDENCE_THRESHOLD,
@@ -228,6 +230,79 @@ class TestPersistence:
         with pytest.raises(DatasetCorruptError, match=re.escape(where + error)):
             load_dataset(tmp_path / "d")
 
+    def saved_lines(self, d, tmp_path):
+        """Save ``d`` to ``tmp_path / "d"``; its frames.csv path and lines."""
+        save_dataset(d, tmp_path / "d")
+        csv_path = tmp_path / "d" / "frames.csv"
+        return csv_path, csv_path.read_text().splitlines()
+
+    def test_blank_middle_line_is_a_truncated_row(self, small_dataset, tmp_path):
+        csv_path, lines = self.saved_lines(small_dataset, tmp_path)
+        lines.insert(3, "")
+        csv_path.write_text("".join(f"{text}\n" for text in lines[:-1]))
+        with pytest.raises(DatasetCorruptError, match=re.escape(f"{csv_path}:4: truncated row")):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("column, cell, error", [
+        ("Y_4", '"0.5"', "could not convert string to float: '\"0.5\"'"),
+        ("AU45", "1_0", "could not convert string to float: '1_0'"),
+        ("X_0", "\u0661\u0662", "could not convert string to float: '\u0661\u0662'"),
+        ("a5", '"7"', "invalid literal for int() with base 10: '\"7\"'"),
+    ], ids=["quoted", "separator", "arabic-indic", "quoted-command"])
+    def test_cells_follow_numpy_number_syntax(self, small_dataset, tmp_path, column, cell, error):
+        # csv unquoting and float() read these; the one numpy parse does not
+        csv_path, lines = self.saved_lines(small_dataset, tmp_path)
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = cell
+        lines[2] = ",".join(cells)
+        csv_path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
+        with pytest.raises(DatasetCorruptError, match=re.escape(f"{csv_path}:3: {error}")):
+            load_dataset(tmp_path / "d")
+
+    def test_lf_and_crlf_files_load_equal(self, small_dataset, tmp_path):
+        csv_path, lines = self.saved_lines(small_dataset, tmp_path)
+        assert csv_path.read_bytes().count(b"\r\n") == len(lines)  # as saved
+        crlf = load_dataset(tmp_path / "d")
+        csv_path.write_text("".join(f"{text}\n" for text in lines))
+        lf = load_dataset(tmp_path / "d")
+        for name in ("frame_ids", "aus", "landmarks", "distances", "commands"):
+            a, b = getattr(crlf, name), getattr(lf, name)
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+            assert np.array_equal(a, getattr(small_dataset, name))
+
+    @pytest.mark.parametrize("faults, line, error", [
+        ([(3, "AU45", "abc"), (4, "truncate", None)], 3,
+         "could not convert string to float: 'abc'"),
+        ([(3, "truncate", None), (4, "X_0", "abc")], 3, "truncated row"),
+        ([(3, "X_0", "abc"), (4, "a1", "x")], 3, "could not convert string to float: 'abc'"),
+        ([(3, "Y_2", "abc"), (3, "AU01", "xyz")], 3, "could not convert string to float: 'abc'"),
+        ([(3, "role", "neutral"), (5, "Z_67", "abc")], 5,
+         "could not convert string to float: 'abc'"),
+        ([(3, "a4", "300"), (4, "role", "neutral")], 4, "dataset rows must have role 'target'"),
+        ([(3, "Y_1", "nan"), (4, "a4", "300")], 4, "command value outside [0, 255] in column 'a4'"),
+        ([(3, "frame_id", "1.0"), (3, "AU01", "x")], 3,
+         "invalid literal for int() with base 10: '1.0'"),
+    ], ids=["cell-then-short", "short-then-cell", "float-then-int", "two-cells",
+            "role-then-cell", "range-then-role", "nan-then-range", "int-then-float"])
+    def test_first_fault_in_precedence_then_line_order(
+        self, small_dataset, tmp_path, faults, line, error
+    ):
+        # a row that does not parse comes first, in line order, and in it
+        # its first bad cell; then the row count, the roles, the command
+        # range and finiteness
+        csv_path, lines = self.saved_lines(small_dataset, tmp_path)
+        names = lines[0].split(",")
+        for line_no, column, cell in faults:
+            cells = lines[line_no - 1].split(",")
+            if column == "truncate":
+                del cells[-5:]
+            else:
+                cells[names.index(column)] = cell
+            lines[line_no - 1] = ",".join(cells)
+        csv_path.write_text("".join(f"{text}\n" for text in lines))
+        with pytest.raises(DatasetCorruptError, match=re.escape(f"{csv_path}:{line}: {error}")):
+            load_dataset(tmp_path / "d")
+
     def test_version_mismatch_raises(self, small_dataset, tmp_path):
         save_dataset(small_dataset, tmp_path / "d")
         meta_path = tmp_path / "d" / "metadata.json"
@@ -335,6 +410,61 @@ class TestPersistence:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(DatasetCorruptError):
             load_dataset(tmp_path / "nope")
+
+
+class Saved:
+    """A saved dataset's directory and the lines of its frames.csv.  A plain
+    class, so Hypothesis reports it by its short repr."""
+
+    def __init__(self, root, lines):
+        self.root, self.lines = root, lines
+
+
+@pytest.fixture(scope="module")
+def saved_small(small_dataset, tmp_path_factory):
+    """``small_dataset``, saved once."""
+    root = tmp_path_factory.mktemp("saved") / "d"
+    save_dataset(small_dataset, root)
+    return Saved(root, (root / "frames.csv").read_text().splitlines())
+
+
+# A cell of any text but a delimiter or a line break
+CELL_TEXT = st.one_of(
+    st.sampled_from(['"0.5"', "1_0", "\u0661\u0662", "", " ", "abc", "1.5.2", "0x10",
+                     "--1", "1e", "nan1", "37.5", "5 5", "+-3"]),
+    st.text(st.characters(max_codepoint=0x3000, blacklist_categories=("Cs",),
+                          blacklist_characters=",\r\n"), max_size=6),
+)
+
+
+class TestCorruptCellProperty:
+    @given(row=st.integers(0, 59), column=st.integers(0, 231), cell=CELL_TEXT)
+    @settings(max_examples=120, deadline=None)
+    def test_one_bad_cell_names_the_file_line_and_cell(self, saved_small, row, column, cell):
+        # the message is the one int() or float() gave when each row was
+        # converted cell by cell, for a cell the numpy parse rejects
+        assume(column != 1)  # the role column is text
+        if column <= 1 + len(CHANNELS):  # the frame id or a command
+            try:
+                int(cell)
+                assume(False)
+            except ValueError as e:
+                error = str(e)
+        else:
+            try:
+                np.loadtxt([f"0,{cell},0"], delimiter=",", usecols=[1], comments=None)
+                assume(False)
+            except ValueError:
+                error = f"could not convert string to float: {cell!r}"
+        lines = list(saved_small.lines)
+        cells = lines[row + 1].split(",")
+        cells[column] = cell
+        lines[row + 1] = ",".join(cells)
+        csv_path = saved_small.root / "frames.csv"
+        csv_path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
+        with pytest.raises(DatasetCorruptError) as info:
+            load_dataset(saved_small.root)
+        assert str(info.value) == f"{csv_path}:{row + 2}: {error}"
 
 
 class TestOpenFaceIngestion:

@@ -163,6 +163,28 @@ class TestProcrustes:
             procrustes_align(np.zeros((N_LANDMARKS, 3)), collinear)
 
 
+    def test_overflowing_source_aligns_to_nan(self):
+        # a set whose centring or cross-covariance overflows, or that holds
+        # a NaN, aligns to NaN; every other set of the stack as it aligns alone
+        rng = np.random.default_rng(11)
+        ref = random_face(rng)
+        pts = np.stack([random_face(rng) for _ in range(6)])
+        pts[1, [5, 9], 0] = 1.7e308      # the centring overflows
+        pts[3, 5, 0] = pts[3, 40, 2] = 1.7e308  # the cross-covariance overflows
+        pts[4, 7, 1] = np.nan
+        bad = [1, 3, 4]
+        with np.errstate(over="ignore", invalid="ignore"):
+            aligned, rots = procrustes_align(pts, ref)
+            for i, p in enumerate(pts):
+                a, r = procrustes_align(p, ref)
+                if i in bad:
+                    assert np.isnan(a).all() and np.isnan(r).all()
+                    assert np.isnan(aligned[i]).all() and np.isnan(rots[i]).all()
+                else:
+                    assert np.array_equal(aligned[i], a) and np.array_equal(rots[i], r)
+        assert np.isfinite(center(pts[3])).all()
+
+
 class TestMirror:
     def test_mirror_map_is_involution(self):
         assert np.all(MIRROR_INDEX[MIRROR_INDEX] == np.arange(N_LANDMARKS))

@@ -69,6 +69,28 @@ def test_error_names_the_file_and_the_key_path(pca_doc):
         from_json(PcaModel, pca_doc, "m.json.pca")
 
 
+@pytest.mark.parametrize("key, at, value, cell", [
+    ("mean", (1,), float("nan"), "nan at [1]"),
+    ("components", (1, 2), float("inf"), "inf at [1][2]"),
+    ("explained_variance_ratio", (0,), float("-inf"), "-inf at [0]"),
+])
+def test_non_finite_array_leaf_names_the_key_path(pca_doc, key, at, value, cell):
+    node = pca_doc[key]
+    for i in at[:-1]:
+        node = node[i]
+    node[at[-1]] = value
+    msg = f"m.json.pca.{key}: expected finite numbers, got {cell}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+        from_json(PcaModel, pca_doc, "m.json.pca")
+
+
+def test_non_finite_float_scalar_is_read():
+    # a float field may hold NaN by design, e.g. an MLP's final loss
+    doc = to_json(MlpModel([np.ones((9, 2))], [np.zeros(9)], "tanh", np.zeros(2), np.ones(2)))
+    assert np.isnan(doc["final_train_loss"])
+    assert np.isnan(from_json(MlpModel, doc, "m").final_train_loss)
+
+
 def test_constructor_error_is_raised_again_with_the_path(pca_doc):
     pca_doc["mean"].pop()
     with pytest.raises(ConfigError, match=r"^m\.json\.pca: PCA components are 2 x 3"):

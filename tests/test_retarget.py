@@ -666,8 +666,9 @@ def calibrated(trained, default_head):
 
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
-# finite cells whose squares overflow, as the distances read them
-HUGE = st.sampled_from([1e155, -1e155, 1e300, -1e300])
+# finite cells whose squares overflow, as the distances read them, and
+# cells whose sums overflow, as a landmarks model's alignment reads them
+HUGE = st.sampled_from([1e155, -1e155, 1e300, -1e300, 1.7e308, -1.7e308])
 # (field, flat cell index) of one HumanFrame input cell
 CELLS = st.one_of(
     st.tuples(st.just("aus"), st.integers(0, 16)),
@@ -776,10 +777,10 @@ class TestNonFiniteInputs:
         with pytest.raises(OpenFaceFormatError, match="timestamp 4.25"):
             retarget_frame(model, bad)
 
-    def nan_csv(self, head, seed, path, kind, model, value=np.nan, landmark=8):
-        """Five confident frames as OpenFace CSV, one cell of the fourth
-        (line 5) NaN, or ``value``, in an input a ``kind`` model reads: a
-        kept AU, or the x of ``landmark``."""
+    def nan_csv(self, head, seed, path, kind, model, value=np.nan, landmarks=(8,)):
+        """Five confident frames as OpenFace CSV, cells of the fourth (line
+        5) NaN, or ``value``, in an input a ``kind`` model reads: a kept AU,
+        or the x of each of ``landmarks``."""
         rows = frames_from_simulator(
             head, [random_command(head, np.random.default_rng(seed)) for _ in range(5)],
             rng_seed=seed,
@@ -789,7 +790,7 @@ class TestNonFiniteInputs:
             rows[3]["aus"][AU_INDEX[model.au_ids_used[0]]] = value
         else:
             rows[3]["landmarks"] = np.array(rows[3]["landmarks"])
-            rows[3]["landmarks"][landmark, 0] = value
+            rows[3]["landmarks"][list(landmarks), 0] = value
         path.write_text(openface_csv_text(rows))
         return ingest_openface_csv(path)
 
@@ -820,7 +821,7 @@ class TestNonFiniteInputs:
         # X_5 = 1e200 is finite, but its squared differences overflow
         _, _, models = trained
         path = tmp_path / "huge.csv"
-        frames = self.nan_csv(default_head, 20, path, "distances", models["distances"], 1e200, 5)
+        frames = self.nan_csv(default_head, 20, path, "distances", models["distances"], 1e200, (5,))
         message = (
             rf"^{re.escape(str(path))}:5: calibration frame 3 \(timestamp {frames[3].timestamp}\): "
             "non-finite distances features"
@@ -832,7 +833,7 @@ class TestNonFiniteInputs:
         _, _, models = trained
         model = calibrate_human(models["distances"], self.frames(default_head, 21))
         path = tmp_path / "huge.csv"
-        frames = self.nan_csv(default_head, 22, path, "distances", model, 1e200, 5)
+        frames = self.nan_csv(default_head, 22, path, "distances", model, 1e200, (5,))
         message = (
             rf"^{re.escape(str(path))}:5: frame at timestamp {frames[3].timestamp}: "
             "non-finite distances features"
@@ -840,6 +841,43 @@ class TestNonFiniteInputs:
         for batch in (frames[3], HumanFrame.stack(frames)):
             with np.errstate(over="ignore"), pytest.raises(OpenFaceFormatError, match=message):
                 retarget_frame(model, batch)
+
+    def test_landmarks_model_names_an_overflowing_frame(self, trained, default_head, tmp_path):
+        # two x cells of 1.7e308 are finite, but their sum overflows when
+        # the landmarks are centred for alignment
+        _, _, models = trained
+        path = tmp_path / "huge.csv"
+        frames = self.nan_csv(
+            default_head, 20, path, "landmarks", models["landmarks"], 1.7e308, (5, 9)
+        )
+        message = (
+            rf"^{re.escape(str(path))}:5: calibration frame 3 \(timestamp {frames[3].timestamp}\): "
+            "non-finite landmarks features"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OpenFaceFormatError, match=message):
+                calibrate_human(models["landmarks"], frames)
+            model = calibrate_human(models["landmarks"], self.frames(default_head, 21))
+            message = rf"^{re.escape(str(path))}:5: frame at timestamp {frames[3].timestamp}: "
+            for batch in (frames[3], HumanFrame.stack(frames)):
+                with pytest.raises(OpenFaceFormatError, match=message + "non-finite landmarks"):
+                    retarget_frame(model, batch)
+
+    # (5, x) and (9, x) overflow the centring; (5, x) and (40, z) centre to
+    # finite values whose cross-covariance with the reference overflows
+    @pytest.mark.parametrize("cells", [((5, 0), (9, 0)), ((5, 0), (40, 2))])
+    def test_stream_holds_an_overflowing_landmarks_frame(self, calibrated, cells):
+        model = calibrated.models["landmarks"]
+        pool = calibrated.frames
+        landmarks = pool[2].landmarks.copy()
+        for cell in cells:
+            landmarks[cell] = 1.7e308
+        huge = dataclasses.replace(pool[2], landmarks=landmarks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(model.frame_features(huge)).all()
+            out = list(stream(model, [pool[0], huge, pool[1]]))
+        assert len(out) == 3 and out[1] == out[0]
+        assert out[2] == retarget_frame(model, pool[1])
 
     @pytest.mark.parametrize("value", [1e160, 1e200, -1e300])
     def test_stream_holds_a_non_finite_prediction(self, calibrated, value):
@@ -1086,11 +1124,15 @@ class TestStreamBuffer:
                 assert out[i] == out[i - 1]
 
 
-# The kinds of model-file mutation: delete a key, set a leaf to "x", to null
-# or to true, drop the last entry of a list, add a key
-MUTATIONS = ("delete", "leaf", "null", "true", "drop", "add")
+# The kinds of model-file mutation: delete a key, set a leaf to "x", to null,
+# to true, to NaN, Infinity or -Infinity, drop the last entry of a list, add
+# a key
+MUTATIONS = ("delete", "leaf", "null", "true", "nan", "inf", "-inf", "drop", "add")
 # The value each leaf mutation sets
-LEAF_VALUES = {"leaf": "x", "null": None, "true": True}
+LEAF_VALUES = {
+    "leaf": "x", "null": None, "true": True,
+    "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+}
 # Free-form model dicts: a key added there is stored, not rejected
 FREE_FORM = ("provenance", "hyper")
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from headlearn.errors import ConfigError, InvalidCommandError
 from headlearn.features import AUDef
-from headlearn.geometry import MIRROR_INDEX, N_LANDMARKS
+from headlearn.geometry import MIRROR_INDEX, N_LANDMARKS, Pose, apply_pose
 from headlearn.records import to_json
 from headlearn.simulator import (
     CHANNEL_INDEX,
@@ -289,6 +289,53 @@ class TestStackEqualsLoop:
         nxt = as_command(rows[0])
         a, b = single_sim.observe(nxt), stack_sim.observe(nxt)
         assert np.array_equal(a.landmarks_observed, b.landmarks_observed)
+
+    @given(
+        sigma=st.sampled_from([0.0, 0.3, 1e-3, 2.5]),
+        rotation=st.sampled_from([0.0, 0.05, 0.3]),
+        translation=st.sampled_from([0.0, 1.0, 7.5]),
+        lag=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        cuts=st.lists(st.integers(0, 12), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_observe_equals_the_per_frame_draws(
+        self, default_head, sigma, rotation, translation, lag, seed, cuts
+    ):
+        # the stacked draws give what one normal() and two uniform() calls
+        # per frame gave, and leave the generator in the same state
+        head = dataclasses.replace(
+            default_head, landmark_noise_sigma=sigma, pose_jitter_max_rotation=rotation,
+            pose_jitter_max_translation=translation, sensor_lag_frames=lag,
+        )
+        rows = command_rows(head, seed, 12)
+        sim = HeadSimulator(head, np.random.default_rng(seed))
+        bounds = [0, *sorted(cuts), len(rows)]
+        stacks = [sim.observe(rows[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+        rng = np.random.default_rng(seed)
+        shown = np.concatenate([np.zeros((lag, len(CHANNELS))), rows])[:len(rows)]
+        want = {name: [] for name in ("observed", "true", "rotation", "translation")}
+        for row in shown:
+            true = forward(head, as_command(row))
+            noisy = true.copy()
+            if sigma > 0:
+                noisy += rng.normal(0.0, sigma, size=(N_LANDMARKS, 3))
+            pose = Pose(rotation=rng.uniform(-rotation, rotation, size=3),
+                        translation=rng.uniform(-translation, translation, size=3))
+            for name, value in zip(want, (apply_pose(noisy, pose), true, pose.rotation,
+                                          pose.translation)):
+                want[name].append(value)
+        got = {
+            "observed": [f.landmarks_observed for f in stacks],
+            "true": [f.landmarks_true for f in stacks],
+            "rotation": [f.pose.rotation for f in stacks],
+            "translation": [f.pose.translation for f in stacks],
+        }
+        for name in want:
+            a, b = np.concatenate(got[name]), np.array(want[name])
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
+        assert sim.rng.bit_generator.state == rng.bit_generator.state
 
     def test_invalid_command_rows_rejected(self, default_head):
         sim = HeadSimulator(default_head)
