@@ -73,6 +73,7 @@ def pca_fit(x: np.ndarray, k: int) -> PcaModel:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("pca_fit needs a 2-D matrix with at least 2 rows")
+    _check_finite(x=x)
     n, d = x.shape
     if not 1 <= k <= min(n - 1, d):
         raise ValueError(f"k={k} out of range [1, {min(n - 1, d)}]")
@@ -153,6 +154,7 @@ def choose_pca_dim(
             f"[1, {min(n_fit - 1, dim)}] for {n_fit} fit rows"
         )
 
+    x_val, y_val = _check_xy(x_val, y_val, ("x_val", "y_val"))
     pca = pca_fit(x_fit, cands[-1])
     z_fit = pca_transform(pca, x_fit)
     z_val = pca_transform(pca, x_val)
@@ -193,13 +195,22 @@ class LinearModel:
         return np.asarray(x, dtype=float) @ self.weights.T + self.intercept
 
 
-def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_finite(**arrays: np.ndarray) -> None:
+    """Raise ValueError at the first non-finite cell of each named 2-D array."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            row, col = np.argwhere(~np.isfinite(a))[0]
+            raise ValueError(f"{name} is not finite at (row {row}, column {col}): {a[row, col]}")
+
+
+def _check_xy(x: np.ndarray, y: np.ndarray, names=("x", "y")) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         raise ValueError(f"targets must be 2-D (n, outputs), got shape {y.shape}")
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError(f"incompatible shapes X{x.shape} vs Y{y.shape}")
+    _check_finite(**dict(zip(names, (x, y))))
     return x, y
 
 
@@ -258,23 +269,29 @@ _ACTIVATIONS = ("tanh", "relu")
 
 
 def _forward(
-    weights: list[np.ndarray], biases: list[np.ndarray], activation: str, a: np.ndarray
+    weights: list[np.ndarray], biases: list[np.ndarray], activation: str, a: np.ndarray,
+    outs: list[np.ndarray],
 ) -> list[np.ndarray]:
-    """Forward pass: every layer's output, from the input ``a`` to the
-    (linear) network output.  Each hidden activation is written over its
-    pre-activation; the backward pass reads its derivative off the output."""
+    """Forward pass from the input ``a``: every layer's output, to the
+    (linear) network output, written into ``outs``.  Each hidden activation
+    is written over its pre-activation; the backward pass reads its
+    derivative off the output."""
     last = len(weights) - 1
-    acts = [a]
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w.T
+    for i, (w, b, z) in enumerate(zip(weights, biases, outs)):
+        np.matmul(a, w.T, out=z)
         z += b
         if i != last:
             if activation == "tanh":
                 np.tanh(z, out=z)
             else:
                 np.maximum(z, 0.0, out=z)
-        acts.append(z)
-    return acts
+        a = z
+    return outs
+
+
+def _layer_outputs(rows: tuple[int, ...], biases: list[np.ndarray]) -> list[np.ndarray]:
+    """An empty array per layer, shaped like its output for ``rows``."""
+    return [np.empty((*rows, len(b))) for b in biases]
 
 
 @dataclass
@@ -327,10 +344,60 @@ class MlpModel:
     def forward_scaled(self, x: np.ndarray) -> np.ndarray:
         """Network output on the internal [0, 1] target scale."""
         a = (np.asarray(x, dtype=float) - self.input_mean) / self.input_scale
-        return _forward(self.weights, self.biases, self.activation, a)[-1]
+        outs = _layer_outputs(a.shape[:-1], self.biases)
+        return _forward(self.weights, self.biases, self.activation, a, outs)[-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward_scaled(x) * TARGET_SCALE
+
+
+class _FlatNet:
+    """An MLP's parameters ``theta`` and their gradient ``grad``, each one
+    flat vector: every layer's weights (fan_out, fan_in), then every bias.
+    ``weights`` and ``biases`` are views of ``theta``, ``grad_w`` and
+    ``grad_b`` of ``grad``."""
+
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray], activation: str):
+        arrays = [*weights, *biases]
+        self.theta = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+        self.grad = np.zeros_like(self.theta)
+        self.n_weights = sum(np.size(w) for w in weights)
+        k, ends = len(weights), list(itertools.accumulate(np.size(a) for a in arrays))
+        theta_views, grad_views = (
+            [flat[end - np.size(a):end].reshape(np.shape(a)) for a, end in zip(arrays, ends)]
+            for flat in (self.theta, self.grad)
+        )
+        self.weights, self.biases = theta_views[:k], theta_views[k:]
+        self.grad_w, self.grad_b = grad_views[:k], grad_views[k:]
+        self.activation = activation
+
+    def loss_and_grads(self, l2: float, x: np.ndarray, y: np.ndarray, outs, deltas) -> float:
+        """The loss on (``x``, ``y``), with its gradient written into ``grad``.
+        ``outs`` and ``deltas`` are work arrays shaped like the layer outputs
+        (:func:`_layer_outputs`); both are left holding garbage."""
+        weights, n = self.weights, x.shape[0]
+        _forward(weights, self.biases, self.activation, x, outs)
+        diff = np.subtract(outs[-1], y, out=outs[-1])
+        loss = float(np.add.reduce(np.multiply(diff, diff, out=deltas[-1]), axis=None) / n)
+        if l2 != 0.0:
+            loss += l2 * float(sum(np.add.reduce(w * w, axis=None) for w in weights))
+        np.multiply(diff, 2.0, out=deltas[-1])
+        deltas[-1] /= n
+        acts = [x, *outs]
+        for i in range(len(weights) - 1, -1, -1):
+            np.matmul(deltas[i].T, acts[i], out=self.grad_w[i])
+            np.add.reduce(deltas[i], axis=0, out=self.grad_b[i])
+            if i > 0:  # the activation's derivative, written over the activation
+                a = acts[i]
+                if self.activation == "tanh":
+                    np.subtract(1.0, np.multiply(a, a, out=a), out=a)
+                else:
+                    np.greater(a, 0.0, out=a)  # a > 0 exactly where its pre-activation is
+                np.matmul(deltas[i], weights[i], out=deltas[i - 1])
+                deltas[i - 1] *= a
+        if l2 != 0.0:
+            self.grad[:self.n_weights] += 2.0 * l2 * self.theta[:self.n_weights]
+        return loss
 
 
 def mlp_loss_and_grads(
@@ -348,29 +415,10 @@ def mlp_loss_and_grads(
     separately so the backpropagation can be checked against finite
     differences.
     """
-    acts = _forward(weights, biases, activation, np.asarray(x, dtype=float))
-    n = x.shape[0]
-    diff = acts[-1] - y
-    loss = float(np.sum(diff ** 2) / n)
-    if l2 != 0.0:
-        loss += l2 * float(sum(np.sum(w ** 2) for w in weights))
-
-    grad_w, grad_b = [], []
-    delta = 2.0 * diff / n
-    for i in range(len(weights) - 1, -1, -1):
-        gw = delta.T @ acts[i]
-        if l2 != 0.0:
-            gw += 2.0 * l2 * weights[i]
-        grad_w.append(gw)
-        grad_b.append(delta.sum(axis=0))
-        if i > 0:
-            a = acts[i]
-            delta = delta @ weights[i]
-            if activation == "tanh":
-                delta *= 1.0 - a * a
-            else:
-                delta *= a > 0.0  # a > 0 exactly where its pre-activation is
-    return loss, grad_w[::-1], grad_b[::-1]
+    x = np.asarray(x, dtype=float)
+    net = _FlatNet(weights, biases, activation)
+    outs, deltas = (_layer_outputs(x.shape[:1], biases) for _ in range(2))
+    return net.loss_and_grads(l2, x, y, outs, deltas), net.grad_w, net.grad_b
 
 
 def mlp_init(
@@ -388,16 +436,16 @@ def mlp_init(
     return weights, biases
 
 
-class MlpRun:
+class MlpRun(_FlatNet):
     """One full-batch gradient-descent run with classical momentum
     (``MOMENTUM``) that can be trained on in steps.
 
-    The whole state (weights, biases and their velocities) lives on the
-    run and the learning rate is constant, so ``train(a)`` then
-    ``train(b)`` is the same arithmetic, bit for bit, as ``train(a + b)``.
-    Deterministic under ``seed``.  Targets are actuator commands on the
-    0-255 scale; they are divided by ``TARGET_SCALE`` internally.  An empty
-    ``hidden_layers`` gives a pure linear model.
+    The whole state (``theta`` and its ``velocity``) lives on the run and
+    the learning rate is constant, so ``train(a)`` then ``train(b)`` is the
+    same arithmetic, bit for bit, as ``train(a + b)``.  Deterministic under
+    ``seed``.  Targets are actuator commands on the 0-255 scale; they are
+    divided by ``TARGET_SCALE`` internally.  An empty ``hidden_layers``
+    gives a pure linear model.
     """
 
     def __init__(
@@ -422,14 +470,14 @@ class MlpRun:
         self.x = (x - self.input_mean) / self.input_scale
 
         self.hidden_layers = [int(h) for h in hidden_layers]
-        self.activation = activation
         self.learning_rate = learning_rate
         self.l2 = l2
         self.seed = seed
         layer_sizes = [x.shape[1], *self.hidden_layers, self.y.shape[1]]
-        self.weights, self.biases = mlp_init(layer_sizes, activation, np.random.default_rng(seed))
-        self.vel_w = [np.zeros_like(w) for w in self.weights]
-        self.vel_b = [np.zeros_like(b) for b in self.biases]
+        super().__init__(
+            *mlp_init(layer_sizes, activation, np.random.default_rng(seed)), activation
+        )
+        self.velocity = np.zeros_like(self.theta)
         self.epochs = 0  # trained so far
         self.loss = float("nan")  # training loss before the last update
 
@@ -451,26 +499,19 @@ class MlpRun:
         if epochs < 1:
             raise ValueError("bad hyperparameters: need epochs >= 1")
         loss = self.loss
+        outs, deltas = (_layer_outputs(self.x.shape[:1], self.biases) for _ in range(2))
         # overflow during a diverging run is expected; it surfaces as the
         # non-finite loss check below
         with np.errstate(over="ignore", invalid="ignore"):
             for done in range(epochs):
-                loss, gw, gb = mlp_loss_and_grads(
-                    self.weights, self.biases, self.activation, self.l2, self.x, self.y
-                )
-                if not np.isfinite(loss):
+                loss = self.loss_and_grads(self.l2, self.x, self.y, outs, deltas)
+                if not math.isfinite(loss):
                     target = self.epochs + epochs
                     self.epochs += done
                     raise TrainingDivergedError(f"training diverged with {self.hyper(target)}")
-                for w, b, vw, vb, g, h in zip(
-                    self.weights, self.biases, self.vel_w, self.vel_b, gw, gb
-                ):
-                    vw *= MOMENTUM
-                    vw -= self.learning_rate * g
-                    w += vw
-                    vb *= MOMENTUM
-                    vb -= self.learning_rate * h
-                    b += vb
+                self.velocity *= MOMENTUM
+                self.velocity -= self.learning_rate * self.grad
+                self.theta += self.velocity
         self.epochs += epochs
         self.loss = loss
 
@@ -618,6 +659,7 @@ def grid_search(
     evaluation order.
     """
     rungs = rung_epochs(epochs)
+    x_val, y_val = _check_xy(x_val, y_val, ("x_val", "y_val"))
     points = grid.points()
     runs = [
         MlpRun(x_train, y_train, [width] * depth, act, lr, l2, seed * 100003 + idx)

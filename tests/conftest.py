@@ -1,10 +1,23 @@
 import os
+import sys
 
-# One BLAS thread: the suite's small matmuls gain nothing from more, and
-# lose half their speed when another process holds a core.  Set before
-# numpy is first imported, which is when OpenBLAS reads them.
+# One BLAS thread, whatever the environment asks for: the pinned digests
+# of BLAS-summed outputs hold only for one thread (with two, the pins of
+# compare_representations and fit_pipeline move), and the suite's small
+# matmuls gain nothing from more.  OpenBLAS reads these when numpy is
+# first imported, so under pytest that must not have happened yet.  (A
+# script that imports this file for its helpers, without pytest, is not
+# checked.)
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+    os.environ[_var] = "1"
+if "numpy" in sys.modules and "pytest" in sys.modules:
+    import pytest
+
+    raise pytest.UsageError(
+        "numpy was imported before tests/conftest.py could pin BLAS to one thread "
+        "(by a plugin loaded with -p or by an entry point); the pinned outputs "
+        "assume one thread, so run without that plugin"
+    )
 
 import dataclasses
 import hashlib

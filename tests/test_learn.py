@@ -2,11 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headlearn.errors import SingularFitError, TrainingDivergedError
 from headlearn.learn import (
     DEFAULT_PCA_CANDIDATES,
+    MOMENTUM,
     PCA_DIM_REL_TOL,
+    TARGET_SCALE,
     GridEntry,
     HyperGrid,
     MlpRun,
@@ -472,6 +476,154 @@ class TestMlp:
             mlp_fit(x, y, l2=-1.0)
 
 
+# -- the per-layer training loop, as an oracle for the flat one -----------------
+
+
+class PerLayerRun:
+    """Reference copy of MlpRun before its parameters were one flat vector:
+    per-layer weights, biases and velocities, fresh arrays every epoch, and
+    a momentum step per layer."""
+
+    def __init__(self, x, y, hidden_layers, activation, learning_rate, l2, seed):
+        self.y = y / TARGET_SCALE
+        self.input_mean = x.mean(axis=0)
+        self.input_scale = x.std(axis=0)
+        self.input_scale[self.input_scale == 0.0] = 1.0
+        self.x = (x - self.input_mean) / self.input_scale
+        self.activation, self.learning_rate, self.l2 = activation, learning_rate, l2
+        sizes = [x.shape[1], *hidden_layers, self.y.shape[1]]
+        self.weights, self.biases = mlp_init(sizes, activation, np.random.default_rng(seed))
+        self.vel_w = [np.zeros_like(w) for w in self.weights]
+        self.vel_b = [np.zeros_like(b) for b in self.biases]
+        self.epochs = 0
+        self.loss = float("nan")
+
+    def loss_and_grads(self):
+        weights, activation, l2, y = self.weights, self.activation, self.l2, self.y
+        last = len(weights) - 1
+        acts = [self.x]
+        for i, (w, b) in enumerate(zip(weights, self.biases)):
+            z = acts[-1] @ w.T
+            z += b
+            if i != last:
+                if activation == "tanh":
+                    np.tanh(z, out=z)
+                else:
+                    np.maximum(z, 0.0, out=z)
+            acts.append(z)
+        n = self.x.shape[0]
+        diff = acts[-1] - y
+        loss = float(np.sum(diff ** 2) / n)
+        if l2 != 0.0:
+            loss += l2 * float(sum(np.sum(w ** 2) for w in weights))
+        grad_w, grad_b = [], []
+        delta = 2.0 * diff / n
+        for i in range(len(weights) - 1, -1, -1):
+            gw = delta.T @ acts[i]
+            if l2 != 0.0:
+                gw += 2.0 * l2 * weights[i]
+            grad_w.append(gw)
+            grad_b.append(delta.sum(axis=0))
+            if i > 0:
+                a = acts[i]
+                delta = delta @ weights[i]
+                if activation == "tanh":
+                    delta *= 1.0 - a * a
+                else:
+                    delta *= a > 0.0
+        return loss, grad_w[::-1], grad_b[::-1]
+
+    def train(self, epochs):
+        loss = self.loss
+        with np.errstate(over="ignore", invalid="ignore"):
+            for done in range(epochs):
+                loss, gw, gb = self.loss_and_grads()
+                if not np.isfinite(loss):
+                    self.epochs += done
+                    raise TrainingDivergedError
+                for w, b, vw, vb, g, h in zip(
+                    self.weights, self.biases, self.vel_w, self.vel_b, gw, gb
+                ):
+                    vw *= MOMENTUM
+                    vw -= self.learning_rate * g
+                    w += vw
+                    vb *= MOMENTUM
+                    vb -= self.learning_rate * h
+                    b += vb
+        self.epochs += epochs
+        self.loss = loss
+
+
+def train_step(run, epochs):
+    """Train ``run``; True when it diverged."""
+    try:
+        run.train(epochs)
+    except TrainingDivergedError:
+        return True
+    return False
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFlatEpoch:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        depth=st.integers(0, 2),
+        width=st.integers(1, 8),
+        activation=st.sampled_from(["tanh", "relu"]),
+        l2=st.just(0.0) | st.floats(1e-6, 1.0),
+        # up to 1e4 on standardized inputs: many of these runs diverge
+        log_lr=st.floats(-3.0, 4.0),
+        steps=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        shape=st.tuples(st.integers(2, 12), st.integers(1, 5), st.integers(1, 4)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_training_equals_the_per_layer_loop(
+        self, depth, width, activation, l2, log_lr, steps, shape, seed
+    ):
+        n, d, k = shape
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+        y = rng.uniform(0, 255, size=(n, k))
+        args = ([width] * depth, activation, 10.0 ** log_lr, l2, seed)
+        run, ref = MlpRun(x, y, *args), PerLayerRun(x, y, *args)
+        for epochs in steps:
+            assert train_step(run, epochs) == train_step(ref, epochs)
+            assert run.epochs == ref.epochs
+            assert repr(run.loss) == repr(ref.loss)
+            for a, b in zip(run.weights + run.biases, ref.weights + ref.biases):
+                assert same_bits(a, b)
+
+    def test_parameters_are_views_of_one_vector(self):
+        x, y = pin_problem()
+        run = MlpRun(x, y, [16, 8], "tanh", 1e-2, 1e-3, seed=3)
+        assert run.theta.shape == run.velocity.shape == run.grad.shape == (run.model().n_params(),)
+        views = [(run.weights + run.biases, run.theta), (run.grad_w + run.grad_b, run.grad)]
+        for arrays, flat in views:
+            # every weight first, then every bias, in layer order
+            assert np.concatenate([a.ravel() for a in arrays]).tobytes() == flat.tobytes()
+            assert all(np.shares_memory(a, flat) for a in arrays)
+        run.train(3)
+        assert np.array_equal(run.model().weights[1], run.theta[16 * 16:16 * 16 + 8 * 16].reshape(8, 16))
+
+    def test_diverged_grid_point_keeps_its_epochs(self):
+        # the 1e2 point diverges part of the way to the first rung: its entry
+        # counts the updates the per-layer loop makes before the same loss
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(60, 3))
+        y = np.clip(x @ rng.normal(size=(2, 3)).T * 30 + 128, 0, 255)
+        grid = HyperGrid([1], [8], ["relu"], [1e-2, 1e2], [0.0])
+        _, board = grid_search(x[:45], y[:45], x[45:], y[45:], grid, epochs=160, seed=0)
+        diverged = [e for e in board if e.error is not None]
+        assert [e.learning_rate for e in diverged] == [1e2]
+        ref = PerLayerRun(x[:45], y[:45], [8], "relu", 1e2, 0.0, seed=1)
+        assert train_step(ref, 10)
+        assert diverged[0].epochs == ref.epochs
+        assert 0 < ref.epochs < 10
+
+
 class TestGridSearch:
     def small_problem(self, seed=25):
         rng = np.random.default_rng(seed)
@@ -577,3 +729,53 @@ class TestGridSearch:
         assert g.learning_rates == [1e-2, 1e-3]
         assert g.l2s == [0.0, 1e-3]
         assert len(g.points()) == 48
+
+
+class TestNonFiniteInputs:
+    """A NaN or an infinity in the training data is a data error that names
+    its cell, raised before any fitting starts."""
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(28)
+        x = rng.normal(size=(40, 5))
+        return x, np.clip(x @ rng.normal(size=(3, 5)).T * 30 + 128, 0, 255)
+
+    LEARNERS = {
+        "mlp_fit": lambda x, y: mlp_fit(x, y, hidden_layers=[4], epochs=5),
+        "grid_search": lambda x, y: grid_search(
+            x[:30], y[:30], x[30:], y[30:], HyperGrid([1], [4], ["tanh"], [1e-2], [0.0]), epochs=5
+        ),
+        "ols_fit": ols_fit,
+        "ridge_fit": lambda x, y: ridge_fit(x, y, 1.0),
+        "pca_fit": lambda x, y: pca_fit(x, 2),
+        "choose_pca_dim": lambda x, y: choose_pca_dim(x[:30], y[:30], x[30:], y[30:], [2, 3]),
+    }
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("learner", list(LEARNERS))
+    def test_x_cell_is_named(self, learner, value, capfd):
+        x, y = self.problem()
+        x[7, 2] = value
+        x[9, 0] = np.nan  # a later bad cell is not the one named
+        with pytest.raises(ValueError, match=rf"^x is not finite at \(row 7, column 2\): {value}$"):
+            self.LEARNERS[learner](x, y)
+        assert capfd.readouterr().err == ""  # nothing from LAPACK
+
+    @pytest.mark.parametrize("learner", ["mlp_fit", "grid_search", "ols_fit", "ridge_fit"])
+    def test_y_cell_is_named(self, learner):
+        x, y = self.problem()
+        y[3, 1] = np.inf
+        with pytest.raises(ValueError, match=r"^y is not finite at \(row 3, column 1\): inf$"):
+            self.LEARNERS[learner](x, y)
+
+    @pytest.mark.parametrize("name, row", [("x_val", 4), ("y_val", 6)])
+    @pytest.mark.parametrize("learner", ["grid_search", "choose_pca_dim"])
+    def test_validation_cell_is_named(self, learner, name, row):
+        # choose_pca_dim used to end on a bare StopIteration for a NaN
+        # x_val cell, and to pick a dimension off all-inf RMSEs for an inf
+        # y_val cell
+        x, y = self.problem()
+        (x if name == "x_val" else y)[30 + row, 1] = np.nan
+        with pytest.raises(ValueError, match=rf"^{name} is not finite at \(row {row}, column 1\)"):
+            self.LEARNERS[learner](x, y)
