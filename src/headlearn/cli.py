@@ -269,6 +269,17 @@ def cmd_stream(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """The value of ``--seed``: numpy's generators take no negative seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="headlearn", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"headlearn {__version__}")
@@ -284,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--neutral", type=float, default=0.75)
     sp.add_argument("--interp", type=int, default=4)
     sp.add_argument("--window", type=int, default=7)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_collect)
 
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ridge-lambda", type=float, default=1.0)
     sp.add_argument("--pca-k", type=int, help="override the per-kind default")
     sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_fit)
 
@@ -304,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION,
                     help="evaluate on this seeded test split; 0 evaluates all rows")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("compare", help="four-way representation comparison table")
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION)
     sp.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     sp.add_argument("--out")

@@ -39,7 +39,6 @@ from .errors import (
 )
 from .features import AU_IDS, AUReadout, window_average
 from .geometry import (
-    CHUNK,
     N_LANDMARKS,
     Pose,
     center,
@@ -66,6 +65,12 @@ TEST_FRACTION = 0.2
 # Default tracker confidence under which an OpenFace row is not used.
 CONFIDENCE_THRESHOLD = 0.8
 
+# Frames :func:`collect` observes and aligns per step.  A (68, 3) frame is
+# 1.6 kB, so a block of 256 spreads numpy's per-call cost over frames that
+# still fit in cache; ``geometry.CHUNK`` (32) is sized for the 170 kB per
+# set that ``pairwise_distances`` takes instead.
+COLLECT_BLOCK = 256
+
 
 @dataclass
 class CollectionProtocol:
@@ -86,6 +91,8 @@ class CollectionProtocol:
             raise ProtocolError("interp_steps must be >= 0")
         if self.au_window < 1:
             raise ProtocolError("au_window must be >= 1")
+        if self.rng_seed < 0:
+            raise ProtocolError("rng_seed must be >= 0")
 
     def to_dict(self) -> dict:
         return to_json(self)
@@ -111,6 +118,8 @@ class DatasetSplit:
     def __post_init__(self) -> None:
         if self.part not in ("train", "test"):
             raise ValueError(f"split part {self.part!r} is not 'train' or 'test'")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -224,8 +233,8 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
     before it (the neutral block's, where that block holds at least
     ``lag`` frames), and they enter the row's average like the rest of
     the window.  The frames go through the simulator and the alignment
-    ``CHUNK`` at a time; only the aligned target frames and the neutral
-    frames' distances at the AU pairs are kept.
+    ``COLLECT_BLOCK`` at a time; only the aligned target frames and the
+    neutral frames' distances at the AU pairs are kept.
     """
     rng_cmd = np.random.default_rng(protocol.rng_seed)
     rng_au = np.random.default_rng([head.rng_seed, protocol.rng_seed, 0xAE])
@@ -239,9 +248,9 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
     readout = AUReadout(head.au_defs)
     sim = HeadSimulator(head)
     target_pts, neutral_dist = [], []
-    for start in range(0, len(schedule), CHUNK):
-        frames = sim.observe(schedule[start:start + CHUNK])
-        role = roles[start:start + CHUNK]
+    for start in range(0, len(schedule), COLLECT_BLOCK):
+        frames = sim.observe(schedule[start:start + COLLECT_BLOCK])
+        role = roles[start:start + COLLECT_BLOCK]
         held = role != _INTERP  # interpolation frames are never aligned
         aligned, _ = procrustes_align(
             derotate(frames.landmarks_observed, frames.pose)[held], reference

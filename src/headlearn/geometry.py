@@ -24,7 +24,7 @@ from .errors import AlignmentDegenerateError
 N_LANDMARKS = 68
 N_PAIRS = N_LANDMARKS * (N_LANDMARKS - 1) // 2  # 2278
 
-# Sets of a stack processed per array step (here and in dataset collection):
+# Sets of a stack processed per array step by pairwise_distances:
 # enough to spread numpy's per-call cost, few enough that the temporaries
 # stay small (a 32-set step of pairwise distances takes about 5 MB).
 CHUNK = 32

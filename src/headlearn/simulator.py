@@ -192,6 +192,8 @@ class HeadConfig:
             raise ConfigError("pose jitter bounds must be >= 0")
         if self.sensor_lag_frames < 0:
             raise ConfigError("sensor_lag_frames must be >= 0")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
 
         mirrored = self.neutral_landmarks[MIRROR_INDEX] * np.array([-1.0, 1.0, 1.0])
         if not np.allclose(self.neutral_landmarks, mirrored, atol=SYMMETRY_TOL):

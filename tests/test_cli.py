@@ -444,6 +444,18 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["gen-head", "--bogus", "x"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["collect"],
+        ["fit", "--dataset", "ds", "--kind", "au"],
+        ["evaluate", "--model", "m.json", "--dataset", "ds"],
+        ["compare", "--dataset", "ds"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_usage_error_naming_the_option(self, capsys, tmp_path, argv):
+        assert main(argv + ["--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"headlearn {argv[0]}: error: argument --seed: must be >= 0, got -1\n" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         assert main(["evaluate", "--model", str(tmp_path / "no.json"),
                      "--dataset", str(tmp_path / "no-ds")]) == 2
@@ -525,6 +537,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "ds")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"headlearn: error: {head}.{error}")
+
+    def test_negative_head_seed_names_file(self, default_head, tmp_path, capsys):
+        doc = to_json(default_head)
+        doc["rng_seed"] = -3
+        head = tmp_path / "head.json"
+        head.write_text(json.dumps(doc))
+        code = main(["collect", "--head", str(head), "--frames", "4",
+                     "--out", str(tmp_path / "ds")])
+        assert code == 2
+        assert capsys.readouterr().err == f"headlearn: error: {head}: rng_seed must be >= 0\n"
 
     @pytest.mark.parametrize("path, value, error", [
         (("human_stats", "mins", 0), float("nan"), "human_stats.mins: expected finite "

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import json
 import re
@@ -7,10 +8,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from headlearn.dataset import (
+    COLLECT_BLOCK,
     CONFIDENCE_THRESHOLD,
     CollectionProtocol,
     DatasetMeta,
@@ -49,6 +51,8 @@ class TestProtocol:
             CollectionProtocol(interp_steps=-1)
         with pytest.raises(ProtocolError):
             CollectionProtocol(au_window=0)
+        with pytest.raises(ProtocolError, match="^rng_seed must be >= 0$"):
+            CollectionProtocol(rng_seed=-1)
 
 
 class TestCollect:
@@ -127,6 +131,69 @@ class TestCollect:
             "distances": "a7634826860568bfbcd3163b8d3434646c336b51b51f2b192ed1bda70d5e827c",
             "commands": "206f77c2cba4e5dc8b0ca24f52988893389a319339ecaea333200aa1c2003c9e",
         }
+
+
+class TestCollectBlocks:
+    """``collect`` gives the same bits whatever its block: the draws go frame
+    by frame, the lag buffer carries across blocks, and a block may hold
+    interpolation frames only."""
+
+    BLOCKS = (1, 3, 32, COLLECT_BLOCK)
+
+    @staticmethod
+    def collect_in_blocks(head, protocol, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("headlearn.dataset.COLLECT_BLOCK", block)
+            return collect(head, protocol)
+
+    @given(
+        lag=st.sampled_from([0, 2]),
+        quiet=st.booleans(),
+        n=st.integers(1, 4),
+        neutral=st.sampled_from([0.0, 0.5, 0.75]),
+        # up to twice the default block, so that some blocks of every size
+        # fall inside one run of interpolation frames
+        interp=st.one_of(st.integers(0, 4), st.integers(32, 70),
+                         st.integers(2 * COLLECT_BLOCK, 2 * COLLECT_BLOCK + 9)),
+        window=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lag=2, quiet=False, n=3, neutral=0.75, interp=2 * COLLECT_BLOCK,
+             window=7, seed=0)
+    @example(lag=2, quiet=True, n=5, neutral=0.5, interp=33, window=3, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_outputs_do_not_depend_on_the_block(
+        self, default_head, lag, quiet, n, neutral, interp, window, seed
+    ):
+        # quiet: no landmark noise, the branch of observe with one draw call
+        head = dataclasses.replace(
+            default_head, sensor_lag_frames=lag,
+            landmark_noise_sigma=0.0 if quiet else default_head.landmark_noise_sigma,
+        )
+        protocol = CollectionProtocol(n, neutral, interp, window, seed)
+        names = ("aus", "landmarks", "distances", "commands")
+        runs = []
+        for block in self.BLOCKS:
+            d = self.collect_in_blocks(head, protocol, block)
+            runs.append(([(getattr(d, k).shape, getattr(d, k).tobytes()) for k in names],
+                         d.meta))
+        for block, run in zip(self.BLOCKS[1:], runs[1:]):
+            assert run == runs[0], f"block {block} differs from block 1"
+
+    def test_default_block_costs_little_more_memory_than_32(self, default_head):
+        # a block must stay cache-sized: the whole 6996-frame schedule in
+        # one block peaks at about 52 MB, against about 21 MB at 32 frames
+        collect(default_head, CollectionProtocol(n_target_frames=2))  # warm caches
+        protocol = CollectionProtocol(rng_seed=0)
+        peaks = {}
+        for block in (32, COLLECT_BLOCK):
+            tracemalloc.start()
+            try:
+                self.collect_in_blocks(default_head, protocol, block)
+                peaks[block] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[COLLECT_BLOCK] <= peaks[32] + 2 * 2**20, peaks
 
 
 class TestSplit:
@@ -327,6 +394,17 @@ class TestPersistence:
             del meta["neutral_reference"]
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(DatasetCorruptError, match=r"metadata\.json\.neutral_reference: "):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("key, field", [("protocol", "rng_seed"), ("split", "seed")])
+    def test_negative_seed_in_metadata_names_the_key(self, small_dataset, tmp_path, key, field):
+        save_dataset(split(small_dataset, 0.25, 3)[0], tmp_path / "d")
+        meta_path = tmp_path / "d" / "metadata.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key][field] = -5
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(DatasetCorruptError,
+                           match=re.escape(f"{meta_path}.{key}: {field} must be >= 0")):
             load_dataset(tmp_path / "d")
 
     @pytest.mark.parametrize("mutation, key", [

@@ -437,6 +437,10 @@ class TestHeadConfig:
         with pytest.raises(ConfigError):
             dataclasses.replace(default_head, actuators=acts)
 
+    def test_negative_seed_rejected(self, default_head):
+        with pytest.raises(ConfigError, match="^rng_seed must be >= 0$"):
+            dataclasses.replace(default_head, rng_seed=-1)
+
     def test_wrong_channel_set_rejected(self, default_head):
         acts = [a for a in default_head.actuators if a.channel != 11]
         acts.append(ActuatorDef(12, "lean head", [(8, 0.0, -1.0, 0.0)], symmetric=True))
