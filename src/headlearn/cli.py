@@ -269,15 +269,20 @@ def cmd_stream(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _seed(text: str) -> int:
-    """The value of ``--seed``: numpy's generators take no negative seed."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+def _int_at_least(low: int):
+    """An argparse type: an int of ``low`` or more (numpy's generators take
+    no negative seed; a smoothing window averages at least one frame)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--neutral", type=float, default=0.75)
     sp.add_argument("--interp", type=int, default=4)
     sp.add_argument("--window", type=int, default=7)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_collect)
 
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ridge-lambda", type=float, default=1.0)
     sp.add_argument("--pca-k", type=int, help="override the per-kind default")
     sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_fit)
 
@@ -315,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION,
                     help="evaluate on this seeded test split; 0 evaluates all rows")
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("compare", help="four-way representation comparison table")
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION)
     sp.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     sp.add_argument("--out")
@@ -356,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stream", help="stream commands for OpenFace CSV rows")
     sp.add_argument("--model", required=True)
     sp.add_argument("--csv", help="input CSV (default: stdin)")
-    sp.add_argument("--window", type=int, default=1, help="trailing smoothing window")
+    sp.add_argument("--window", type=_int_at_least(1), default=1, help="trailing smoothing window")
     sp.add_argument("--threshold", type=float, default=CONFIDENCE_THRESHOLD)
     sp.set_defaults(func=cmd_stream)
 

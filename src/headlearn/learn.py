@@ -10,6 +10,7 @@ and the MLP grid search drops losing points early by successive halving.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -109,9 +110,21 @@ def pca_fit(x: np.ndarray, k: int) -> PcaModel:
     return PcaModel(mean=mean, components=components, explained_variance_ratio=evr)
 
 
+def _one_row_as_batch(f):
+    """Run a 1-D ``x`` of ``f(model, x)`` as the one-row batch ``x[None, :]``:
+    a 1-D product may take another BLAS path, with other bits."""
+
+    @functools.wraps(f)
+    def rows(model, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return f(model, x[None, :])[0] if x.ndim == 1 else f(model, x)
+
+    return rows
+
+
+@_one_row_as_batch
 def pca_transform(m: PcaModel, x: np.ndarray) -> np.ndarray:
     """Project rows onto the principal axes."""
-    x = np.asarray(x, dtype=float)
     if x.shape[-1] != m.n_features:
         raise ValueError(f"input has {x.shape[-1]} columns, model fitted on {m.n_features}")
     return (x - m.mean) @ m.components.T
@@ -191,8 +204,9 @@ class LinearModel:
                 f"linear weights {w.shape} need an intercept of {w.shape[:1]}, got {b.shape}"
             )
 
+    @_one_row_as_batch
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.weights.T + self.intercept
+        return x @ self.weights.T + self.intercept
 
 
 def _check_finite(**arrays: np.ndarray) -> None:
@@ -347,6 +361,7 @@ class MlpModel:
         outs = _layer_outputs(a.shape[:-1], self.biases)
         return _forward(self.weights, self.biases, self.activation, a, outs)[-1]
 
+    @_one_row_as_batch
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward_scaled(x) * TARGET_SCALE
 

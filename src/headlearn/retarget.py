@@ -22,7 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -93,6 +93,9 @@ EMOTIONS = {
 
 # What the AUs an emotion does not maximize take in a FACS target.
 FILL_MODES = ("min", "zero")
+
+# The words of a data error about a frame with a non-finite input.
+_UNREAD = "non-finite value in an input the {} model reads"
 
 
 def facs_target(
@@ -173,7 +176,7 @@ class PipelineModel:
 
     A calibrated model with a linear regressor is affine from the tracked
     features to raw commands, so it derives that map once, when it is
-    built: see :meth:`human_raw`.  ``calibrate_human`` builds a new model,
+    built: see :meth:`features_raw`.  ``calibrate_human`` builds a new model,
     which derives its own; do not assign ``human_stats`` in place.
     """
 
@@ -307,6 +310,40 @@ class PipelineModel:
             & np.isfinite(frame.pose.translation).all(axis=-1)
         )
 
+    def usable_features(
+        self, frame: HumanFrame
+    ) -> tuple[np.ndarray | None, int | None, str | AlignmentDegenerateError | None]:
+        """The features of a tracked frame, (d,), or of a stack, (n, d), and
+        the first frame the model cannot use and the words why, or the
+        located AlignmentDegenerateError: (features, i, why), i and why None
+        when it can use every frame.  The first of these to hold over the
+        stack names its first frame: (1) an input the model reads is not
+        finite (:meth:`reads_finite`); (2) a landmarks model meets collinear
+        landmarks; (3) the features are not finite (the squares in a
+        distance overflow past about 1e154 mm).  The features are None after
+        (1) or (2).  Every input an au or a distances model reads reaches
+        its features (the kept AUs are them; each landmark ends 67
+        distances), so one check of the features finds (1) and (3)."""
+        kind = self.feature_kind
+        if kind == "landmarks":  # non-finite landmarks align to NaN, with warnings
+            i = _first_false(self.reads_finite(frame))
+            if i is not None:
+                return None, i, _UNREAD.format(kind)
+            try:
+                features = self.frame_features(frame)
+            except AlignmentDegenerateError as err:
+                return None, err.index, err
+        else:
+            features = self.frame_features(frame)
+        i = _first_nonfinite(features)
+        if i is None:
+            return features, None, None
+        if kind != "landmarks":  # a non-finite input comes first
+            j = i if kind == "au" else _first_false(self.reads_finite(frame))
+            if j is not None:
+                return None, j, _UNREAD.format(kind)
+        return features, i, f"non-finite {kind} features computed from its inputs"
+
     def predict_raw(self, features: np.ndarray) -> np.ndarray:
         """Unrounded command predictions for model-space feature rows."""
         z = pca_transform(self.pca, features)
@@ -319,50 +356,32 @@ class PipelineModel:
                 "model has no human MinMax stats; run calibrate_human first"
             )
 
-    def human_raw(self, frame: HumanFrame) -> np.ndarray:
-        """Unrounded command for one tracked human frame, (9,), or for a
-        stack of n frames, (n, 9).
-
-        Pipeline: the model's features (:meth:`frame_features`: AUs and
-        distances straight from the tracker, landmarks derotated and aligned
-        to the neutral reference) -> MinMax-map the human range onto the
-        robot range -> PCA -> regress.  A linear model makes the last three
-        steps one affine map (``affine``), equal to the staged steps within
-        1e-9 relative; an MLP model takes them one by one.
-        """
-        self._check_calibrated()
-        return self.features_raw(self.frame_features(frame))
-
     def features_raw(self, features: np.ndarray) -> np.ndarray:
-        """:meth:`human_raw` from the model-space features of a tracked
-        frame, (d,), or of a stack of frames, (n, d)."""
+        """Unrounded commands, (9,) or (n, 9), of a calibrated model for the
+        features of a tracked frame, (d,), or of a stack, (n, d): MinMax-map
+        the human range onto the robot range, project by the PCA, regress.
+        A linear model makes the three steps one affine map (``affine``),
+        equal to the staged steps within 1e-9 relative; an MLP model takes
+        them one by one."""
         if self.affine is not None:
             mins, weights, bias = self.affine
             return (features - mins) @ weights + bias
-        mapped = minmax_map(features, self.human_stats, self.robot_stats)
-        raw = self.predict_raw(np.atleast_2d(mapped))
-        return raw[0] if mapped.ndim == 1 else raw
+        return self.predict_raw(minmax_map(features, self.human_stats, self.robot_stats))
 
-    def live_raw(self, frame: HumanFrame) -> np.ndarray | None:
-        """:meth:`human_raw` of one confident tracked frame, for a calibrated
-        model, or None when :func:`stream` holds it: an input the model reads is not finite
-        (see :meth:`reads_finite`), a landmarks model cannot align its
-        landmarks (collinear), or the prediction is not finite.  Each input
-        is read once: the kept AUs in one gather, checked and mapped."""
-        # a few values are checked faster as Python floats than by numpy
-        if self.feature_kind == "au":
-            features = self.frame_features(frame)
-            if not all(map(math.isfinite, features.tolist())):
-                return None
-        elif not self.reads_finite(frame):
-            return None
-        else:
-            try:
-                features = self.frame_features(frame)
-            except AlignmentDegenerateError:  # collinear landmarks: no defined features
-                return None
-        raw = self.features_raw(features)
-        return raw if all(map(math.isfinite, raw.tolist())) else None
+
+def _first_false(ok: np.ndarray) -> int | None:
+    """Index of the first False of ``ok`` (one bool per frame), or None."""
+    if ok.ndim == 0:  # one frame: its truth is faster than .all()
+        return None if ok else 0
+    return None if ok.all() else int(np.argmin(ok))
+
+
+def _first_nonfinite(rows: np.ndarray) -> int | None:
+    """Index of the first of ``rows`` (one per frame) holding a non-finite
+    value, or None."""
+    if rows.ndim == 1 and len(rows) <= 32:  # faster as Python floats than by numpy
+        return None if all(map(math.isfinite, rows.tolist())) else 0
+    return _first_false(np.isfinite(rows).all(axis=-1))
 
 
 def save_model(model: PipelineModel, path: str | Path) -> None:
@@ -517,8 +536,7 @@ def express(model: PipelineModel, au_target: np.ndarray) -> ActuatorCommand:
     target = np.asarray(au_target, dtype=float)
     if target.shape != (len(AU_IDS),):
         raise ValueError("au_target must have 17 entries")
-    raw = model.predict_raw(target[model.au_index][None, :])[0]
-    return command_from_raw(raw)
+    return command_from_raw(model.predict_raw(target[model.au_index]))
 
 
 def calibrate_human(model: PipelineModel, frames: Iterable[HumanFrame]) -> PipelineModel:
@@ -526,20 +544,19 @@ def calibrate_human(model: PipelineModel, frames: Iterable[HumanFrame]) -> Pipel
 
     The recording should cover neutral plus expressive frames so the
     observed range spans the actor's expression space.  The frames go
-    through the model as one stack.  A frame with a non-finite value in an
-    input the model reads, or in the features the model computes from them,
-    raises OpenFaceFormatError naming the frame's index and timestamp, after
-    its CSV source and line when it was parsed; collinear landmarks raise
-    AlignmentDegenerateError for a landmarks model, after the same source
-    and line.
+    through the model as one stack.  The first frame the model cannot use
+    (:meth:`PipelineModel.usable_features`) raises OpenFaceFormatError
+    naming its index and timestamp, after its CSV source and line when it
+    was parsed (collinear landmarks: AlignmentDegenerateError after them).
     """
     frames = list(frames)
     if len(frames) < 2:
         raise ValueError("calibration needs at least 2 frames")
-    features = _finite_features(
-        model, HumanFrame.stack(frames),
-        lambda i: f"{frames[i].location()}calibration frame {i} (timestamp {frames[i].timestamp})",
-    )
+    features, i, why = model.usable_features(HumanFrame.stack(frames))
+    if why is not None:
+        raise _frame_error(
+            why, f"{frames[i].location()}calibration frame {i} (timestamp {frames[i].timestamp})"
+        )
     return replace(model, human_stats=fit_minmax(features))
 
 
@@ -548,42 +565,34 @@ def retarget_frame(
 ) -> ActuatorCommand | np.ndarray:
     """Map one tracked human frame onto an actuator command, or a stack of
     n frames onto (n, 9) int command rows: the
-    :meth:`PipelineModel.human_raw` prediction, rounded and clipped.
+    :meth:`PipelineModel.features_raw` prediction, rounded and clipped.
 
-    A non-finite value in an input the model reads, or in the features the
-    model computes from them, raises OpenFaceFormatError naming the
-    timestamp of the first such frame, after its CSV source and line when
-    it was parsed; collinear landmarks raise AlignmentDegenerateError for a
-    landmarks model, after the same prefix.
+    A model without human stats raises CalibrationRequiredError.  The first
+    frame the model cannot use (:meth:`PipelineModel.usable_features`), or
+    else the first whose prediction is not finite, raises
+    OpenFaceFormatError naming its timestamp, after its CSV source and line
+    when it was parsed (collinear landmarks: AlignmentDegenerateError after
+    them); :func:`stream` holds each such frame.
     """
-    features = _finite_features(
-        model, frame,
-        lambda i: f"{frame.location(i)}frame at timestamp {float(np.atleast_1d(frame.timestamp)[i])}",
-    )
     model._check_calibrated()
-    return command_from_raw(model.features_raw(features))
+    features, i, why = model.usable_features(frame)
+    if why is None:
+        raw = model.features_raw(features)
+        i = _first_nonfinite(raw)
+        if i is None:
+            return command_from_raw(raw)
+        why = f"non-finite command prediction from its {model.feature_kind} features"
+    raise _frame_error(
+        why, f"{frame.location(i)}frame at timestamp {float(np.atleast_1d(frame.timestamp)[i])}"
+    )
 
 
-def _finite_features(
-    model: PipelineModel, frame: HumanFrame, name: Callable[[int], str]
-) -> np.ndarray:
-    """The model's features of a tracked frame, (d,), or of a stack, (n, d).
-
-    The first frame with a non-finite value in an input the model reads, or
-    in the features computed from them (the squares in a distance overflow
-    past about 1e154 mm), raises OpenFaceFormatError after ``name(i)``, the
-    words for frame ``i``.
-    """
-    finite = np.atleast_1d(model.reads_finite(frame))
-    problem = f"non-finite value in an input the {model.feature_kind} model reads"
-    if finite.all():
-        features = model.frame_features(frame)
-        finite = np.atleast_1d(np.isfinite(features).all(axis=-1))
-        problem = f"non-finite {model.feature_kind} features computed from its inputs"
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise OpenFaceFormatError(f"{name(i)}: {problem}")
-    return features
+def _frame_error(why: str | AlignmentDegenerateError, name: str) -> Exception:
+    """The located AlignmentDegenerateError as it is, or else the words
+    ``why`` as an OpenFaceFormatError after ``name``, the frame's words."""
+    if isinstance(why, AlignmentDegenerateError):
+        return why
+    return OpenFaceFormatError(f"{name}: {why}")
 
 
 def stream(
@@ -595,13 +604,12 @@ def stream(
     """Per-frame retargeting with trailing smoothing and hold-last gaps.
 
     Emits exactly one command per input frame.  Frames under the
-    confidence threshold (or with a NaN confidence), and frames that
-    :meth:`PipelineModel.live_raw` holds (a non-finite input the model
-    reads, collinear landmarks for a landmarks model, or a non-finite
-    prediction), repeat the previously emitted command (the neutral
-    command before any frame passed); other frames enter a trailing
-    moving average of raw predictions of length ``smoothing_window``
-    before rounding.
+    confidence threshold (or with a NaN confidence), and the frames
+    :func:`retarget_frame` raises on (see
+    :meth:`PipelineModel.usable_features`, and a non-finite prediction),
+    repeat the previously emitted command (the neutral command before any
+    frame passed); other frames enter a trailing moving average of raw
+    predictions of length ``smoothing_window`` before rounding.
 
     A model without human stats raises CalibrationRequiredError when the
     first frame arrives, before any command is emitted.
@@ -615,8 +623,11 @@ def stream(
     for frame in frames:
         model._check_calibrated()
         # a NaN confidence counts as low
-        raw = model.live_raw(frame) if frame.confidence >= confidence_threshold else None
-        if raw is not None:
-            window.append(raw)
-            last = command_from_raw(functools.reduce(np.add, window, 0.0) / len(window))
+        if frame.confidence >= confidence_threshold:
+            features, _, why = model.usable_features(frame)
+            if why is None:
+                raw = model.features_raw(features)
+                if _first_nonfinite(raw) is None:
+                    window.append(raw)
+                    last = command_from_raw(functools.reduce(np.add, window, 0.0) / len(window))
         yield last

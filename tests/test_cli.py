@@ -456,6 +456,20 @@ class TestExitCodes:
         assert f"headlearn {argv[0]}: error: argument --seed: must be >= 0, got -1\n" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("window", ["0", "-2"])
+    def test_stream_window_below_one_is_usage_error(
+        self, model_path, human_csv, tmp_path, capsys, window
+    ):
+        # on a CSV with rows and on a header-only one, before the model loads
+        header = tmp_path / "header.csv"
+        header.write_text(human_csv.read_text().splitlines(keepends=True)[0])
+        for csv in (human_csv, header):
+            assert main(["stream", "--model", str(model_path), "--csv", str(csv),
+                         "--window", window]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"headlearn stream: error: argument --window: must be >= 1, got {window}\n" in err
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         assert main(["evaluate", "--model", str(tmp_path / "no.json"),
                      "--dataset", str(tmp_path / "no-ds")]) == 2

@@ -13,6 +13,8 @@ from headlearn.learn import (
     TARGET_SCALE,
     GridEntry,
     HyperGrid,
+    LinearModel,
+    MlpModel,
     MlpRun,
     choose_pca_dim,
     default_grid,
@@ -565,6 +567,42 @@ def train_step(run, epochs):
 
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOneRow:
+    """A 1-D input is one row: PCA, linear and MLP predictions give it the
+    bits of the one-row batch ``x[None, :]``, whatever path BLAS takes for
+    a matrix-vector product."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        d=st.integers(1, 60),
+        hidden=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        activation=st.sampled_from(["tanh", "relu"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_equals_one_row_batch(self, seed, n, d, hidden, activation):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, size=d)
+        widths = [d, *hidden, 9]
+        predictors = {
+            "pca_transform": pca_fit(x, min(d, n - 1)),
+            "LinearModel.predict": LinearModel(rng.normal(size=(9, d)), rng.normal(size=9)),
+            "MlpModel.predict": MlpModel(
+                weights=[rng.normal(size=(b, a)) for a, b in zip(widths, widths[1:])],
+                biases=[rng.normal(size=b) for b in widths[1:]],
+                activation=activation,
+                input_mean=x.mean(axis=0),
+                input_scale=x.std(axis=0) + 1.0,
+            ),
+        }
+        for name, model in predictors.items():
+            predict = (lambda v: pca_transform(model, v)) if name == "pca_transform" else model.predict
+            for row in x:
+                one = predict(row)
+                assert one.ndim == 1, name
+                assert same_bits(one, predict(row[None, :])[0]), name
 
 
 class TestFlatEpoch:

@@ -110,6 +110,14 @@ def simulated_frames(head, seed, n):
     ]
 
 
+def human_raw(model, frame):
+    """The unrounded command of a tracked frame, (9,), or of a stack,
+    (n, 9), that the model can use."""
+    features, i, why = model.usable_features(frame)
+    assert why is None, (i, why)
+    return model.features_raw(features)
+
+
 def aligned_distances(model, frame):
     """The distances of the tracked landmarks derotated and aligned onto
     the model's reference, as a distances model measured them before it
@@ -210,6 +218,16 @@ class TestRetargetFrame:
         frame = human_frame(default_head, random_command(default_head, np.random.default_rng(4)))
         with pytest.raises(CalibrationRequiredError):
             retarget_frame(models["distances"], frame)
+
+    def test_calibration_is_checked_before_the_frame(self, trained, default_head):
+        _, _, models = trained
+        frame = simulated_frames(default_head, 19, 1)[0]
+        kept = AU_INDEX[models["au"].au_ids_used[0]]
+        bad = corrupt(frame, [(("aus", kept), np.nan), (("landmarks", 0), np.nan)])
+        for model in models.values():
+            for batch in (bad, HumanFrame.stack([frame, bad])):
+                with pytest.raises(CalibrationRequiredError):
+                    retarget_frame(model, batch)
 
     def test_rigid_invariance_distance_kind(self, trained, default_head):
         _, _, models = trained
@@ -471,7 +489,7 @@ class TestStackedFrames:
             assert rows.shape == (len(frames), len(CHANNELS))
             assert np.array_equal(rows, [retarget_frame(model, f).as_array() for f in frames])
             np.testing.assert_allclose(
-                model.human_raw(stack), [model.human_raw(f) for f in frames],
+                human_raw(model, stack), [human_raw(model, f) for f in frames],
                 rtol=1e-9, atol=0.0,
             )
 
@@ -735,6 +753,129 @@ class TestStreamContract:
             assert_valid_command(cmd)
 
 
+# 68 landmarks on one line 450 mm from the camera: no landmarks model can
+# align them
+COLLINEAR = np.linspace(-40.0, 40.0, N_LANDMARKS)[:, None] * [0.6, 0.0, 0.8] + [0.0, 0.0, 450.0]
+
+
+class TestUsableFeatures:
+    """One method decides whether a model can use a frame, and why not."""
+
+    def test_usable_frames_give_their_features(self, calibrated):
+        stack = HumanFrame.stack(calibrated.frames)
+        for model in calibrated.models.values():
+            for batch in (calibrated.frames[3], stack):
+                features, i, why = model.usable_features(batch)
+                assert i is None and why is None
+                assert np.array_equal(features, model.frame_features(batch))
+
+    @pytest.mark.parametrize("kind", ["au", "landmarks", "distances"])
+    def test_first_frame_of_the_first_failing_check(self, calibrated, kind):
+        model = calibrated.models[kind]
+        pool = [
+            dataclasses.replace(f, source="a.csv", line=2 + i)
+            for i, f in enumerate(calibrated.frames)
+        ]
+        read = ("aus", AU_INDEX[model.au_ids_used[0]]) if kind == "au" else ("landmarks", 7)
+        nan = corrupt(pool[5], [(read, np.nan)])
+        huge = corrupt(pool[2], [(("landmarks", 15), 1e200)])
+        line = dataclasses.replace(pool[1], landmarks=COLLINEAR)
+        inputs = f"non-finite value in an input the {kind} model reads"
+        computed = f"non-finite {kind} features computed from its inputs"
+        with np.errstate(over="ignore", invalid="ignore"):
+            # an input the model reads is not finite: frame 5, before frames
+            # 1 and 2, each unusable for another reason
+            frames = [pool[0], line, huge, pool[3], pool[4], nan, pool[6]]
+            assert model.usable_features(HumanFrame.stack(frames))[1:] == (5, inputs)
+            assert model.usable_features(nan) == (None, 0, inputs)
+            rest = HumanFrame.stack(frames[:5])
+            features, i, why = model.usable_features(rest)
+            if kind == "distances":
+                # collinear landmarks are measured; the squares of frame 2
+                # overflow
+                assert (i, why) == (2, computed)
+                assert np.array_equal(features, model.frame_features(rest), equal_nan=True)
+        if kind == "au":  # reads no landmark
+            assert (i, why) == (None, None)
+        elif kind == "landmarks":  # collinear landmarks: frame 1, before frame 2
+            assert features is None and i == 1
+            assert isinstance(why, AlignmentDegenerateError)
+            assert str(why) == "a.csv:3: frame 1: source landmarks are rank-deficient; " \
+                "rotation is underdetermined"
+            assert str(model.usable_features(line)[2]).startswith("a.csv:3: source landmarks")
+
+    def test_au_model_checks_its_gather_once(self, calibrated, monkeypatch):
+        # the kept AUs are the features: reads_finite is never asked, and
+        # each confident frame is gathered once
+        from headlearn.retarget import PipelineModel
+
+        model = calibrated.models["au"]
+        pool = calibrated.frames
+        nan = corrupt(pool[2], [(("aus", AU_INDEX[model.au_ids_used[-1]]), np.nan)])
+        expected = [retarget_frame(model, f) for f in (pool[0], pool[1])]
+        gathers = []
+        real = PipelineModel.frame_features
+
+        def counted(self, frame):
+            gathers.append(frame)
+            return real(self, frame)
+
+        def not_asked(self, frame):
+            raise AssertionError("the au model checked its inputs apart from its features")
+
+        monkeypatch.setattr(PipelineModel, "frame_features", counted)
+        monkeypatch.setattr(PipelineModel, "reads_finite", not_asked)
+        out = list(stream(model, [pool[0], nan, pool[1]]))
+        assert out == [expected[0], expected[0], expected[1]]
+        assert len(gathers) == 3
+        assert model.usable_features(HumanFrame.stack([pool[0], nan]))[1:] == (
+            1, "non-finite value in an input the au model reads"
+        )
+
+
+# One tracked frame: which simulated frame, its tracker confidence (full
+# in a third of the frames), whether its landmarks lie on a line, and up to
+# three cells overwritten
+AGREEMENT_FRAMES = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.one_of(st.just(1.0), st.floats(0.0, 1.0), st.just(np.nan)),
+        st.booleans(),
+        st.lists(st.tuples(CELLS, st.one_of(NON_FINITE, HUGE)), max_size=3),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestLiveAgreesWithBatch:
+    """stream with window 1 emits, for each confident frame, what
+    retarget_frame gives that frame; where retarget_frame raises a data
+    error, and for a low-confidence frame, it repeats the previous
+    command."""
+
+    @given(kind=st.sampled_from(["au", "landmarks", "distances"]), spec=AGREEMENT_FRAMES)
+    @settings(max_examples=300, deadline=None)
+    def test_stream_emits_what_retarget_frame_gives(self, calibrated, kind, spec):
+        model = calibrated.models[kind]
+        pool = calibrated.frames
+        frames = []
+        for i, confidence, collinear, cells in spec:
+            frame = dataclasses.replace(pool[i], landmarks=COLLINEAR) if collinear else pool[i]
+            frames.append(dataclasses.replace(corrupt(frame, cells), confidence=confidence))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = list(stream(model, frames, smoothing_window=1))
+            want, last = [], ActuatorCommand.neutral()
+            for frame in frames:
+                if frame.confidence >= CONFIDENCE_THRESHOLD:
+                    try:
+                        last = retarget_frame(model, frame)
+                    except (OpenFaceFormatError, AlignmentDegenerateError):
+                        pass
+                want.append(last)
+        assert out == want
+
+
 class TestNonFiniteInputs:
     """A NaN the model reads is a data error naming the frame, never a
     NaN statistic or a garbage command."""
@@ -863,6 +1004,31 @@ class TestNonFiniteInputs:
                 with pytest.raises(OpenFaceFormatError, match=message + "non-finite landmarks"):
                     retarget_frame(model, batch)
 
+    def test_retarget_frame_names_a_non_finite_prediction(self, trained, default_head):
+        # a kept AU of 1.7e308 (parsed CSV cells are clipped into [0, 5], so
+        # only a frame built in code holds one) is finite, and so are the
+        # features, but the affine map overflows: stream holds the frame, and
+        # retarget_frame names its line instead of clipping the infinity
+        _, _, models = trained
+        model = calibrate_human(models["au"], self.frames(default_head, 21))
+        frames = [
+            dataclasses.replace(f, source="a.csv", line=2 + i)
+            for i, f in enumerate(self.frames(default_head, 22))
+        ]
+        frames[3] = corrupt(frames[3], [(("aus", AU_INDEX[model.au_ids_used[0]]), 1.7e308)])
+        message = (
+            rf"^a\.csv:5: frame at timestamp {frames[3].timestamp}: "
+            "non-finite command prediction from its au features$"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(model.features_raw(model.frame_features(frames[3]))).all()
+            for batch in (frames[3], HumanFrame.stack(frames)):
+                with pytest.raises(OpenFaceFormatError, match=message):
+                    retarget_frame(model, batch)
+            out = list(stream(model, frames))
+        assert out[3] == out[2] == retarget_frame(model, frames[2])
+        assert out[4] == retarget_frame(model, frames[4])
+
     # (5, x) and (9, x) overflow the centring; (5, x) and (40, z) centre to
     # finite values whose cross-covariance with the reference overflows
     @pytest.mark.parametrize("cells", [((5, 0), (9, 0)), ((5, 0), (40, 2))])
@@ -887,7 +1053,7 @@ class TestNonFiniteInputs:
         landmarks[5, 0] = value
         huge = dataclasses.replace(pool[2], landmarks=landmarks)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(model.human_raw(huge)).all()
+            assert not np.isfinite(model.features_raw(model.frame_features(huge))).all()
             out = list(stream(model, [pool[0], huge, pool[1]]))
         assert len(out) == 3 and out[1] == out[0]
         assert out[2] == retarget_frame(model, pool[1])
@@ -940,14 +1106,18 @@ class TestCommandFromRaw:
 
 
 class RowModel:
-    """A calibrated model's stand-in for :func:`stream`: its prediction
-    for a frame is the frame's ``raw`` row, None to hold it."""
+    """A calibrated model's stand-in for :func:`stream`: the features of a
+    frame are its ``raw`` row, which is also its prediction; a frame whose
+    row is None is one it cannot use."""
 
     def _check_calibrated(self):
         pass
 
-    def live_raw(self, frame):
-        return frame.raw
+    def usable_features(self, frame):
+        return (frame.raw, None, None) if frame.raw is not None else (None, 0, "no row")
+
+    def features_raw(self, features):
+        return features
 
 
 class TestStreamWindow:
@@ -984,7 +1154,7 @@ class TestStreamWindow:
 
 def staged_raw(model, frame):
     """``human_raw`` step by step: the MinMax map, the PCA projection, the
-    regressor."""
+    regressor, a frame as a one-row batch."""
     mapped = minmax_map(model.frame_features(frame), model.human_stats, model.robot_stats)
     raw = model.predict_raw(np.atleast_2d(mapped))
     return raw[0] if mapped.ndim == 1 else raw
@@ -994,10 +1164,10 @@ def assert_folded_equals_staged(model, frames):
     """``human_raw`` equals the staged path within 1e-9 relative, frame by
     frame and on the stack."""
     for f in frames:
-        np.testing.assert_allclose(model.human_raw(f), staged_raw(model, f), rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(human_raw(model, f), staged_raw(model, f), rtol=1e-9, atol=0.0)
     stack = HumanFrame.stack(frames)
     np.testing.assert_allclose(
-        model.human_raw(stack), staged_raw(model, stack), rtol=1e-9, atol=0.0
+        human_raw(model, stack), staged_raw(model, stack), rtol=1e-9, atol=0.0
     )
 
 
@@ -1058,22 +1228,22 @@ class TestFoldedMap:
         robot = model.robot_stats
         midpoint = model.predict_raw(((robot.mins + robot.maxs) / 2.0)[None, :])[0]
         for f in frames:
-            np.testing.assert_allclose(flat.human_raw(f), midpoint, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(human_raw(flat, f), midpoint, rtol=1e-9, atol=0.0)
 
     def test_mlp_model_keeps_the_staged_path(self, persisted, calibrated):
         model = persisted.models["au_mlp"]
         assert model.affine is None
         for f in calibrated.frames:
-            assert np.array_equal(model.human_raw(f), staged_raw(model, f))
+            assert np.array_equal(human_raw(model, f), staged_raw(model, f))
         stack = HumanFrame.stack(calibrated.frames)
-        assert np.array_equal(model.human_raw(stack), staged_raw(model, stack))
+        assert np.array_equal(human_raw(model, stack), staged_raw(model, stack))
 
     def test_recalibration_derives_a_new_map(self, linear_models, frames, others):
         first = calibrate_human(linear_models["distances", "ols"], frames)
         second = calibrate_human(first, others)
         assert not np.array_equal(second.affine[1], first.affine[1])
         assert_folded_equals_staged(second, others + frames)
-        assert not np.allclose(second.human_raw(frames[0]), first.human_raw(frames[0]))
+        assert not np.allclose(human_raw(second, frames[0]), human_raw(first, frames[0]))
 
 
 class TestStreamBuffer:
@@ -1086,7 +1256,7 @@ class TestStreamBuffer:
         for f in frames:
             if f.confidence < CONFIDENCE_THRESHOLD or not model.reads_finite(f):
                 continue
-            buffer.append(model.human_raw(f))
+            buffer.append(human_raw(model, f))
             if len(buffer) > window:
                 buffer.pop(0)
             means.append(np.mean(buffer, axis=0))
@@ -1333,7 +1503,7 @@ class TestModelPersistence:
             loaded = load_model(path)
             pred = loaded.predict_raw(loaded.dataset_features(test))
             assert np.array_equal(pred, model.predict_raw(model.dataset_features(test)))
-            assert np.array_equal(loaded.human_raw(stack), model.human_raw(stack))
+            assert np.array_equal(human_raw(loaded, stack), human_raw(model, stack))
             digests[name] = array_sha256(pred)
         # the predict_raw digests of the same models under the older build
         assert digests == {
