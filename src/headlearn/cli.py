@@ -271,7 +271,8 @@ def cmd_stream(args) -> int:
 
 def _int_at_least(low: int):
     """An argparse type: an int of ``low`` or more (numpy's generators take
-    no negative seed; a smoothing window averages at least one frame)."""
+    no negative seed; a window averages at least one frame; a recording
+    holds at least one target and no negative count of interpolation steps)."""
 
     def parse(text: str) -> int:
         try:
@@ -296,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("collect", help="record a simulated dataset")
     sp.add_argument("--head", help="head config JSON (default: built-in)")
-    sp.add_argument("--frames", type=int, default=500)
+    sp.add_argument("--frames", type=_int_at_least(1), default=500)
     sp.add_argument("--neutral", type=float, default=0.75)
-    sp.add_argument("--interp", type=int, default=4)
-    sp.add_argument("--window", type=int, default=7)
+    sp.add_argument("--interp", type=_int_at_least(0), default=4)
+    sp.add_argument("--window", type=_int_at_least(1), default=7)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_collect)

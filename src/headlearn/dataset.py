@@ -210,15 +210,18 @@ def _schedule(
     targets: np.ndarray, blocks: list[int], window: int, interp_steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every recorded frame's command row, in recording order, and its role code."""
-    interp = interpolate_rows(targets[:-1], targets[1:], interp_steps)
-    rows, roles = [], []
-    for i, target in enumerate(targets):
-        rows += [np.zeros((blocks[i], N_CHANNELS)), np.broadcast_to(target, (window, N_CHANNELS))]
-        roles += [_NEUTRAL] * blocks[i] + [_TARGET] * window
-        if i < len(interp):
-            rows.append(interp[i])
-            roles += [_INTERP] * interp_steps
-    return np.concatenate(rows), np.array(roles)
+    n = len(targets)
+    interp = interpolate_rows(targets[:-1], targets[1:], interp_steps).reshape(-1, N_CHANNELS)
+    # segments in role-code order per target (its neutral block, its held
+    # window, the interpolation to the next target), and the frames of each
+    lengths = np.column_stack([blocks, np.full(n, window), np.full(n, interp_steps)])
+    lengths = lengths.ravel()[:-1]  # no interpolation after the last target
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    roles, target = segment % 3, segment // 3
+    step = np.arange(len(segment)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    # rows: a zero row, then the targets, then the interpolation rows
+    source = np.choose(roles, [0, 1 + target, 1 + n + target * interp_steps + step])
+    return np.concatenate([np.zeros((1, N_CHANNELS)), targets, interp])[source], roles
 
 
 def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
@@ -251,10 +254,10 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
     for start in range(0, len(schedule), COLLECT_BLOCK):
         frames = sim.observe(schedule[start:start + COLLECT_BLOCK])
         role = roles[start:start + COLLECT_BLOCK]
-        held = role != _INTERP  # interpolation frames are never aligned
-        aligned, _ = procrustes_align(
-            derotate(frames.landmarks_observed, frames.pose)[held], reference
-        )
+        held = role != _INTERP  # interpolation frames are never derotated or aligned
+        # wrapping the wrapped angles again leaves their bits as they are
+        pose = Pose(frames.pose.rotation[held], frames.pose.translation[held])
+        aligned, _ = procrustes_align(derotate(frames.landmarks_observed[held], pose), reference)
         target_pts.append(aligned[role[held] == _TARGET])
         neutral_dist.append(readout.distances(aligned[role[held] == _NEUTRAL]))
 

@@ -202,9 +202,15 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
         diff = cells[0] - cells[1]
         diff *= diff
         return _lengths(*diff)
+    # a stack: each gather reads one contiguous (n, 68) coordinate plane
+    planes = np.ascontiguousarray(pts.transpose(2, 0, 1))
     out = np.empty((len(pts), N_PAIRS))
     for start in range(0, len(pts), CHUNK):
-        out[start:start + CHUNK] = pair_distances(pts[start:start + CHUNK], *_TRIU)
+        block = planes[:, start:start + CHUNK]
+        diff = block.take(_TRIU[0], axis=-1)
+        diff -= block.take(_TRIU[1], axis=-1)
+        diff *= diff
+        out[start:start + CHUNK] = _lengths(*diff)
     return out
 
 
@@ -234,6 +240,54 @@ def _triu_offset(i, j):
     """Flat index of pairs i < j: ints, or int arrays of equal shape."""
     # offset of row i in the upper triangle, then column offset
     return i * (2 * N_LANDMARKS - i - 1) // 2 + (j - i - 1)
+
+
+# The rank check's bound.  A Gram matrix srcᵀ src divided by its trace has
+# eigenvalues μ1 ≥ μ2 ≥ μ3 ≥ 0 that sum to 1, so the sum of its principal
+# 2 × 2 minors, e2 = μ1μ2 + μ1μ3 + μ2μ3, is at most 3·μ1μ2 ≤ 3·μ2/μ1.  A set
+# with e2 ≥ _CLEAR_E2 thus has σ2/σ1 = √(μ2/μ1) ≥ 1e-3, far above the
+# check's 1e-9 whatever the rounding, and needs no SVD.  Dividing by the
+# trace keeps the products in range; a trace below _MIN_TRACE may have lost
+# its bits to underflow, and one that overflowed is not finite, so such a
+# set goes to the SVD as well.
+_CLEAR_E2 = 3e-6
+_MIN_TRACE = 1e-290
+
+
+def _bound_clears(upper, trace):
+    """Whether Gram matrices of upper triangles ``(a, b, c, e, f, i)`` and
+    ``trace`` have e2 ≥ ``_CLEAR_E2``: Python floats, or arrays of sets."""
+    a, b, c, e, f, i = (x / trace for x in upper)
+    return a * e - b * b + a * i - c * c + e * i - f * f >= _CLEAR_E2
+
+
+def _first_rank_deficient(src: np.ndarray) -> int | None:
+    """Index of the first centred set (0 for one set) that spans fewer than
+    two dimensions, σ1 ≤ 0 or σ2 ≤ 1e-9·σ1 of its singular values, or None.
+
+    Only the sets the Gram bound cannot clear get an SVD.
+    """
+    if src.ndim == 2:
+        # one set: the bound in Python floats costs less than array steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            (a, b, c), (_, e, f), (_, _, i) = (src.T @ src).tolist()
+        trace = a + e + i
+        if _MIN_TRACE < trace < math.inf and _bound_clears((a, b, c, e, f, i), trace):
+            return None
+        unsure = np.zeros(1, dtype=int)
+    else:
+        with np.errstate(all="ignore"):  # a set out of the bound's range is unsure
+            gram = (_t(src) @ src).reshape(-1, 9).T
+            trace = gram[0] + gram[4] + gram[8]
+            cleared = (_MIN_TRACE < trace) & (trace < math.inf)
+            cleared &= _bound_clears(gram[[0, 1, 2, 4, 5, 8]], trace)  # upper triangle
+        unsure = np.flatnonzero(~cleared)
+        if not len(unsure):
+            return None
+    spread = np.linalg.svd(src.reshape((-1,) + src.shape[-2:])[unsure], compute_uv=False)
+    top, second = spread.T[0], spread.T[1]
+    bad = unsure[(top <= 0.0) | (second <= 1e-9 * top)]
+    return int(bad[0]) if len(bad) else None
 
 
 def procrustes_align(
@@ -267,11 +321,8 @@ def procrustes_align(
         src = np.where(finite[..., None, None], src, ref)
         cross = _t(src) @ ref
 
-    spread = np.linalg.svd(src, compute_uv=False)
-    top, second = spread.T[0], spread.T[1]
-    bad = (top <= 0.0) | (second <= 1e-9 * top)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
+    i = _first_rank_deficient(src)
+    if i is not None:
         where = f"frame {i}: " if src.ndim > 2 else ""
         raise AlignmentDegenerateError(
             f"{where}source landmarks are rank-deficient; rotation is underdetermined", i

@@ -456,6 +456,18 @@ class TestExitCodes:
         assert f"headlearn {argv[0]}: error: argument --seed: must be >= 0, got -1\n" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option, value, low", [
+        ("--frames", "0", 1), ("--window", "0", 1), ("--window", "-3", 1), ("--interp", "-1", 0),
+    ])
+    def test_collect_count_below_its_floor_is_usage_error_naming_the_option(
+        self, capsys, tmp_path, option, value, low
+    ):
+        out = tmp_path / "out"
+        assert main(["collect", option, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"headlearn collect: error: argument {option}: must be >= {low}, got {value}\n" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("window", ["0", "-2"])
     def test_stream_window_below_one_is_usage_error(
         self, model_path, human_csv, tmp_path, capsys, window

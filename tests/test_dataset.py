@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from headlearn.dataset import (
     COLLECT_BLOCK,
+    _schedule,
     CONFIDENCE_THRESHOLD,
     CollectionProtocol,
     DatasetMeta,
@@ -36,7 +37,7 @@ from headlearn.errors import (
 )
 from headlearn.geometry import N_LANDMARKS
 from headlearn.records import FieldError
-from headlearn.simulator import CHANNELS
+from headlearn.simulator import CHANNELS, N_CHANNELS, interpolate_rows
 
 from conftest import array_sha256, openface_csv_text
 
@@ -194,6 +195,37 @@ class TestCollectBlocks:
             finally:
                 tracemalloc.stop()
         assert peaks[COLLECT_BLOCK] <= peaks[32] + 2 * 2**20, peaks
+
+
+def _schedule_loop(targets, blocks, window, interp_steps):
+    """The recorded frames' command rows and role codes (neutral 0, target
+    1, interpolation 2), built target by target."""
+    interp = interpolate_rows(targets[:-1], targets[1:], interp_steps)
+    rows, roles = [], []
+    for i, target in enumerate(targets):
+        rows += [np.zeros((blocks[i], N_CHANNELS)), np.broadcast_to(target, (window, N_CHANNELS))]
+        roles += [0] * blocks[i] + [1] * window
+        if i < len(interp):
+            rows.append(interp[i])
+            roles += [2] * interp_steps
+    return np.concatenate(rows), np.array(roles)
+
+
+class TestSchedule:
+    @given(
+        blocks=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+        window=st.integers(1, 9),
+        interp=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_target_by_target_loop(self, blocks, window, interp, seed):
+        rng = np.random.default_rng(seed)
+        targets = rng.integers(0, 256, size=(len(blocks), N_CHANNELS)).astype(float)
+        rows, roles = _schedule(targets, blocks, window, interp)
+        want_rows, want_roles = _schedule_loop(targets, blocks, window, interp)
+        assert rows.tobytes() == want_rows.tobytes() and rows.shape == want_rows.shape
+        assert roles.tolist() == want_roles.tolist()
 
 
 class TestSplit:

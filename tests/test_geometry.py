@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headlearn.errors import AlignmentDegenerateError
@@ -224,6 +224,22 @@ class TestStackEqualsLoop:
             loop = [fn(p, Pose(rotation=r, translation=t)) for p, r, t in zip(pts, rot, trans)]
             assert np.array_equal(fn(pts, poses), np.array(loop))
 
+    def test_wrapping_wrapped_angles_keeps_their_bits(self):
+        # so a pose built from part of a stack's angles derotates that part
+        # as the stack does
+        rng = np.random.default_rng(29)
+        rot = np.concatenate([rng.uniform(-10, 10, (3000, 3)), rng.uniform(-4, 4, (3000, 3)),
+                              np.pi + rng.normal(scale=1e-12, size=(300, 3)),
+                              -np.pi + rng.normal(scale=1e-12, size=(300, 3)),
+                              rng.normal(scale=1e-300, size=(300, 3))])
+        poses = Pose(rotation=rot, translation=rng.uniform(-40, 40, rot.shape))
+        again = Pose(rotation=poses.rotation, translation=poses.translation)
+        assert again.rotation.tobytes() == poses.rotation.tobytes()
+        held = rng.random(len(rot)) < 0.7
+        part = Pose(rotation=poses.rotation[held], translation=poses.translation[held])
+        pts = rng.normal(scale=30.0, size=(len(rot), N_LANDMARKS, 3))
+        assert np.array_equal(derotate(pts[held], part), derotate(pts, poses)[held])
+
     def test_procrustes_align_shared_and_stacked_reference(self):
         pts, refs = self.faces(23), self.faces(24)
         aligned, rots = procrustes_align(pts, refs[0])
@@ -314,3 +330,58 @@ class TestProcrustesProperties:
         pts[bad, :, 0] = np.arange(N_LANDMARKS)  # collinear
         with pytest.raises(AlignmentDegenerateError, match=f"^frame {bad}: "):
             procrustes_align(pts, pts[0] if bad else pts[-1])
+
+
+def _thin_set(thickness, exponent, seed):
+    """68 points on a random line, moved off it by ``thickness`` times a
+    face-sized spread, all at scale ``10**exponent``."""
+    rng = np.random.default_rng(seed)
+    line = rng.normal(scale=30.0, size=(N_LANDMARKS, 1)) * rng.normal(size=3)
+    off = thickness * rng.normal(scale=30.0, size=(N_LANDMARKS, 3))
+    return (line + off) * 10.0 ** exponent
+
+
+def _svd_rule_first_bad(sets):
+    """The rank check by an SVD of each centred set: index of the first set
+    with σ1 ≤ 0 or σ2 ≤ 1e-9·σ1, or None."""
+    spread = np.linalg.svd(center(sets), compute_uv=False)
+    bad = (spread[:, 0] <= 0.0) | (spread[:, 1] <= 1e-9 * spread[:, 0])
+    return int(np.flatnonzero(bad)[0]) if bad.any() else None
+
+
+class TestRankCheck:
+    """``procrustes_align`` rejects exactly the sets an SVD rejects, though
+    it clears most sets by a bound on their Gram matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            # off-line thickness: collinear, then 1e-12 ... 1e-1, then a face
+            st.sampled_from([0.0] + [10.0 ** -k for k in range(12, -1, -1)]),
+            # decimal scale: the Gram trace falls below 1e-290 under about
+            # 1e-146, and overflows above about 1e152
+            st.integers(-170, 155),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1, max_size=6,
+    ))
+    # collinear at 1e-100: a bound not divided by the trace underflows to 0 >= 0
+    @example([(1.0, 0, 1), (0.0, -100, 2)])
+    @example([(1e-12, -120, 3), (1.0, 155, 4), (1e-9, 0, 5), (1e-6, -170, 6)])
+    def test_rejects_what_the_svd_rule_rejects(self, sets):
+        pts = np.stack([_thin_set(*s) for s in sets])
+        ref = np.random.default_rng(0).normal(scale=30.0, size=(N_LANDMARKS, 3))
+        for one in pts:
+            if _svd_rule_first_bad(one[None]) is None:
+                procrustes_align(one, ref)
+            else:
+                with pytest.raises(AlignmentDegenerateError, match="^source landmarks"):
+                    procrustes_align(one, ref)
+        first_bad = _svd_rule_first_bad(pts)
+        if first_bad is None:
+            aligned, _ = procrustes_align(pts, ref)
+            assert np.isfinite(aligned).all()
+        else:
+            with pytest.raises(AlignmentDegenerateError, match=f"^frame {first_bad}: ") as err:
+                procrustes_align(pts, ref)
+            assert err.value.index == first_bad
