@@ -461,7 +461,6 @@ class HumanFrame:
 
     landmarks: np.ndarray  # (68, 3) mm, camera frame
     aus: np.ndarray        # (17,) intensities in [0, 5]
-    pose: Pose
     timestamp: float       # or an (n,) array
     confidence: float      # or an (n,) array
     source: str | None = None
@@ -479,10 +478,6 @@ class HumanFrame:
         return cls(
             landmarks=np.stack([f.landmarks for f in frames]),
             aus=np.stack([f.aus for f in frames]),
-            pose=Pose(
-                rotation=np.stack([f.pose.rotation for f in frames]),
-                translation=np.stack([f.pose.translation for f in frames]),
-            ),
             timestamp=np.array([f.timestamp for f in frames], dtype=float),
             confidence=np.array([f.confidence for f in frames], dtype=float),
             source=source if located else None,
@@ -498,15 +493,10 @@ class HumanFrame:
 
 
 _OPENFACE_AU_COLS = [f"AU{au:02d}_r" for au in AU_IDS]
-_OPENFACE_POSE_COLS = ["pose_Tx", "pose_Ty", "pose_Tz", "pose_Rx", "pose_Ry", "pose_Rz"]
-_OPENFACE_TAIL_COLS = (
-    _OPENFACE_AU_COLS + [f"pose_R{ax}" for ax in "xyz"] + [f"pose_T{ax}" for ax in "xyz"]
-    + ["timestamp"]
-)
+_OPENFACE_TAIL_COLS = _OPENFACE_AU_COLS + ["timestamp"]
 # The columns of the parsed value array, in its order: the landmarks point
 # by point, so that a frame's (68, 3) landmarks are a view of its row, then
-# the AUs, the pose rotation and translation, the timestamp and the
-# confidence.
+# the AUs, the timestamp and the confidence.
 _OPENFACE_VALUE_COLS = (
     [f"{ax}_{i}" for i in range(N_LANDMARKS) for ax in "XYZ"] + _OPENFACE_TAIL_COLS
     + ["confidence"]
@@ -519,9 +509,7 @@ _OPENFACE_READ_ORDER = [
     for name in ["confidence"] + _LANDMARK_COLS + _OPENFACE_TAIL_COLS
 ]
 _AUS_AT = slice(3 * N_LANDMARKS, 3 * N_LANDMARKS + len(AU_IDS))
-_ROTATION_AT = slice(_AUS_AT.stop, _AUS_AT.stop + 3)
-_TRANSLATION_AT = slice(_ROTATION_AT.stop, _ROTATION_AT.stop + 3)
-_TIMESTAMP_AT = _TRANSLATION_AT.stop
+_TIMESTAMP_AT = _AUS_AT.stop
 _CONFIDENCE_AT = _TIMESTAMP_AT + 1
 
 
@@ -533,12 +521,7 @@ def _openface_columns(rows: Iterator[str], source: str) -> list[int]:
     except StopIteration:
         raise OpenFaceFormatError(f"{source}: empty file") from None
     col = {h.strip(): i for i, h in enumerate(raw_header.split(","))}
-    required = (
-        ["timestamp", "confidence"]
-        + _OPENFACE_POSE_COLS
-        + _LANDMARK_COLS
-        + _OPENFACE_AU_COLS
-    )
+    required = ["timestamp", "confidence"] + _LANDMARK_COLS + _OPENFACE_AU_COLS
     missing = [name for name in required if name not in col]
     if missing:
         raise OpenFaceFormatError(f"{source}: missing required columns {missing}")
@@ -627,7 +610,7 @@ def _openface_frames(
 ) -> list[HumanFrame]:
     """Convert kept rows to frames with one numpy parse (:func:`_parse_rows`).
 
-    The read cells of every row become one (n, 229) array, in
+    The read cells of every row become one (n, 223) array, in
     ``_OPENFACE_VALUE_COLS`` order; each frame's fields are views of its
     row.  If a cell does not parse, the error names the first such row and
     its first bad cell in ``_OPENFACE_READ_ORDER``.
@@ -646,7 +629,6 @@ def _openface_frames(
         HumanFrame(
             landmarks=row[:_AUS_AT.start].reshape(N_LANDMARKS, 3),
             aus=row[_AUS_AT],
-            pose=Pose(rotation=row[_ROTATION_AT], translation=row[_TRANSLATION_AT]),
             timestamp=float(row[_TIMESTAMP_AT]),
             confidence=float(row[_CONFIDENCE_AT]),
             source=source,
@@ -664,7 +646,7 @@ def parse_openface_lines(
     """Parse OpenFace 2.0 FeatureExtraction CSV lines into HumanFrames, lazily.
 
     Requires 3D landmark columns (``X_0..Z_67``), the 17 AU intensity
-    columns (``AU01_r..AU45_r``), pose, timestamp and confidence.  Rows
+    columns (``AU01_r..AU45_r``), timestamp and confidence.  Rows
     under the confidence threshold are dropped; a NaN confidence reads as
     0.0, a frame the tracker has no confidence in.  Header names may carry
     OpenFace's leading spaces.  Each frame is yielded as soon as its line

@@ -47,7 +47,6 @@ from .features import (
 from .geometry import (
     N_LANDMARKS,
     center,
-    derotate,
     pairwise_distances,
     procrustes_align,
 )
@@ -169,10 +168,11 @@ class PipelineModel:
     """A persisted retargeting model (one feature kind, one regressor).
 
     What a tracked frame feeds it depends on the kind: the kept AUs (au),
-    the landmarks derotated by the tracked pose and aligned onto
-    ``neutral_reference`` (landmarks), or the distances between the
-    tracked landmarks as they are (distances: a rigid head motion does not
-    change them, so neither the pose nor the reference is read).
+    the tracked landmarks aligned onto ``neutral_reference`` (landmarks),
+    or the distances between the tracked landmarks as they are (distances:
+    a rigid head motion does not change them, so the reference is not
+    read).  No kind reads the tracked head pose: the alignment finds the
+    best rotation itself.
 
     A calibrated model with a linear regressor is affine from the tracked
     features to raw commands, so it derives that map once, when it is
@@ -276,39 +276,32 @@ class PipelineModel:
         """Model-space features for one tracked human frame, (d,), or for a
         stack of n frames, (n, d).
 
-        Only the landmarks kind derotates and aligns, and raises
-        AlignmentDegenerateError on a collinear set, after the frame's CSV
-        source and line when it was parsed.  Distances are
-        measured on the tracked landmarks as they are: the distances of the
-        aligned set equal them up to the rounding of the two rotations
-        (within 1e-12 relative), so aligning first would only cost time.
+        Only the landmarks kind aligns, the tracked landmarks as they are,
+        and raises AlignmentDegenerateError on a collinear set, after the
+        frame's CSV source and line when it was parsed.  Derotating them by
+        the tracked pose first would change the aligned set only by
+        rounding (within 1e-12 relative): the alignment finds the best
+        rotation itself.  Distances are measured on the tracked landmarks:
+        the distances of the aligned set equal them up to the same
+        rounding, so aligning first would only cost time.
         """
         if self.feature_kind == "au":
             return frame.aus.take(self.au_index, axis=-1)
         if self.feature_kind == "distances":
             return pairwise_distances(frame.landmarks)
-        face = derotate(frame.landmarks, frame.pose)
         try:
-            aligned, _ = procrustes_align(face, self.neutral_reference)
+            aligned, _ = procrustes_align(frame.landmarks, self.neutral_reference)
         except AlignmentDegenerateError as err:
             raise AlignmentDegenerateError(f"{frame.location(err.index)}{err}", err.index) from None
         return aligned.reshape(aligned.shape[:-2] + (-1,))
 
     def reads_finite(self, frame: HumanFrame) -> np.ndarray:
         """Per frame, whether every input the model reads is finite: the
-        kept AUs for the au kind, the landmarks for the distances kind, the
-        landmarks and the pose for the landmarks kind.  A 0-d bool for one
-        frame, an (n,) bool array for a stack."""
+        kept AUs for the au kind, the landmarks for the other two.  A 0-d
+        bool for one frame, an (n,) bool array for a stack."""
         if self.feature_kind == "au":
             return np.isfinite(frame.aus[..., self.au_index]).all(axis=-1)
-        finite = np.isfinite(frame.landmarks).all(axis=(-2, -1))
-        if self.feature_kind == "distances":
-            return finite
-        return (
-            finite
-            & np.isfinite(frame.pose.rotation).all(axis=-1)
-            & np.isfinite(frame.pose.translation).all(axis=-1)
-        )
+        return np.isfinite(frame.landmarks).all(axis=(-2, -1))
 
     def usable_features(
         self, frame: HumanFrame

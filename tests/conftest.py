@@ -114,6 +114,14 @@ def openface_csv_text(frames):
     return "\n".join(lines) + "\n"
 
 
+def without_pose_columns(text):
+    """OpenFace CSV ``text`` with its six ``pose_*`` columns removed."""
+    lines = text.splitlines()
+    names = lines[0].split(",")
+    keep = [i for i, name in enumerate(names) if not name.strip().startswith("pose_")]
+    return "".join(",".join(line.split(",")[i] for i in keep) + "\n" for line in lines)
+
+
 def frames_from_simulator(head, commands, rng_seed=5):
     """Observe a command sequence and package it as OpenFace-style rows.
 

@@ -23,7 +23,7 @@ from headlearn.dataset import (
     save_dataset,
     split,
 )
-from headlearn.geometry import Pose, center, pairwise_distances, procrustes_align
+from headlearn.geometry import center, pairwise_distances, procrustes_align
 from headlearn.learn import (
     DEFAULT_PCA_CANDIDATES,
     default_grid,
@@ -169,7 +169,6 @@ class TestCriterion6DistanceInvariance:
         frames = [
             HumanFrame(
                 landmarks=np.asarray(r["landmarks"]), aus=np.asarray(r["aus"]),
-                pose=Pose(rotation=r["rotation"], translation=r["translation"]),
                 timestamp=r["timestamp"], confidence=r["confidence"],
             )
             for r in rows

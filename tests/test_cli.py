@@ -17,7 +17,7 @@ from headlearn.features import AU_INDEX
 from headlearn.records import to_json
 from headlearn.simulator import CHANNELS, HeadConfig, random_command
 
-from conftest import frames_from_simulator, openface_csv_text
+from conftest import frames_from_simulator, openface_csv_text, without_pose_columns
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +346,58 @@ class TestHumanFlows:
             "0.2,107,133,255,209,166,78,255,106,166",
             "0.23333333333333334,100,142,241,168,58,89,205,156,165",
         ]
+
+    def test_landmarks_model_outputs_pinned(self, dataset_dir, human_csv, tmp_path, capsys):
+        # a landmarks model's commands, from fit through calibrate-human,
+        # retarget and stream, by digest and line; no raw prediction of the
+        # confident rows lies within 0.015 of a rounding edge
+        fit, calibrated, out = tmp_path / "fit", tmp_path / "cal.json", tmp_path / "ret"
+        assert main(["fit", "--dataset", str(dataset_dir), "--kind", "landmarks",
+                     "--seed", "3", "--out", str(fit)]) == 0
+        assert main(["calibrate-human", "--model", str(fit / "model.json"),
+                     "--csv", str(human_csv), "--out", str(calibrated)]) == 0
+        assert main(["retarget", "--model", str(calibrated), "--csv", str(human_csv),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "commands.csv").read_bytes()).hexdigest() == (
+            "a2df5ecf019b861e91f09013c4e73199e892bed456c1130c835d535fbcdbb1a3"
+        )
+        capsys.readouterr()
+        assert main(["stream", "--model", str(calibrated), "--csv", str(human_csv),
+                     "--window", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "0.0,157,255,182,0,152,158,65,0,82",
+            "0.03333333333333333,114,255,112,8,108,159,79,103,180",
+            "0.06666666666666667,138,162,59,95,141,208,80,163,142",
+            "0.1,138,162,59,95,141,208,80,163,142",  # held: confidence 0.2
+            "0.13333333333333333,177,61,159,205,248,242,168,71,38",
+            "0.16666666666666666,163,0,230,204,237,136,255,50,109",
+            "0.2,106,5,255,180,202,102,255,121,165",
+            "0.23333333333333334,89,16,221,142,105,130,223,158,170",
+        ]
+
+    @pytest.mark.parametrize("kind", ["au", "landmarks", "distances"])
+    def test_csv_without_pose_columns_gives_the_same_commands(
+        self, dataset_dir, human_csv, kind, tmp_path, capsys
+    ):
+        # no kind reads the tracked head pose: a CSV without the six pose_*
+        # columns calibrates, retargets and streams as the full one does
+        bare = tmp_path / "bare.csv"
+        bare.write_text(without_pose_columns(human_csv.read_text()))
+        fit = tmp_path / "fit"
+        assert main(["fit", "--dataset", str(dataset_dir), "--kind", kind,
+                     "--pca-k", "7", "--seed", "3", "--out", str(fit)]) == 0
+        outputs = []
+        for csv in (human_csv, bare):
+            calibrated = tmp_path / f"{csv.stem}.json"
+            assert main(["calibrate-human", "--model", str(fit / "model.json"),
+                         "--csv", str(csv), "--out", str(calibrated)]) == 0
+            capsys.readouterr()
+            assert main(["retarget", "--model", str(calibrated), "--csv", str(csv)]) == 0
+            assert main(["stream", "--model", str(calibrated), "--csv", str(csv),
+                         "--window", "2"]) == 0
+            outputs.append((calibrated.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1].splitlines()) == 7 + 8
 
     def test_retarget_to_directory(self, model_path, human_csv, tmp_path, capsys):
         calibrated = tmp_path / "cal.json"

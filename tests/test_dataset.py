@@ -39,7 +39,7 @@ from headlearn.geometry import N_LANDMARKS
 from headlearn.records import FieldError
 from headlearn.simulator import CHANNELS, N_CHANNELS, interpolate_rows
 
-from conftest import array_sha256, openface_csv_text
+from conftest import array_sha256, openface_csv_text, without_pose_columns
 
 
 class TestProtocol:
@@ -610,8 +610,6 @@ class TestOpenFaceIngestion:
         for parsed, raw in zip(out, frames):
             assert np.array_equal(parsed.landmarks, raw["landmarks"])
             assert np.array_equal(parsed.aus, raw["aus"])
-            assert np.allclose(parsed.pose.rotation, raw["rotation"])
-            assert np.array_equal(parsed.pose.translation, np.asarray(raw["translation"], dtype=float))
             assert parsed.timestamp == raw["timestamp"]
             assert parsed.confidence == raw["confidence"]
 
@@ -671,9 +669,9 @@ class TestOpenFaceIngestion:
         return path
 
     def test_two_bad_cells_name_the_first_read(self, tmp_path):
-        # pose_Tx comes first in the file, but X_5 is read first
+        # timestamp comes first in the file, but X_5 is read first
         def edit(cells, at):
-            cells[at("pose_Tx")] = "bad"
+            cells[at("timestamp")] = "bad"
             cells[at("X_5")] = "bad"
             return cells
 
@@ -702,10 +700,7 @@ class TestOpenFaceIngestion:
 
 
 def frame_fields(frame):
-    return (
-        frame.landmarks, frame.aus, frame.pose.rotation, frame.pose.translation,
-        frame.timestamp, frame.confidence,
-    )
+    return frame.landmarks, frame.aus, frame.timestamp, frame.confidence
 
 
 def assert_same_frames(got, want):
@@ -818,7 +813,7 @@ class TestOpenFaceBatching:
             {
                 "landmarks": rng.normal(scale=30.0, size=(68, 3)),
                 "aus": rng.uniform(-1.0, 6.0, size=17),  # clipped to [0, 5]
-                "rotation": rng.uniform(-4.0, 4.0, size=3),  # wrapped by Pose
+                "rotation": rng.uniform(-4.0, 4.0, size=3),  # written, not read
                 "translation": rng.normal(scale=10.0, size=3) + [0.0, 0.0, 450.0],
                 "timestamp": i / 30.0,
                 "confidence": confidence,
@@ -874,11 +869,27 @@ class TestOpenFaceBatching:
         assert [f.line for f in batch] == expected
         assert len(lazy) == len(batch)
         for a, b in zip(batch, lazy):
-            for x, y in zip(frame_fields(a)[:4], frame_fields(b)[:4]):
+            for x, y in zip(frame_fields(a)[:2], frame_fields(b)[:2]):
                 assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
             assert (a.timestamp, a.confidence, a.source, a.line) == (
                 b.timestamp, b.confidence, b.source, b.line)
         assert batch[1].confidence == (0.0 if threshold == 0.0 else 0.99)
+
+    def test_csv_without_pose_columns_gives_the_same_frames(self, tmp_path):
+        # no frame field is read from a pose_* column
+        full = self.write(tmp_path)
+        bare = tmp_path / "bare.csv"
+        bare.write_text(without_pose_columns(full.read_text()))
+        assert len(bare.read_text().splitlines()[0].split(",")) == len(
+            full.read_text().splitlines()[0].split(",")
+        ) - 6
+        want = ingest_openface_csv(full, 0.0)
+        for frames in self.both(full, 0.0) + self.both(bare, 0.0):
+            assert len(frames) == len(want) == 8
+            for a, b in zip(want, frames):
+                for x, y in zip(frame_fields(a) + (a.line,), frame_fields(b) + (b.line,)):
+                    x, y = np.asarray(x), np.asarray(y)
+                    assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
 
     def test_parsed_arrays_pinned(self, tmp_path):
         # digests taken from the row-by-row parser this one replaced
@@ -887,14 +898,11 @@ class TestOpenFaceBatching:
         stack = HumanFrame.stack(ingest_openface_csv(path))
         fields = {
             "landmarks": stack.landmarks, "aus": stack.aus,
-            "rotation": stack.pose.rotation, "translation": stack.pose.translation,
             "timestamp": stack.timestamp, "confidence": stack.confidence, "line": stack.line,
         }
         assert {name: array_sha256(a) for name, a in fields.items()} == {
             "landmarks": "1ac3cbbcf2804f91f3aa842a54396e56aee12f12df412619b0a9a39e2966866d",
             "aus": "a30f2182ccfe26043542b968823f7cac53dee7085b75fc75290ca36695ab306a",
-            "rotation": "bfc0dceec46baf29b5db40fe1fed62f7e17a7694dfcd80846e2a4f8a00bb3a1d",
-            "translation": "1b8d6179fdf5162690760f804f357c30f326de2a7db1e36ef6e2e120aa61850e",
             "timestamp": "8e291936e8b96b8f9384c68be427af29a1eb4246102d82f3e861e5aaa218b0e1",
             "confidence": "b661b041a080ec1a2544ea351dd57e64cbac9272f0481238c60a45128273f814",
             "line": "8709990727d8e4a264b60e777380fe25c8d906eee4b17227153348f46214dea8",

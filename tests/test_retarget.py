@@ -92,22 +92,32 @@ def trained(small_dataset):
 
 
 def human_frame(head, command, rng_seed=2):
-    row = frames_from_simulator(head, [command], rng_seed=rng_seed)[0]
+    return frame_of(frames_from_simulator(head, [command], rng_seed=rng_seed)[0])
+
+
+def frame_of(row):
+    """The HumanFrame of one simulated OpenFace-style row."""
     return HumanFrame(
         landmarks=np.asarray(row["landmarks"]),
         aus=np.asarray(row["aus"]),
-        pose=Pose(rotation=row["rotation"], translation=row["translation"]),
         timestamp=row["timestamp"],
         confidence=row["confidence"],
     )
 
 
-def simulated_frames(head, seed, n):
-    """``n`` frames of random commands, the i-th observed at ``seed * 10 + i``."""
+def simulated_rows(head, seed, n):
+    """``n`` simulated rows of random commands, the i-th observed at
+    ``seed * 10 + i``."""
     rng = np.random.default_rng(seed)
     return [
-        human_frame(head, random_command(head, rng), rng_seed=seed * 10 + i) for i in range(n)
+        frames_from_simulator(head, [random_command(head, rng)], rng_seed=seed * 10 + i)[0]
+        for i in range(n)
     ]
+
+
+def simulated_frames(head, seed, n):
+    """The frames of :func:`simulated_rows`."""
+    return [frame_of(row) for row in simulated_rows(head, seed, n)]
 
 
 def human_raw(model, frame):
@@ -119,11 +129,21 @@ def human_raw(model, frame):
 
 
 def aligned_distances(model, frame):
-    """The distances of the tracked landmarks derotated and aligned onto
-    the model's reference, as a distances model measured them before it
-    read the landmarks as they are."""
-    face = derotate(frame.landmarks, frame.pose)
-    return pairwise_distances(procrustes_align(face, model.neutral_reference)[0])
+    """The distances of the tracked landmarks aligned onto the model's
+    reference, as a distances model measured them before it read the
+    landmarks as they are."""
+    return pairwise_distances(procrustes_align(frame.landmarks, model.neutral_reference)[0])
+
+
+def derotated_landmarks(model, rows):
+    """The landmarks features of simulated rows derotated by their tracked
+    pose, then aligned onto the model's reference, as a landmarks model
+    computed them before it aligned the landmarks as tracked: (n, 204)."""
+    faces = np.stack([
+        derotate(row["landmarks"], Pose(rotation=row["rotation"], translation=row["translation"]))
+        for row in rows
+    ])
+    return procrustes_align(faces, model.neutral_reference)[0].reshape(len(rows), -1)
 
 
 class TestEmotionSpecs:
@@ -279,7 +299,8 @@ class TestCalibrateHuman:
         # the human-side MinMax stats feed every retargeted command; they
         # must reproduce bit for bit for each feature kind
         _, _, models = trained
-        frames = simulated_frames(default_head, 25, 12)
+        rows = simulated_rows(default_head, 25, 12)
+        frames = [frame_of(row) for row in rows]
         digests = {}
         for kind, model in models.items():
             stats = calibrate_human(model, frames).human_stats
@@ -289,9 +310,11 @@ class TestCalibrateHuman:
                 "de4ed973c139b78397bd203ab45e167da925eab566f7f5cdd5ef190da1361b66",
                 "cc43a1d7182a3fade077fb9a6f9a89243d796848810f69ab4ae6e93e8a97b8f9",
             ),
+            # aligned as tracked, not derotated first; the stats equal the
+            # derotated path's within 1e-12 of scale (below)
             "landmarks": (
-                "f61f92f1e2cd6f248667ed802427d0c37a910dff258f67c7e049d0cb847fb615",
-                "9dc98843ff23646e454694dbfacdf6bb8c0d99d1204fa28fc6977fd5af0d8f89",
+                "5736b5261b8658ee21f6d61b0c546e67010845cd99ca0adf055bee700c2b5b4d",
+                "dec4a4fc39e0a6b200f8297af78f79cbd41f2043ca66ef3e48519b1e6672503f",
             ),
             # measured on the tracked landmarks, not on aligned ones; the
             # stats equal the aligned path's within 1e-12 relative (below)
@@ -304,6 +327,16 @@ class TestCalibrateHuman:
         stats = calibrate_human(models["distances"], frames).human_stats
         np.testing.assert_allclose(stats.mins, aligned.mins, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(stats.maxs, aligned.maxs, rtol=1e-12, atol=0.0)
+        # the features equal those of the landmarks derotated by their
+        # tracked pose before alignment within 1e-12 of each frame's largest
+        # aligned coordinate, and the stats within the largest such bound
+        model = models["landmarks"]
+        derotated = derotated_landmarks(model, rows)
+        tol = 1e-12 * np.abs(derotated).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(model.frame_features(HumanFrame.stack(frames)) - derotated) <= tol)
+        older, stats = fit_minmax(derotated), calibrate_human(model, frames).human_stats
+        assert np.all(np.abs(stats.mins - older.mins) <= tol.max())
+        assert np.all(np.abs(stats.maxs - older.maxs) <= tol.max())
 
 
 POSES = st.lists(
@@ -330,8 +363,7 @@ class TestUnalignedDistances:
         for i, rotation, translation, offset in poses:
             source = calibrated.frames[i]
             pose = Pose(rotation=rotation, translation=np.add(translation, [0.0, 0.0, offset]))
-            face = derotate(source.landmarks, source.pose)
-            frames.append(dataclasses.replace(source, landmarks=apply_pose(face, pose), pose=pose))
+            frames.append(dataclasses.replace(source, landmarks=apply_pose(source.landmarks, pose)))
         for frame in frames + [HumanFrame.stack(frames)]:
             np.testing.assert_allclose(
                 model.frame_features(frame), aligned_distances(model, frame), rtol=1e-12, atol=0.0
@@ -363,28 +395,8 @@ class TestUnalignedDistances:
             raise AssertionError("the distances stream aligned a frame")
 
         expected = [retarget_frame(calibrated.models["distances"], f) for f in calibrated.frames]
-        for name in ("derotate", "procrustes_align"):
-            monkeypatch.setattr(retarget_mod, name, no_alignment)
+        monkeypatch.setattr(retarget_mod, "procrustes_align", no_alignment)
         assert list(stream(calibrated.models["distances"], calibrated.frames)) == expected
-
-    def test_pose_is_read_by_the_landmarks_model_only(self, calibrated):
-        frames = calibrated.frames
-        bad = dataclasses.replace(
-            frames[1], pose=Pose(rotation=[np.nan, 0.0, 0.0], translation=[0.0, np.inf, 450.0])
-        )
-        distances, landmarks = calibrated.models["distances"], calibrated.models["landmarks"]
-        assert distances.reads_finite(bad) and not landmarks.reads_finite(bad)
-        # retargeted by a distances model, as the frame with its pose
-        expected = retarget_frame(distances, frames[1])
-        assert retarget_frame(distances, bad) == expected
-        assert list(stream(distances, [frames[0], bad])) == [
-            retarget_frame(distances, frames[0]), expected
-        ]
-        # held by a landmarks model
-        out = list(stream(landmarks, [frames[0], bad]))
-        assert out[1] == out[0]
-        with pytest.raises(OpenFaceFormatError, match="input the landmarks model reads"):
-            retarget_frame(landmarks, bad)
 
     def test_collinear_landmarks(self, calibrated):
         along = np.linspace(-40.0, 40.0, N_LANDMARKS)[:, None] * [0.6, 0.0, 0.8]
@@ -413,6 +425,34 @@ class TestUnalignedDistances:
         assert_valid_command(out[2])
 
 
+class TestAlignedAsTracked:
+    """A landmarks model aligns the tracked landmarks as they are: the
+    alignment finds the best rotation itself, so no head pose is read."""
+
+    @given(poses=POSES)
+    @settings(max_examples=100, deadline=None)
+    def test_landmarks_features_ignore_a_rigid_motion(self, calibrated, poses):
+        model = calibrated.models["landmarks"]
+        still = [calibrated.frames[i] for i, _, _, _ in poses]
+        moved = [
+            dataclasses.replace(
+                frame,
+                landmarks=apply_pose(
+                    frame.landmarks,
+                    Pose(rotation=rotation, translation=np.add(translation, [0.0, 0.0, offset])),
+                ),
+            )
+            for frame, (_, rotation, translation, offset) in zip(still, poses)
+        ]
+        want = model.frame_features(HumanFrame.stack(still))
+        scale = np.abs(want).max(axis=-1, keepdims=True)  # each face's largest coordinate
+        for got in (
+            np.array([model.frame_features(f) for f in moved]),
+            model.frame_features(HumanFrame.stack(moved)),
+        ):
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
 class TestStackedFrames:
     """A stack of frames gives, per frame, what the single frame gives."""
 
@@ -425,10 +465,6 @@ class TestStackedFrames:
         for name in ("landmarks", "aus", "timestamp", "confidence"):
             assert np.array_equal(
                 getattr(stack, name), np.array([getattr(f, name) for f in frames])
-            )
-        for name in ("rotation", "translation"):
-            assert np.array_equal(
-                getattr(stack.pose, name), np.array([getattr(f.pose, name) for f in frames])
             )
         with pytest.raises(ValueError):
             HumanFrame.stack([])
@@ -458,9 +494,6 @@ class TestStackedFrames:
         mixed = list(frames)
         mixed[2] = dataclasses.replace(frames[2], aus=aus)
         mixed[5] = dataclasses.replace(frames[5], landmarks=landmarks)
-        mixed[7] = dataclasses.replace(
-            frames[7], pose=Pose(rotation=[0.0, np.nan, 0.0], translation=[0.0, 0.0, 450.0])
-        )
         for kind, model in models.items():
             assert np.array_equal(
                 model.frame_features(HumanFrame.stack(frames)),
@@ -608,7 +641,7 @@ class TestStream:
         def no_geometry(*args, **kwargs):
             raise AssertionError("the au stream made a geometry call")
 
-        for name in ("derotate", "procrustes_align", "pairwise_distances"):
+        for name in ("procrustes_align", "pairwise_distances"):
             monkeypatch.setattr(retarget_mod, name, no_geometry)
         out = list(stream(model, seq))
         assert len(out) == len(seq)
@@ -691,8 +724,6 @@ HUGE = st.sampled_from([1e155, -1e155, 1e300, -1e300, 1.7e308, -1.7e308])
 CELLS = st.one_of(
     st.tuples(st.just("aus"), st.integers(0, 16)),
     st.tuples(st.just("landmarks"), st.integers(0, 68 * 3 - 1)),
-    st.tuples(st.just("rotation"), st.integers(0, 2)),
-    st.tuples(st.just("translation"), st.integers(0, 2)),
 )
 FRAMES = st.lists(
     st.tuples(
@@ -706,20 +737,10 @@ FRAMES = st.lists(
 
 def corrupt(frame, cells):
     """A copy of ``frame`` with the given (field, index) cells overwritten."""
-    arrays = {
-        "aus": frame.aus.copy(),
-        "landmarks": frame.landmarks.copy(),
-        "rotation": np.array(frame.pose.rotation, dtype=float),
-        "translation": np.array(frame.pose.translation, dtype=float),
-    }
+    arrays = {"aus": frame.aus.copy(), "landmarks": frame.landmarks.copy()}
     for (name, i), value in cells:
         arrays[name].flat[i] = value
-    return dataclasses.replace(
-        frame,
-        aus=arrays["aus"],
-        landmarks=arrays["landmarks"],
-        pose=Pose(rotation=arrays["rotation"], translation=arrays["translation"]),
-    )
+    return dataclasses.replace(frame, **arrays)
 
 
 class TestStreamContract:
