@@ -272,7 +272,9 @@ def cmd_stream(args) -> int:
 def _int_at_least(low: int):
     """An argparse type: an int of ``low`` or more (numpy's generators take
     no negative seed; a window averages at least one frame; a recording
-    holds at least one target and no negative count of interpolation steps)."""
+    holds at least one target and no negative count of interpolation steps;
+    a PCA keeps at least one component, and an MLP trains at least one
+    epoch)."""
 
     def parse(text: str) -> int:
         try:
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=FEATURE_KINDS, required=True)
     sp.add_argument("--regressor", choices=REGRESSORS, default="ols")
     sp.add_argument("--ridge-lambda", type=float, default=1.0)
-    sp.add_argument("--pca-k", type=int, help="override the per-kind default")
+    sp.add_argument("--pca-k", type=_int_at_least(1), help="override the per-kind default")
     sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--out", required=True)
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION)
-    sp.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
+    sp.add_argument("--epochs", type=_int_at_least(1), default=DEFAULT_EPOCHS)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_compare)
 

@@ -38,14 +38,7 @@ from .errors import (
     ProvenanceWarning,
 )
 from .features import AU_IDS, AUReadout, window_average
-from .geometry import (
-    N_LANDMARKS,
-    Pose,
-    center,
-    derotate,
-    pairwise_distances,
-    procrustes_align,
-)
+from .geometry import N_LANDMARKS, center, pairwise_distances, procrustes_align
 from .records import FieldError, from_json, read_json, to_json
 from .simulator import (
     CHANNELS,
@@ -229,15 +222,19 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
 
     Deterministic: the command stream is seeded from ``protocol.rng_seed``,
     observation noise from ``head.rng_seed``, and AU detection noise from
-    both.  Stored landmark rows are derotated, aligned to the neutral
-    reference, and averaged over each held expression.  Under a head with
+    both.  Stored landmark rows are the observed landmarks of the target
+    frames, aligned to the neutral reference as they are (the alignment
+    finds the head's rotation itself), and averaged over each held
+    expression.  The AU baseline is the mean of the neutral frames'
+    distances, measured on their observed landmarks: a distance does not
+    change under the head's pose.  Under a head with
     ``sensor_lag_frames`` = ``lag`` > 0, the first ``lag`` frames of each
     held window still show the commands of the ``lag`` frames recorded
     before it (the neutral block's, where that block holds at least
     ``lag`` frames), and they enter the row's average like the rest of
-    the window.  The frames go through the simulator and the alignment
-    ``COLLECT_BLOCK`` at a time; only the aligned target frames and the
-    neutral frames' distances at the AU pairs are kept.
+    the window.  The frames go through the simulator ``COLLECT_BLOCK`` at
+    a time; only the aligned target frames and the neutral frames'
+    distances at the AU pairs are kept.
     """
     rng_cmd = np.random.default_rng(protocol.rng_seed)
     rng_au = np.random.default_rng([head.rng_seed, protocol.rng_seed, 0xAE])
@@ -254,21 +251,13 @@ def collect(head: HeadConfig, protocol: CollectionProtocol) -> Dataset:
     for start in range(0, len(schedule), COLLECT_BLOCK):
         frames = sim.observe(schedule[start:start + COLLECT_BLOCK])
         role = roles[start:start + COLLECT_BLOCK]
-        held = role != _INTERP  # interpolation frames are never derotated or aligned
-        # wrapping the wrapped angles again leaves their bits as they are
-        pose = Pose(frames.pose.rotation[held], frames.pose.translation[held])
-        aligned, _ = procrustes_align(derotate(frames.landmarks_observed[held], pose), reference)
-        target_pts.append(aligned[role[held] == _TARGET])
-        neutral_dist.append(readout.distances(aligned[role[held] == _NEUTRAL]))
+        observed = frames.landmarks_observed
+        target_pts.append(procrustes_align(observed[role == _TARGET], reference)[0])
+        neutral_dist.append(readout.distances(observed[role == _NEUTRAL]))
 
     target_pts = np.concatenate(target_pts)
     neutral_dist = np.concatenate(neutral_dist)
-    if len(neutral_dist):
-        # row after row, as np.mean sums the 2278 columns of full distance
-        # rows; a mean over one column would be summed pairwise instead
-        baseline = np.add.accumulate(neutral_dist)[-1] / len(neutral_dist)
-    else:
-        baseline = readout.distances(reference)
+    baseline = neutral_dist.mean(axis=0) if len(neutral_dist) else readout.distances(reference)
     aus = readout.intensities(readout.distances(target_pts), baseline, rng_au)
 
     landmarks = window_average(target_pts.reshape(n * window, -1), window)

@@ -150,7 +150,7 @@ class TestCompareRepresentations:
     def test_outputs_pinned(self, tiny_report):
         # default PCA candidates: the 48 training rows still allow k=39
         assert array_sha256(tiny_report.values) == (
-            "0a7ef7b5d3ac099498783c77a002c8ee69f54b65dc277bed018b72359a44aa29"
+            "8394de798081f3eee4704d5220ada8a3b3e7e61bc4c11dd5787abe17323e15cf"
         )
         assert tiny_report.distance_pca_dim == 39
 

@@ -415,22 +415,22 @@ class TestHumanFlows:
 
 OUT_DIGESTS = {
     "collect": {
-        "frames.csv": "48ec1577e7b9cfc7e5d870d4694ff241f7e33a957d2b81620db6a263d88c3a28",
+        "frames.csv": "87b443c16691760225c55e1acdb947f345c62751e043d1410669d60a2c0fd68c",
         "metadata.json": "475c17ef30500f0e8b89f7b1b517488d802093a14193b0b8b9accb45a69c5380",
     },
     "fit": {
-        "model.json": "9cd8109e3f76a5a514d58c86c57ce85d4c77b25cdc374b592a0a475cf39ed2a6",
-        "metrics.json": "0a018060ebaf4cf638ebb6aa75b71c3f5fb8c36daf22f19083a99bc8c4adc52f",
+        "model.json": "c7d7531a4d458f2e6f576c63711ee7db75d5581f940a2f8e57a62bfa146d3d31",
+        "metrics.json": "b8b8174c4e8e2c074b83e3ab3102fae126f598b0ffb243a6f488abbd2c54fcf0",
     },
     "evaluate": {
-        "metrics.json": "0b8ea2d60b0ba3bed4f0be8822b03c152fea097ae63a728e2668c95ed66236f9",
+        "metrics.json": "d417740fcf463f940930cafc0973f1044248cfadac818e47706f9bc157852522",
     },
     "compare": {
-        "comparison.csv": "495285c46dbbdd00e0aed7c32259a4cdf0a5701f86dbf05143053d1ccd853b8b",
+        "comparison.csv": "d009796cc85992bb7f041235a31adedb4ddabee7dd9810830cb9b289f5bb2416",
         "comparison.txt": "6b1c5541c59b2fd5b9b69073a7ff2cb21f3e734d92fa54ab4c06304e6c255634",
     },
     "correlate": {
-        "correlations.csv": "5dec75053a503dcb2ab420144c801c0dc18439a0a191d27e384860e5bcc280c4",
+        "correlations.csv": "7cb611ea0a051bc1f1663c918b17096d4b388b3028f58c9c9ad4b635d443b42a",
         "pruned_aus.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     },
     "retarget": {
@@ -518,6 +518,19 @@ class TestExitCodes:
         assert main(["collect", option, value, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"headlearn collect: error: argument {option}: must be >= {low}, got {value}\n" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["fit", "--dataset", "ds", "--kind", "distances"], "--pca-k"),
+        (["compare", "--dataset", "ds"], "--epochs"),
+    ], ids=["fit", "compare"])
+    def test_count_below_one_is_usage_error_naming_the_option(
+        self, capsys, tmp_path, argv, option
+    ):
+        out = tmp_path / "out"
+        assert main(argv + [option, "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"headlearn {argv[0]}: error: argument {option}: must be >= 1, got 0\n" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("window", ["0", "-2"])

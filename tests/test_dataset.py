@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from headlearn.dataset import (
     COLLECT_BLOCK,
+    _neutral_block_sizes,
     _schedule,
     CONFIDENCE_THRESHOLD,
     CollectionProtocol,
@@ -35,9 +36,24 @@ from headlearn.errors import (
     ProvenanceWarning,
     UnsupportedVersionError,
 )
-from headlearn.geometry import N_LANDMARKS
+from headlearn.features import AUReadout, window_average
+from headlearn.geometry import (
+    N_LANDMARKS,
+    Pose,
+    center,
+    derotate,
+    pairwise_distances,
+    procrustes_align,
+)
 from headlearn.records import FieldError
-from headlearn.simulator import CHANNELS, N_CHANNELS, interpolate_rows
+from headlearn.simulator import (
+    CHANNELS,
+    COMMAND_MAX,
+    COMMAND_MIN,
+    N_CHANNELS,
+    HeadSimulator,
+    interpolate_rows,
+)
 
 from conftest import array_sha256, openface_csv_text, without_pose_columns
 
@@ -94,8 +110,6 @@ class TestCollect:
         assert np.allclose(pts.mean(axis=1), 0.0, atol=1e-9)
 
     def test_distances_derive_from_stored_landmarks(self, small_dataset):
-        from headlearn.geometry import pairwise_distances
-
         row = 3
         pts = small_dataset.landmarks[row].reshape(N_LANDMARKS, 3)
         assert np.array_equal(small_dataset.distances[row], pairwise_distances(pts))
@@ -120,16 +134,16 @@ class TestCollect:
         d = collect(load_default_head(), CollectionProtocol(n_target_frames=60, rng_seed=0))
         save_dataset(d, tmp_path / "d")
         digest = hashlib.sha256((tmp_path / "d" / "frames.csv").read_bytes()).hexdigest()
-        assert digest == "1d46d4a3bd0d1574ae6425e0120e7434a179c0fed7e0d60182c5e21f87884882"
+        assert digest == "d421a16f11b01061f57317ec84ba10c445cdffaba76b071cc64630a7e61497a9"
 
     def test_golden_default_dataset(self, default_dataset):
         # pins all four arrays of the seed-0 500-row collection, including
         # the distances, which frames.csv does not store
         names = ("aus", "landmarks", "distances", "commands")
         assert {n: array_sha256(getattr(default_dataset, n)) for n in names} == {
-            "aus": "95224ed075be28ef0e39f35474fde07f1de5303a0a3e7ad83ec5a9f7dfbef423",
-            "landmarks": "65724e219cb1d73135bd29809e3ce2cd97f786c2675cdac4e2e2e68f3bbbc6c2",
-            "distances": "a7634826860568bfbcd3163b8d3434646c336b51b51f2b192ed1bda70d5e827c",
+            "aus": "ef42786c141e533fb99a032336a61b6724d51fc9c2a5900d5686d98fbc9882d0",
+            "landmarks": "d45357d37a606d3e1e06c98348d5de2d8e5d7575f45567aeec68408c285cae2b",
+            "distances": "af4e38308a1d196665e42691f8cab1843d8daff19b2f6eef9352d1e9958778a6",
             "commands": "206f77c2cba4e5dc8b0ca24f52988893389a319339ecaea333200aa1c2003c9e",
         }
 
@@ -162,6 +176,9 @@ class TestCollectBlocks:
     @example(lag=2, quiet=False, n=3, neutral=0.75, interp=2 * COLLECT_BLOCK,
              window=7, seed=0)
     @example(lag=2, quiet=True, n=5, neutral=0.5, interp=33, window=3, seed=1)
+    # about 332 neutral frames per target: a default block of neutral frames
+    # only, so an empty stack of target frames goes to the alignment
+    @example(lag=0, quiet=False, n=2, neutral=0.997, interp=4, window=7, seed=0)
     @settings(max_examples=60, deadline=None)
     def test_outputs_do_not_depend_on_the_block(
         self, default_head, lag, quiet, n, neutral, interp, window, seed
@@ -195,6 +212,82 @@ class TestCollectBlocks:
             finally:
                 tracemalloc.stop()
         assert peaks[COLLECT_BLOCK] <= peaks[32] + 2 * 2**20, peaks
+
+
+def _collect_derotated(head, protocol):
+    """The aus, landmarks, distances and commands of :func:`collect` by the
+    derotated path: every neutral and target frame derotated by its
+    simulated pose and aligned, and the neutral baseline summed row after
+    row over the aligned neutral frames' distances."""
+    rng_cmd = np.random.default_rng(protocol.rng_seed)
+    rng_au = np.random.default_rng([head.rng_seed, protocol.rng_seed, 0xAE])
+    n, window = protocol.n_target_frames, protocol.au_window
+    targets = rng_cmd.integers(COMMAND_MIN, COMMAND_MAX + 1, size=(n, N_CHANNELS)).astype(float)
+    blocks = _neutral_block_sizes(n, protocol.neutral_fraction)
+    schedule, roles = _schedule(targets, blocks, window, protocol.interp_steps)
+
+    frames = HeadSimulator(head).observe(schedule)
+    held = roles != 2  # role codes: neutral 0, target 1, interpolation 2
+    pose = Pose(frames.pose.rotation[held], frames.pose.translation[held])
+    reference = center(head.neutral_landmarks)
+    aligned, _ = procrustes_align(derotate(frames.landmarks_observed[held], pose), reference)
+    readout = AUReadout(head.au_defs)
+    neutral_dist = readout.distances(aligned[roles[held] == 0])
+    baseline = (np.add.accumulate(neutral_dist)[-1] / len(neutral_dist) if len(neutral_dist)
+                else readout.distances(reference))
+    target_pts = aligned[roles[held] == 1]
+    aus = readout.intensities(readout.distances(target_pts), baseline, rng_au)
+    landmarks = window_average(target_pts.reshape(n * window, -1), window)
+    return {
+        "aus": window_average(aus, window),
+        "landmarks": landmarks,
+        "distances": pairwise_distances(landmarks.reshape(-1, N_LANDMARKS, 3)),
+        "commands": targets,
+    }
+
+
+class TestCollectAsObserved:
+    """``collect`` aligns the target frames as observed and measures the
+    neutral baseline on the observed neutral frames: alignment finds the
+    head's rotation itself, and a distance does not change under it.  So it
+    gives the derotated path's outputs up to rounding."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("lagged_quiet", [False, True], ids=["default", "lagged-quiet"])
+    def test_matches_the_derotated_path(self, default_head, seed, lagged_quiet):
+        head = default_head
+        if lagged_quiet:  # pose jitter stays: it is what the derotation undid
+            head = dataclasses.replace(default_head, sensor_lag_frames=2, landmark_noise_sigma=0.0)
+        protocol = CollectionProtocol(n_target_frames=80, rng_seed=seed)
+        d = collect(head, protocol)
+        want = _collect_derotated(head, protocol)
+        for name in ("landmarks", "distances"):
+            got, ref = getattr(d, name), want[name]
+            scale = np.abs(ref).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale), name
+        assert np.all(np.abs(d.aus - want["aus"]) <= 1e-12)
+        assert np.array_equal(d.commands, want["commands"])
+
+    def test_aligns_only_the_target_frames_and_never_derotates(self, default_head):
+        aligned_sets, derotated = [], []
+
+        def counting_align(source, reference):
+            aligned_sets.append(1 if np.ndim(source) == 2 else len(source))
+            return procrustes_align(source, reference)
+
+        def counting_derotate(points, pose):
+            derotated.append(points)
+            return derotate(points, pose)
+
+        protocol = CollectionProtocol(n_target_frames=40, rng_seed=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("headlearn.dataset.procrustes_align", counting_align)
+            mp.setattr("headlearn.geometry.derotate", counting_derotate)
+            # and under the name an import into dataset would bind
+            mp.setattr("headlearn.dataset.derotate", counting_derotate, raising=False)
+            collect(default_head, protocol)
+        assert sum(aligned_sets) == protocol.n_target_frames * protocol.au_window
+        assert derotated == []
 
 
 def _schedule_loop(targets, blocks, window, interp_steps):
