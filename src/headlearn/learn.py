@@ -6,6 +6,9 @@ switches to the Gram-matrix route when there are fewer rows than columns
 Regressors are multi-output throughout; MLP training is plain full-batch
 gradient descent with a fixed epoch budget, deterministic under a seed,
 and the MLP grid search drops losing points early by successive halving.
+Training folds each layer's bias into its weights as the weight of a
+constant-1 input, so a layer's forward step and its gradients are one
+matrix product each; ``MlpModel.predict`` adds its biases apart.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -157,6 +161,21 @@ def choose_pca_dim(
     wins, so exact ties go to the smaller k.  The report's cumulative EVR
     comes from the same fit.
     """
+    return _scan_pca_dims(x_fit, y_fit, x_val, y_val, candidates)[:2]
+
+
+def _scan_pca_dims(
+    x_fit: np.ndarray,
+    y_fit: np.ndarray,
+    x_val: np.ndarray,
+    y_val: np.ndarray,
+    candidates: Sequence[int],
+) -> tuple[int, PcaDimReport, PcaModel, np.ndarray]:
+    """:func:`choose_pca_dim`, also returning the scan's fit, at the largest
+    candidate, and its projection of ``x_fit``.  By the nesting, their first
+    k axes and columns are ``pca_fit(x_fit, k)`` and its projection (to
+    rounding for one axis on the Gram route, and where BLAS takes another
+    kernel for fewer columns)."""
     cands = sorted(set(int(k) for k in candidates))
     if not cands:
         raise ValueError("candidates must be nonempty")
@@ -181,7 +200,7 @@ def choose_pca_dim(
     return chosen, PcaDimReport(
         candidates=cands, rmses=rmses, cumulative_evr=[float(cum[k - 1]) for k in cands],
         chosen=chosen, best_rmse=best,
-    )
+    ), pca, z_fit
 
 
 # -- linear models -----------------------------------------------------------
@@ -282,23 +301,26 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
 _ACTIVATIONS = ("tanh", "relu")
 
 
+def _activate(activation: str, z: np.ndarray) -> None:
+    """Write a hidden layer's activation over its pre-activation ``z``."""
+    if activation == "tanh":
+        np.tanh(z, out=z)
+    else:
+        np.maximum(z, 0.0, out=z)
+
+
 def _forward(
     weights: list[np.ndarray], biases: list[np.ndarray], activation: str, a: np.ndarray,
     outs: list[np.ndarray],
 ) -> list[np.ndarray]:
     """Forward pass from the input ``a``: every layer's output, to the
-    (linear) network output, written into ``outs``.  Each hidden activation
-    is written over its pre-activation; the backward pass reads its
-    derivative off the output."""
+    (linear) network output, written into ``outs``."""
     last = len(weights) - 1
     for i, (w, b, z) in enumerate(zip(weights, biases, outs)):
         np.matmul(a, w.T, out=z)
         z += b
         if i != last:
-            if activation == "tanh":
-                np.tanh(z, out=z)
-            else:
-                np.maximum(z, 0.0, out=z)
+            _activate(activation, z)
         a = z
     return outs
 
@@ -368,51 +390,73 @@ class MlpModel:
 
 class _FlatNet:
     """An MLP's parameters ``theta`` and their gradient ``grad``, each one
-    flat vector: every layer's weights (fan_out, fan_in), then every bias.
-    ``weights`` and ``biases`` are views of ``theta``, ``grad_w`` and
-    ``grad_b`` of ``grad``."""
+    flat vector.  Each layer is one (fan_out, fan_in + 1) block ``[W | b]``:
+    its bias is the weight of a constant-1 input, so one matrix product
+    gives a layer's output with its bias, and one its weight and bias
+    gradients together.  ``layers`` are views of ``theta``, ``grads`` of
+    ``grad``; ``is_weight`` marks the entries of ``theta`` that l2 reads."""
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray], activation: str):
-        arrays = [*weights, *biases]
-        self.theta = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+        blocks = [np.column_stack([w, b]) for w, b in zip(weights, biases)]
+        self.theta = np.concatenate([block.ravel() for block in blocks], dtype=float)
         self.grad = np.zeros_like(self.theta)
-        self.n_weights = sum(np.size(w) for w in weights)
-        k, ends = len(weights), list(itertools.accumulate(np.size(a) for a in arrays))
-        theta_views, grad_views = (
-            [flat[end - np.size(a):end].reshape(np.shape(a)) for a, end in zip(arrays, ends)]
+        ends = list(itertools.accumulate(block.size for block in blocks))
+        self.layers, self.grads = (
+            [flat[end - block.size:end].reshape(block.shape) for block, end in zip(blocks, ends)]
             for flat in (self.theta, self.grad)
         )
-        self.weights, self.biases = theta_views[:k], theta_views[k:]
-        self.grad_w, self.grad_b = grad_views[:k], grad_views[k:]
+        self.is_weight = np.concatenate([np.tile(np.arange(cols) < cols - 1, rows)
+                                         for rows, cols in (block.shape for block in blocks)])
         self.activation = activation
+
+    def work_arrays(self, n: int) -> list[np.ndarray]:
+        """An empty array per layer for ``n`` rows: (n, fan_out + 1) under a
+        hidden layer, its last column for the ones, and (n, outputs) last."""
+        *hidden, last = (w.shape[0] for w in self.layers)
+        return [np.empty((n, h + 1)) for h in hidden] + [np.empty((n, last))]
 
     def loss_and_grads(self, l2: float, x: np.ndarray, y: np.ndarray, outs, deltas) -> float:
         """The loss on (``x``, ``y``), with its gradient written into ``grad``.
-        ``outs`` and ``deltas`` are work arrays shaped like the layer outputs
-        (:func:`_layer_outputs`); both are left holding garbage."""
-        weights, n = self.weights, x.shape[0]
-        _forward(weights, self.biases, self.activation, x, outs)
+        ``x`` ends in a ones column.  ``outs`` and ``deltas`` come from
+        :meth:`work_arrays`; both are left holding garbage."""
+        layers, n, last = self.layers, x.shape[0], len(self.layers) - 1
+        acts = [x, *outs]
+        for i, wb in enumerate(layers):
+            z = acts[i + 1]
+            if i == last:
+                np.matmul(acts[i], wb.T, out=z)
+            else:  # activated in one contiguous pass, the ones column then reset
+                np.matmul(acts[i], wb.T, out=z[:, :-1])
+                _activate(self.activation, z)
+                z[:, -1] = 1.0
         diff = np.subtract(outs[-1], y, out=outs[-1])
         loss = float(np.add.reduce(np.multiply(diff, diff, out=deltas[-1]), axis=None) / n)
         if l2 != 0.0:
-            loss += l2 * float(sum(np.add.reduce(w * w, axis=None) for w in weights))
+            loss += l2 * float(sum(np.add.reduce(wb[:, :-1] * wb[:, :-1], axis=None)
+                                   for wb in layers))
         np.multiply(diff, 2.0, out=deltas[-1])
         deltas[-1] /= n
-        acts = [x, *outs]
-        for i in range(len(weights) - 1, -1, -1):
-            np.matmul(deltas[i].T, acts[i], out=self.grad_w[i])
-            np.add.reduce(deltas[i], axis=0, out=self.grad_b[i])
+        delta = deltas[-1]
+        for i in range(last, -1, -1):
+            np.matmul(delta.T, acts[i], out=self.grads[i])
             if i > 0:  # the activation's derivative, written over the activation
                 a = acts[i]
                 if self.activation == "tanh":
                     np.subtract(1.0, np.multiply(a, a, out=a), out=a)
                 else:
                     np.greater(a, 0.0, out=a)  # a > 0 exactly where its pre-activation is
-                np.matmul(deltas[i], weights[i], out=deltas[i - 1])
+                np.matmul(delta, layers[i], out=deltas[i - 1])
                 deltas[i - 1] *= a
-        if l2 != 0.0:
-            self.grad[:self.n_weights] += 2.0 * l2 * self.theta[:self.n_weights]
+                delta = deltas[i - 1][:, :-1]  # the ones column has no delta
+        if l2 != 0.0:  # grad += 2 l2 theta on the weights: one pass over the whole vector
+            np.add(self.grad, np.multiply(self.theta, 2.0 * l2), out=self.grad,
+                   where=self.is_weight)
         return loss
+
+
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """``x`` with a column of ones appended."""
+    return np.column_stack([x, np.ones(len(x))])
 
 
 def mlp_loss_and_grads(
@@ -432,8 +476,9 @@ def mlp_loss_and_grads(
     """
     x = np.asarray(x, dtype=float)
     net = _FlatNet(weights, biases, activation)
-    outs, deltas = (_layer_outputs(x.shape[:1], biases) for _ in range(2))
-    return net.loss_and_grads(l2, x, y, outs, deltas), net.grad_w, net.grad_b
+    outs, deltas = (net.work_arrays(len(x)) for _ in range(2))
+    loss = net.loss_and_grads(l2, _with_ones(x), y, outs, deltas)
+    return loss, [g[:, :-1] for g in net.grads], [g[:, -1] for g in net.grads]
 
 
 def mlp_init(
@@ -459,8 +504,10 @@ class MlpRun(_FlatNet):
     the learning rate is constant, so ``train(a)`` then ``train(b)`` is the
     same arithmetic, bit for bit, as ``train(a + b)``.  Deterministic under
     ``seed``.  Targets are actuator commands on the 0-255 scale; they are
-    divided by ``TARGET_SCALE`` internally.  An empty ``hidden_layers``
-    gives a pure linear model.
+    divided by ``TARGET_SCALE`` internally.  ``x`` holds the standardized
+    inputs and a ones column, which carries each first-layer bias; every
+    hidden work array ends in one too.  An empty ``hidden_layers`` gives a
+    pure linear model; a hidden width must be an integer of at least 1.
     """
 
     def __init__(
@@ -477,12 +524,15 @@ class MlpRun(_FlatNet):
             raise ValueError(f"activation must be one of {_ACTIVATIONS}")
         if learning_rate <= 0 or l2 < 0:
             raise ValueError("bad hyperparameters: need lr > 0, l2 >= 0")
+        for h in hidden_layers:
+            if not (isinstance(h, numbers.Integral) and h >= 1):
+                raise ValueError(f"bad hyperparameters: hidden width {h!r} is not an int >= 1")
         x, y = _check_xy(x, y)
         self.y = y / TARGET_SCALE
         self.input_mean = x.mean(axis=0)
         self.input_scale = x.std(axis=0)
         self.input_scale[self.input_scale == 0.0] = 1.0
-        self.x = (x - self.input_mean) / self.input_scale
+        self.x = _with_ones((x - self.input_mean) / self.input_scale)
 
         self.hidden_layers = [int(h) for h in hidden_layers]
         self.learning_rate = learning_rate
@@ -514,7 +564,7 @@ class MlpRun(_FlatNet):
         if epochs < 1:
             raise ValueError("bad hyperparameters: need epochs >= 1")
         loss = self.loss
-        outs, deltas = (_layer_outputs(self.x.shape[:1], self.biases) for _ in range(2))
+        outs, deltas = (self.work_arrays(len(self.x)) for _ in range(2))
         # overflow during a diverging run is expected; it surfaces as the
         # non-finite loss check below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -533,8 +583,8 @@ class MlpRun(_FlatNet):
     def model(self) -> MlpModel:
         """The network as trained so far, holding copies of the run's arrays."""
         return MlpModel(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
+            weights=[wb[:, :-1].copy() for wb in self.layers],
+            biases=[wb[:, -1].copy() for wb in self.layers],
             activation=self.activation,
             input_mean=self.input_mean,
             input_scale=self.input_scale,
@@ -576,6 +626,10 @@ class HyperGrid:
         for name in ("depths", "widths", "activations", "learning_rates", "l2s"):
             if not getattr(self, name):
                 raise ValueError(f"grid axis {name!r} must be nonempty")
+        for name, least in (("depths", 0), ("widths", 1)):
+            for v in getattr(self, name):
+                if not (isinstance(v, numbers.Integral) and v >= least):
+                    raise ValueError(f"grid axis {name!r} needs integers >= {least}, got {v!r}")
 
     def points(self) -> list[tuple]:
         """All (depth, width, activation, lr, l2) combinations, in axis order."""

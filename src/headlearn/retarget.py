@@ -57,6 +57,7 @@ from .learn import (
     LinearModel,
     MlpModel,
     PcaModel,
+    _scan_pca_dims,
     choose_pca_dim,
     default_grid,
     grid_search,
@@ -443,22 +444,26 @@ def fit_pipeline(
         x = train.features(kind)
 
     # choose the PCA dimension
+    pca = None
     if pca_k is None:
         if kind == "distances":
             if tune_dataset is None:
                 fit_idx, val_idx = split_indices(len(x), VALIDATION_FRACTION, seed + 1)
                 scan = x[fit_idx], y[fit_idx], x[val_idx], y[val_idx]
-            else:
+                pca_k, _ = choose_pca_dim(*scan, pca_candidates)
+            else:  # the scan fits on x itself: its first pca_k axes are the pipeline's
                 scan = x, y, tune_dataset.features(kind), tune_dataset.commands
-            pca_k, _ = choose_pca_dim(*scan, pca_candidates)
+                pca_k, _, pca, z = _scan_pca_dims(*scan, pca_candidates)
+                pca = PcaModel(pca.mean, pca.components[:pca_k].copy(),
+                               pca.explained_variance_ratio[:pca_k].copy())
+                z = np.ascontiguousarray(z[:, :pca_k])
         elif kind == "landmarks":
             pca_k = LANDMARK_PCA_DIM
         else:
             pca_k = x.shape[1]  # full-rank rotation over the kept AUs
-    pca_k = min(pca_k, x.shape[1], x.shape[0] - 1)
-
-    pca = pca_fit(x, pca_k)
-    z = pca_transform(pca, x)
+    if pca is None:
+        pca = pca_fit(x, min(pca_k, x.shape[1], x.shape[0] - 1))
+        z = pca_transform(pca, x)
 
     if regressor == "ols":
         reg = ols_fit(z, y)

@@ -426,7 +426,7 @@ OUT_DIGESTS = {
         "metrics.json": "d417740fcf463f940930cafc0973f1044248cfadac818e47706f9bc157852522",
     },
     "compare": {
-        "comparison.csv": "d009796cc85992bb7f041235a31adedb4ddabee7dd9810830cb9b289f5bb2416",
+        "comparison.csv": "7b56dd2beedff0e1f06924d993d7d2e9382da6fa0cdb6e312b70cd375fa0f32f",
         "comparison.txt": "6b1c5541c59b2fd5b9b69073a7ff2cb21f3e734d92fa54ab4c06304e6c255634",
     },
     "correlate": {

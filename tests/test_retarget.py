@@ -36,7 +36,7 @@ from headlearn.geometry import (
     pairwise_distances,
     procrustes_align,
 )
-from headlearn.learn import HyperGrid
+from headlearn.learn import HyperGrid, ols_fit, pca_fit, pca_transform
 from headlearn.retarget import (
     EMOTIONS,
     calibrate_human,
@@ -1599,6 +1599,29 @@ class TestFitPipeline:
                              ridge_lambda=5.0, pca_k=12, seed=22)
         assert model.regressor.ridge_lambda == 5.0
         assert np.all(np.isfinite(evaluate_pipeline(model, test)))
+
+    @pytest.mark.parametrize("flat", [False, True], ids=["commands", "zero-commands"])
+    def test_tuned_distances_pipeline_keeps_the_scan_fit(self, small_dataset, flat):
+        # with a tune_dataset the dimension scan fits on the training rows
+        # themselves: the pipeline's PCA is that fit truncated to the chosen
+        # k, which is the k-axis fit, and its regressor learns the first k
+        # columns of the scan's projection.  Zero commands tie every
+        # candidate, so the smallest wins and the scan's fit is cut.
+        train, test = split(small_dataset, 0.25, 25)
+        if flat:
+            train, test = (dataclasses.replace(d, commands=np.zeros_like(d.commands))
+                           for d in (train, test))
+        cands = [3, 5, 7, 9, 11]
+        model = fit_pipeline(train, "distances", tune_dataset=test, pca_candidates=cands, seed=25)
+        x, y = train.features("distances"), train.commands
+        k = model.pca.k
+        assert k == (3 if flat else 11)
+        ref = pca_fit(x, k)
+        for name in ("mean", "components", "explained_variance_ratio"):
+            assert getattr(model.pca, name).tobytes() == getattr(ref, name).tobytes(), name
+        lin = ols_fit(pca_transform(pca_fit(x, cands[-1]), x)[:, :k], y)
+        assert model.regressor.weights.tobytes() == lin.weights.tobytes()
+        assert model.regressor.intercept.tobytes() == lin.intercept.tobytes()
 
     def test_au_kind_records_pruning(self, default_split):
         # needs the full protocol size so chance correlations stay under
