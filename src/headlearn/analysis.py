@@ -100,8 +100,8 @@ def low_correlation_features(m: CorrMatrix, threshold: float = PRUNE_THRESHOLD) 
     as zero correlation.  These AUs carry no usable signal about the head
     and are excluded from AU-based training.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    if not threshold >= 0:  # NaN too: it would prune nothing
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     pruned = []
     for j, au in enumerate(AU_IDS):
         defined = ~m.missing[:, j]

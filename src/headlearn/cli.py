@@ -288,6 +288,27 @@ def _int_at_least(low: int):
     return parse
 
 
+def _float_where(ok, words: str):
+    """An argparse type: a float for which ``ok`` holds, described by
+    ``words`` (a NaN threshold would keep or hold every row, and a NaN or
+    infinite ridge lambda gives NaN weights)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {words}, got {value}")
+        return value
+
+    return parse
+
+
+_threshold = _float_where(lambda v: v == v, "a number")
+_ridge_lambda = _float_where(lambda v: 0 <= v < math.inf, "finite and >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="headlearn", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"headlearn {__version__}")
@@ -311,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--kind", choices=FEATURE_KINDS, required=True)
     sp.add_argument("--regressor", choices=REGRESSORS, default="ols")
-    sp.add_argument("--ridge-lambda", type=float, default=1.0)
+    sp.add_argument("--ridge-lambda", type=_ridge_lambda, default=1.0)
     sp.add_argument("--pca-k", type=_int_at_least(1), help="override the per-kind default")
     sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -337,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("correlate", help="actuator-by-AU Pearson correlation matrix")
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--threshold", type=float, default=PRUNE_THRESHOLD)
+    sp.add_argument("--threshold", type=_threshold, default=PRUNE_THRESHOLD)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_correlate)
 
@@ -350,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("calibrate-human", help="fit human MinMax stats from a recording")
     sp.add_argument("--model", required=True)
     sp.add_argument("--csv", required=True, help="OpenFace 2.0 CSV of the actor")
-    sp.add_argument("--threshold", type=float, default=CONFIDENCE_THRESHOLD)
+    sp.add_argument("--threshold", type=_threshold, default=CONFIDENCE_THRESHOLD)
     sp.add_argument("--out", required=True, help="path for the calibrated model JSON")
     sp.set_defaults(func=cmd_calibrate_human)
 
     sp = sub.add_parser("retarget", help="batch-map an OpenFace CSV onto commands")
     sp.add_argument("--model", required=True)
     sp.add_argument("--csv", required=True)
-    sp.add_argument("--threshold", type=float, default=CONFIDENCE_THRESHOLD)
+    sp.add_argument("--threshold", type=_threshold, default=CONFIDENCE_THRESHOLD)
     sp.add_argument("--out", help="output directory (default: print to stdout)")
     sp.set_defaults(func=cmd_retarget)
 
@@ -365,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--csv", help="input CSV (default: stdin)")
     sp.add_argument("--window", type=_int_at_least(1), default=1, help="trailing smoothing window")
-    sp.add_argument("--threshold", type=float, default=CONFIDENCE_THRESHOLD)
+    sp.add_argument("--threshold", type=_threshold, default=CONFIDENCE_THRESHOLD)
     sp.set_defaults(func=cmd_stream)
 
     return p

@@ -517,6 +517,14 @@ def _openface_columns(rows: Iterator[str], source: str) -> list[int]:
     return [col[name] for name in _OPENFACE_VALUE_COLS]
 
 
+def _check_confidence_threshold(threshold: float) -> None:
+    """Reject a NaN confidence threshold: every comparison with it is
+    false, so ingestion would keep every row and ``stream`` hold every one.
+    An infinite threshold is valid (CLI ``stream`` parses with ``-inf``)."""
+    if threshold != threshold:
+        raise ValueError("confidence threshold must be a number, got nan")
+
+
 def _confident_rows(
     rows: Iterator[str], confidence_at: int, confidence_threshold: float
 ) -> Iterator[tuple[int, str]]:
@@ -600,9 +608,12 @@ def _openface_frames(
     """Convert kept rows to frames with one numpy parse (:func:`_parse_rows`).
 
     The read cells of every row become one (n, 223) array, in
-    ``_OPENFACE_VALUE_COLS`` order; each frame's fields are views of its
-    row.  If a cell does not parse, the error names the first such row and
-    its first bad cell in ``_OPENFACE_READ_ORDER``.
+    ``_OPENFACE_VALUE_COLS`` order; each frame's landmarks and AUs are
+    views of its row, its timestamp and confidence floats read from it.
+    The frames are built from whole-array pieces (the landmark block as one
+    (n, 68, 3) view, the AU block, one ``tolist`` per scalar column), not
+    row by row.  If a cell does not parse, the error names the first such
+    row and its first bad cell in ``_OPENFACE_READ_ORDER``.
     """
     try:
         values, line_nos = _parse_rows(kept, usecols, _OPENFACE_READ_ORDER)
@@ -614,16 +625,12 @@ def _openface_frames(
     np.clip(aus, 0.0, 5.0, out=aus)
     confidence = values[:, _CONFIDENCE_AT]
     confidence[np.isnan(confidence)] = 0.0  # the tracker has no confidence
+    landmarks = values[:, :_AUS_AT.start].reshape(len(values), N_LANDMARKS, 3)
     return [
-        HumanFrame(
-            landmarks=row[:_AUS_AT.start].reshape(N_LANDMARKS, 3),
-            aus=row[_AUS_AT],
-            timestamp=float(row[_TIMESTAMP_AT]),
-            confidence=float(row[_CONFIDENCE_AT]),
-            source=source,
-            line=line_no,
+        HumanFrame(landmarks=lm, aus=au, timestamp=t, confidence=c, source=source, line=line_no)
+        for lm, au, t, c, line_no in zip(
+            landmarks, aus, values[:, _TIMESTAMP_AT].tolist(), confidence.tolist(), line_nos
         )
-        for row, line_no in zip(values, line_nos)
     ]
 
 
@@ -637,9 +644,10 @@ def parse_openface_lines(
     Requires 3D landmark columns (``X_0..Z_67``), the 17 AU intensity
     columns (``AU01_r..AU45_r``), timestamp and confidence.  Rows
     under the confidence threshold are dropped; a NaN confidence reads as
-    0.0, a frame the tracker has no confidence in.  Header names may carry
-    OpenFace's leading spaces.  Each frame is yielded as soon as its line
-    is read, with ``source`` and its line number; errors name both.
+    0.0, a frame the tracker has no confidence in, and a NaN threshold
+    raises ValueError.  Header names may carry OpenFace's leading spaces.
+    Each frame is yielded as soon as its line is read, with ``source`` and
+    its line number; errors name both.
 
     Each kept line is converted on its own by the parser
     :func:`ingest_openface_csv` runs once per file (``numpy.loadtxt`` on
@@ -648,6 +656,7 @@ def parse_openface_lines(
     Cells are not unquoted: OpenFace writes none, and a quoted number is an
     unparsable value, as are digit separators (``1_0``) and non-ASCII digits.
     """
+    _check_confidence_threshold(confidence_threshold)
     rows = iter(lines)
     usecols = _openface_columns(rows, source)
     for row in _confident_rows(rows, usecols[_CONFIDENCE_AT], confidence_threshold):
@@ -663,6 +672,7 @@ def ingest_openface_csv(
     :func:`parse_openface_lines` for the columns, the filtering and the
     cell syntax, which are the same.
     """
+    _check_confidence_threshold(confidence_threshold)
     source = str(path)
     with Path(path).open(newline="") as fh:
         usecols = _openface_columns(fh, source)

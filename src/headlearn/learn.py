@@ -262,9 +262,11 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
 
 
 def ridge_fit(x: np.ndarray, y: np.ndarray, lam: float) -> LinearModel:
-    """L2-penalized least squares; the intercept is not penalized."""
-    if lam < 0:
-        raise ValueError("ridge lambda must be >= 0")
+    """L2-penalized least squares; the intercept is not penalized.  The
+    penalty ``lam`` is finite and >= 0 (a NaN or infinite one gives NaN
+    weights)."""
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"ridge lambda must be finite and >= 0, got {lam}")
     x, y = _check_xy(x, y)
     x_mean = x.mean(axis=0)
     y_mean = y.mean(axis=0)
@@ -457,28 +459,6 @@ class _FlatNet:
 def _with_ones(x: np.ndarray) -> np.ndarray:
     """``x`` with a column of ones appended."""
     return np.column_stack([x, np.ones(len(x))])
-
-
-def mlp_loss_and_grads(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    activation: str,
-    l2: float,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Squared-error loss (plus L2 on weights) and its gradients.
-
-    The loss is the per-sample mean of the summed squared output errors,
-    so gradient magnitudes do not shrink with the output width.  Exposed
-    separately so the backpropagation can be checked against finite
-    differences.
-    """
-    x = np.asarray(x, dtype=float)
-    net = _FlatNet(weights, biases, activation)
-    outs, deltas = (net.work_arrays(len(x)) for _ in range(2))
-    loss = net.loss_and_grads(l2, _with_ones(x), y, outs, deltas)
-    return loss, [g[:, :-1] for g in net.grads], [g[:, -1] for g in net.grads]
 
 
 def mlp_init(

@@ -27,7 +27,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .analysis import PRUNE_THRESHOLD, low_correlation_features, pearson_matrix
-from .dataset import CONFIDENCE_THRESHOLD, Dataset, HumanFrame, split_indices
+from .dataset import (
+    CONFIDENCE_THRESHOLD,
+    Dataset,
+    HumanFrame,
+    _check_confidence_threshold,
+    split_indices,
+)
 from .errors import (
     AlignmentDegenerateError,
     CalibrationRequiredError,
@@ -141,7 +147,9 @@ def command_from_raw(raw: np.ndarray) -> ActuatorCommand | np.ndarray:
     if raw.shape != (N_CHANNELS,):
         raise InvalidCommandError(f"expected {N_CHANNELS} values, got {raw.shape}")
     # one row in Python floats, in one pass: inside the range int() is the
-    # floor; a NaN fails both comparisons, then int()
+    # floor; a NaN fails both comparisons, then int().  The dict is every
+    # channel in order, each an int in range, so the command is built
+    # without ActuatorCommand's re-check of that.
     try:
         values = {
             ch: COMMAND_MIN if (u := v + 0.5) < COMMAND_MIN
@@ -152,7 +160,7 @@ def command_from_raw(raw: np.ndarray) -> ActuatorCommand | np.ndarray:
     except ValueError:
         _check_not_nan(raw)
         raise
-    return ActuatorCommand(values)
+    return ActuatorCommand._unchecked(values)
 
 
 def _check_not_nan(raw: np.ndarray) -> None:
@@ -610,10 +618,12 @@ def stream(
     predictions of length ``smoothing_window`` before rounding.
 
     A model without human stats raises CalibrationRequiredError when the
-    first frame arrives, before any command is emitted.
+    first frame arrives, before any command is emitted; a NaN threshold
+    raises ValueError.
     """
     if smoothing_window < 1:
         raise ValueError("smoothing_window must be >= 1")
+    _check_confidence_threshold(confidence_threshold)
     # the last raw predictions, summed oldest first from 0.0: the sum
     # np.add.reduce makes of the rows of an array (-0.0 columns sum to 0.0)
     window = deque(maxlen=smoothing_window)

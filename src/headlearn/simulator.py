@@ -88,6 +88,19 @@ class ActuatorCommand:
         return vals
 
     @classmethod
+    def _unchecked(cls, values: dict[int, int]) -> "ActuatorCommand":
+        """A command holding ``values`` itself, without ``__post_init__``.
+
+        Precondition, which the caller guarantees and nothing checks:
+        ``values`` maps all nine channels, in ``CHANNELS`` order, each to an
+        ``int`` in [COMMAND_MIN, COMMAND_MAX], and no one else holds it.
+        Every other caller builds a command with ``ActuatorCommand(values)``.
+        """
+        command = cls.__new__(cls)
+        command.values = values
+        return command
+
+    @classmethod
     def neutral(cls) -> "ActuatorCommand":
         return cls({ch: 0 for ch in CHANNELS})
 

@@ -28,7 +28,6 @@ from headlearn.learn import (
     DEFAULT_PCA_CANDIDATES,
     default_grid,
     mlp_init,
-    mlp_loss_and_grads,
     pca_fit,
 )
 from headlearn.retarget import (
@@ -44,7 +43,7 @@ from headlearn.retarget import (
 from headlearn.simulator import random_command
 
 from conftest import frames_from_simulator, random_rigid
-from test_learn import central_difference_grads
+from test_learn import central_difference_grads, loss_and_grads
 
 
 def report(criterion, ok, detail):
@@ -198,7 +197,7 @@ class TestCriterion7MlpGradientCheck:
         y = rng.normal(size=(5, 2))
         for activation in activations:
             weights, biases = mlp_init([3, 4, 2], activation, np.random.default_rng(6))
-            _, gw, gb = mlp_loss_and_grads(weights, biases, activation, 1e-3, x, y)
+            _, gw, gb = loss_and_grads(weights, biases, activation, 1e-3, x, y)
             nw, nb = central_difference_grads(weights, biases, activation, 1e-3, x, y)
             for a, n in zip(gw + gb, nw + nb):
                 rel = np.max(np.abs(a - n) / np.maximum(np.abs(n), 1e-8))

@@ -121,6 +121,11 @@ class TestLowCorrelationFeatures:
         with pytest.raises(ValueError):
             low_correlation_features(self.matrix(np.zeros((9, 17))), -0.1)
 
+    def test_nan_threshold_rejected(self):
+        # NaN would prune nothing: every comparison with it is false
+        with pytest.raises(ValueError, match="threshold must be >= 0, got nan"):
+            low_correlation_features(self.matrix(np.zeros((9, 17))), float("nan"))
+
     def test_inert_default_au_pruned_from_pipeline(self, default_dataset):
         # the default head has one AU reading nothing from the geometry;
         # at the full protocol size its noise stays under the threshold

@@ -547,6 +547,38 @@ class TestExitCodes:
             assert out == ""
             assert f"headlearn stream: error: argument --window: must be >= 1, got {window}\n" in err
 
+    @pytest.mark.parametrize("subcommand", ["calibrate-human", "retarget", "stream", "correlate"])
+    def test_nan_threshold_is_usage_error(
+        self, model_path, human_csv, dataset_dir, tmp_path, capsys, subcommand
+    ):
+        # every comparison with NaN is false: ingestion kept every row,
+        # stream held every one and correlate pruned nothing
+        model, csv = ["--model", str(model_path)], ["--csv", str(human_csv)]
+        inputs = {
+            "calibrate-human": model + csv + ["--out", str(tmp_path / "cal.json")],
+            "retarget": model + csv + ["--out", str(tmp_path / "out")],
+            "stream": model + csv,
+            "correlate": ["--dataset", str(dataset_dir), "--out", str(tmp_path / "out")],
+        }
+        assert main([subcommand, *inputs[subcommand], "--threshold", "nan"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"headlearn {subcommand}: error: argument --threshold: must be a number, got nan\n" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_bad_ridge_lambda_is_usage_error(self, dataset_dir, tmp_path, capsys, value):
+        # a NaN or infinite lambda wrote a model of NaN weights that no
+        # later step could load; a negative one was a data error
+        out = tmp_path / "out"
+        assert main(["fit", "--dataset", str(dataset_dir), "--kind", "au", "--regressor", "ridge",
+                     f"--ridge-lambda={value}", "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert (f"headlearn fit: error: argument --ridge-lambda: must be finite and >= 0, "
+                f"got {float(value)}\n") in err
+        assert not out.exists()
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         assert main(["evaluate", "--model", str(tmp_path / "no.json"),
                      "--dataset", str(tmp_path / "no-ds")]) == 2

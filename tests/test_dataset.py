@@ -730,6 +730,19 @@ class TestOpenFaceIngestion:
             (2, 0.0), (3, 0.3), (4, -np.inf), (5, 0.95)
         ]
 
+    def test_nan_threshold_rejected(self, tmp_path):
+        # every comparison with NaN is false: it would keep every row
+        path = tmp_path / "of.csv"
+        path.write_text(openface_csv_text(self.fixture_frames()))
+        with pytest.raises(ValueError, match="confidence threshold must be a number, got nan"):
+            ingest_openface_csv(path, confidence_threshold=float("nan"))
+        with open(path, newline="") as fh:
+            with pytest.raises(ValueError, match="confidence threshold must be a number"):
+                next(parse_openface_lines(fh, confidence_threshold=float("nan")))
+        for threshold in (-np.inf, np.inf):  # infinities stay valid
+            assert len(ingest_openface_csv(path, confidence_threshold=threshold)) == (
+                2 if threshold < 0 else 0)
+
     def test_missing_columns_named_in_error(self, tmp_path):
         text = openface_csv_text(self.fixture_frames())
         lines = text.splitlines()
@@ -967,6 +980,22 @@ class TestOpenFaceBatching:
             assert (a.timestamp, a.confidence, a.source, a.line) == (
                 b.timestamp, b.confidence, b.source, b.line)
         assert batch[1].confidence == (0.0 if threshold == 0.0 else 0.99)
+
+    def test_frames_are_views_of_one_parsed_array(self, tmp_path):
+        # landmarks and AUs are views of the rows of one (n, 223) parse;
+        # timestamps and confidences are floats read from it
+        path = self.write(tmp_path)
+        batch, lazy = self.both(path, 0.0)
+        parsed = batch[0].landmarks.base
+        assert parsed.shape == (len(batch), 3 * N_LANDMARKS + 17 + 2)
+        for i, f in enumerate(batch):
+            assert f.landmarks.base is parsed and f.aus.base is parsed
+            assert np.array_equal(f.landmarks, parsed[i, :3 * N_LANDMARKS].reshape(-1, 3))
+            assert np.array_equal(f.aus, parsed[i, 3 * N_LANDMARKS:-2])
+            assert (f.timestamp, f.confidence) == tuple(parsed[i, -2:].tolist())
+        for f in batch + lazy:
+            assert type(f.timestamp) is float and type(f.confidence) is float
+            assert f.landmarks.shape == (N_LANDMARKS, 3) and f.aus.shape == (17,)
 
     def test_csv_without_pose_columns_gives_the_same_frames(self, tmp_path):
         # no frame field is read from a pose_* column

@@ -20,8 +20,8 @@ from headlearn.learn import (
     default_grid,
     grid_search,
     mlp_fit,
+    _FlatNet,
     mlp_init,
-    mlp_loss_and_grads,
     ols_fit,
     pca_fit,
     pca_transform,
@@ -314,6 +314,13 @@ class TestRidge:
         with pytest.raises(ValueError):
             ridge_fit(np.ones((4, 2)), np.ones((4, 1)), -0.1)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_penalty_rejected(self, lam):
+        # NaN and inf penalties gave NaN weights; -inf failed as negative
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"ridge lambda must be finite and >= 0, got {lam}"):
+            ridge_fit(rng.normal(size=(6, 2)), rng.normal(size=(6, 1)), lam)
+
     def test_handles_rank_deficiency(self):
         x = np.ones((10, 3))
         y = np.ones((10, 1))
@@ -343,10 +350,20 @@ class TestRmse:
             rmse(np.ones((3, 2)), np.ones((3, 3)))
 
 
+def loss_and_grads(weights, biases, activation, l2, x, y):
+    """The MLP loss (per-sample mean of the summed squared output errors,
+    plus l2 on the weights) and its weight and bias gradients, from one
+    training pass of a ``_FlatNet`` on fresh arrays."""
+    net = _FlatNet(weights, biases, activation)
+    outs, deltas = (net.work_arrays(len(x)) for _ in range(2))
+    loss = net.loss_and_grads(l2, np.column_stack([x, np.ones(len(x))]), y, outs, deltas)
+    return loss, [g[:, :-1] for g in net.grads], [g[:, -1] for g in net.grads]
+
+
 def central_difference_grads(weights, biases, activation, l2, x, y, eps=1e-6):
     """Finite-difference oracle for the MLP loss gradients."""
     def loss_at(ws, bs):
-        return mlp_loss_and_grads(ws, bs, activation, l2, x, y)[0]
+        return loss_and_grads(ws, bs, activation, l2, x, y)[0]
 
     num_w = []
     for li, w in enumerate(weights):
@@ -408,7 +425,7 @@ class TestMlp:
         x = rng.normal(size=(5, 3))
         y = rng.normal(size=(5, 2))
         weights, biases = mlp_init(sizes, activation, np.random.default_rng(21))
-        _, gw, gb = mlp_loss_and_grads(weights, biases, activation, l2, x, y)
+        _, gw, gb = loss_and_grads(weights, biases, activation, l2, x, y)
         nw, nb = central_difference_grads(weights, biases, activation, l2, x, y)
         for a, n in zip(gw + gb, nw + nb):
             denom = np.maximum(np.abs(n), 1e-8)
@@ -456,7 +473,7 @@ class TestMlp:
         weights, biases = mlp_init([16, 8, 8, 9], "relu", np.random.default_rng(4))
         arrays = [x_sub, y_sub, *weights, *biases]
         before = [a.copy() for a in arrays]
-        mlp_loss_and_grads(weights, biases, "relu", 1e-3, x_sub, y_sub)
+        loss_and_grads(weights, biases, "relu", 1e-3, x_sub, y_sub)
         for a, b in zip(arrays, before):
             assert np.array_equal(a, b)
 

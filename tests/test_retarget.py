@@ -1103,6 +1103,14 @@ RAW = st.one_of(
 )
 RAW_ROW = st.lists(RAW, min_size=len(CHANNELS), max_size=len(CHANNELS))
 
+# Inputs of the one-row branch's unchecked construction: finite values,
+# values exactly on .5, the infinities, +-1e308 and -0.0
+UNCHECKED_RAW = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-300, 600).map(lambda k: k + 0.5),
+    st.sampled_from([np.inf, -np.inf, 1e308, -1e308, -0.0]),
+)
+
 
 class TestCommandFromRaw:
     @given(rows=st.lists(RAW_ROW, min_size=1, max_size=4))
@@ -1125,6 +1133,19 @@ class TestCommandFromRaw:
             with pytest.raises(InvalidCommandError, match=message):
                 command_from_raw(batch)
 
+    @given(row=st.lists(UNCHECKED_RAW, min_size=len(CHANNELS), max_size=len(CHANNELS)))
+    @settings(max_examples=300, deadline=None)
+    def test_one_row_is_the_checked_command(self, row):
+        # the one-row branch builds its command unchecked: it must be what
+        # the checked constructor gives for the rounded and clipped row
+        raw = np.array(row, dtype=float)
+        cmd = command_from_raw(raw)
+        ints = np.clip(np.floor(raw + 0.5), 0, 255).astype(int).tolist()
+        assert cmd == ActuatorCommand(dict(zip(CHANNELS, ints)))
+        assert list(cmd.values) == list(CHANNELS)
+        assert all(type(v) is int and 0 <= v <= 255 for v in cmd.values.values())
+        assert list(cmd.values.values()) == command_from_raw(raw[None])[0].tolist()
+
 
 class RowModel:
     """A calibrated model's stand-in for :func:`stream`: the features of a
@@ -1139,6 +1160,20 @@ class RowModel:
 
     def features_raw(self, features):
         return features
+
+
+class TestStreamThreshold:
+    def test_nan_threshold_rejected(self):
+        # NaN would hold every frame: every comparison with it is false
+        frames = [SimpleNamespace(confidence=1.0, raw=np.zeros(9))]
+        with pytest.raises(ValueError, match="confidence threshold must be a number, got nan"):
+            next(stream(RowModel(), frames, confidence_threshold=float("nan")))
+        for threshold, want in ((-np.inf, 1), (np.inf, 0)):  # infinities stay valid
+            seen = []
+            model = RowModel()
+            model.features_raw = lambda f: seen.append(f) or f
+            assert len(list(stream(model, frames, confidence_threshold=threshold))) == 1
+            assert len(seen) == want
 
 
 class TestStreamWindow:
