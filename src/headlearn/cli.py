@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -65,7 +66,16 @@ EXIT_DATA = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures exit with status 1."""
+    """argparse variant whose usage failures exit with status 1, and which
+    reads ``-inf``, ``-infinity`` and ``-nan`` (any case) as values, as it
+    reads ``-1``: argparse's own negative-number pattern takes digits only,
+    and reads ``--threshold -inf`` as an option without its value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            rf"{self._negative_number_matcher.pattern}|(?i:^-(?:inf|infinity|nan)$)"
+        )
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -243,7 +253,7 @@ def cmd_retarget(args) -> int:
 
 def cmd_stream(args) -> int:
     model = load_model(args.model)
-    source = open(args.csv, newline="") if args.csv else contextlib.nullcontext(sys.stdin)
+    source = open(args.csv) if args.csv else contextlib.nullcontext(sys.stdin)
     with source as fh:
         # rows are parsed as they arrive; every row stays in the stream, so
         # hold-last fills the low-confidence ones and each row gets a line
@@ -288,25 +298,30 @@ def _int_at_least(low: int):
     return parse
 
 
-def _float_where(ok, words: str):
-    """An argparse type: a float for which ``ok`` holds, described by
-    ``words`` (a NaN threshold would keep or hold every row, and a NaN or
-    infinite ridge lambda gives NaN weights)."""
+def _float_where(*checks):
+    """An argparse type: a float for which each ``(ok, words)`` check holds
+    in turn, the first that fails named by its ``words`` (a NaN threshold
+    would keep or hold every row, a negative pruning threshold is no
+    correlation size, and a NaN or infinite ridge lambda gives NaN
+    weights)."""
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {words}, got {value}")
+        for ok, words in checks:
+            if not ok(value):
+                raise argparse.ArgumentTypeError(f"must be {words}, got {value}")
         return value
 
     return parse
 
 
-_threshold = _float_where(lambda v: v == v, "a number")
-_ridge_lambda = _float_where(lambda v: 0 <= v < math.inf, "finite and >= 0")
+_A_NUMBER = (lambda v: v == v, "a number")
+_threshold = _float_where(_A_NUMBER)
+_prune_threshold = _float_where(_A_NUMBER, (lambda v: v >= 0, ">= 0"))
+_ridge_lambda = _float_where((lambda v: 0 <= v < math.inf, "finite and >= 0"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("correlate", help="actuator-by-AU Pearson correlation matrix")
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--threshold", type=_threshold, default=PRUNE_THRESHOLD)
+    sp.add_argument("--threshold", type=_prune_threshold, default=PRUNE_THRESHOLD)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_correlate)
 

@@ -179,6 +179,24 @@ class TestHumanFlows:
         assert len(out) == 8  # hold-last keeps cadence
         assert all(len(line.split(",")) == 10 for line in out)
 
+    @pytest.mark.parametrize("subcommand", ["stream", "retarget"])
+    def test_minus_inf_threshold_is_read_as_a_value(
+        self, model_path, human_csv, tmp_path, capsys, subcommand
+    ):
+        # argparse's own negative-number pattern takes digits only; with it
+        # ``--threshold -inf`` fails with "expected one argument"
+        calibrated = tmp_path / "cal.json"
+        assert main(["calibrate-human", "--model", str(model_path), "--csv", str(human_csv),
+                     "--out", str(calibrated)]) == 0
+        args = [subcommand, "--model", str(calibrated), "--csv", str(human_csv)]
+        capsys.readouterr()
+        assert main(args + ["--threshold=-inf"]) == 0
+        want = capsys.readouterr().out
+        assert len(want.splitlines()) == 8  # the low-confidence row too
+        for value in ("-inf", "-INF", "-Infinity"):
+            assert main(args + ["--threshold", value]) == 0
+            assert capsys.readouterr().out == want
+
     def test_stream_reads_stdin_line_by_line(
         self, model_path, human_csv, tmp_path, capsys, monkeypatch
     ):
@@ -547,24 +565,56 @@ class TestExitCodes:
             assert out == ""
             assert f"headlearn stream: error: argument --window: must be >= 1, got {window}\n" in err
 
+    @staticmethod
+    def threshold_argv(subcommand, model_path, human_csv, dataset_dir, out_dir):
+        """Valid arguments of a ``--threshold`` subcommand, writing under ``out_dir``."""
+        model, csv = ["--model", str(model_path)], ["--csv", str(human_csv)]
+        return [subcommand] + {
+            "calibrate-human": model + csv + ["--out", str(out_dir / "cal.json")],
+            "retarget": model + csv + ["--out", str(out_dir / "out")],
+            "stream": model + csv,
+            "correlate": ["--dataset", str(dataset_dir), "--out", str(out_dir / "out")],
+        }[subcommand]
+
     @pytest.mark.parametrize("subcommand", ["calibrate-human", "retarget", "stream", "correlate"])
     def test_nan_threshold_is_usage_error(
         self, model_path, human_csv, dataset_dir, tmp_path, capsys, subcommand
     ):
         # every comparison with NaN is false: ingestion kept every row,
         # stream held every one and correlate pruned nothing
-        model, csv = ["--model", str(model_path)], ["--csv", str(human_csv)]
-        inputs = {
-            "calibrate-human": model + csv + ["--out", str(tmp_path / "cal.json")],
-            "retarget": model + csv + ["--out", str(tmp_path / "out")],
-            "stream": model + csv,
-            "correlate": ["--dataset", str(dataset_dir), "--out", str(tmp_path / "out")],
-        }
-        assert main([subcommand, *inputs[subcommand], "--threshold", "nan"]) == 1
+        argv = self.threshold_argv(subcommand, model_path, human_csv, dataset_dir, tmp_path)
+        assert main(argv + ["--threshold", "nan"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert f"headlearn {subcommand}: error: argument --threshold: must be a number, got nan\n" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["-nan", "-NaN"])
+    @pytest.mark.parametrize("subcommand", ["calibrate-human", "retarget", "stream", "correlate"])
+    def test_minus_nan_threshold_is_usage_error(
+        self, model_path, human_csv, dataset_dir, tmp_path, capsys, subcommand, value
+    ):
+        # read as the option's value, not as a second option
+        argv = self.threshold_argv(subcommand, model_path, human_csv, dataset_dir, tmp_path)
+        assert main(argv + ["--threshold", value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"headlearn {subcommand}: error: argument --threshold: must be a number, got nan\n" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["-0.1", "-inf"])
+    def test_negative_correlate_threshold_is_usage_error(
+        self, dataset_dir, tmp_path, capsys, value
+    ):
+        # it was a data error (exit 2) from low_correlation_features
+        out = tmp_path / "out"
+        assert main(["correlate", "--dataset", str(dataset_dir), "--threshold", value,
+                     "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert (f"headlearn correlate: error: argument --threshold: must be >= 0, "
+                f"got {float(value)}\n") in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
     def test_bad_ridge_lambda_is_usage_error(self, dataset_dir, tmp_path, capsys, value):

@@ -816,6 +816,15 @@ def assert_same_frames(got, want):
             assert np.array_equal(x, y)
 
 
+def assert_same_bits(got, want):
+    """Equal frames bit for bit, their line numbers included."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for x, y in zip(frame_fields(a) + (a.line,), frame_fields(b) + (b.line,)):
+            x, y = np.asarray(x), np.asarray(y)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
 class TestOpenFaceParsingRules:
     """What a row may look like: the rules a cell-by-cell split must keep."""
 
@@ -1006,12 +1015,9 @@ class TestOpenFaceBatching:
             full.read_text().splitlines()[0].split(",")
         ) - 6
         want = ingest_openface_csv(full, 0.0)
+        assert len(want) == 8
         for frames in self.both(full, 0.0) + self.both(bare, 0.0):
-            assert len(frames) == len(want) == 8
-            for a, b in zip(want, frames):
-                for x, y in zip(frame_fields(a) + (a.line,), frame_fields(b) + (b.line,)):
-                    x, y = np.asarray(x), np.asarray(y)
-                    assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+            assert_same_bits(frames, want)
 
     def test_parsed_arrays_pinned(self, tmp_path):
         # digests taken from the row-by-row parser this one replaced
@@ -1079,6 +1085,73 @@ class TestOpenFaceBatching:
             ingest_openface_csv(path)
         with pytest.raises(OpenFaceFormatError, match=message):
             self.streamed(path)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_endings_read_alike(self, tmp_path, ending):
+        # a file is read with translated newlines, a stream of lines as
+        # given (here untranslated): each ending splits the same lines
+        header, *lines = openface_csv_text(self.rows()).splitlines()
+        names = [c.strip() for c in header.split(",")]
+        lines[2] = with_cell(lines[2], names.index("X_7"), "garbage")  # confidence 0.5
+        lines.insert(4, "")
+        lines.insert(1, "," * (len(names) - 1))
+
+        def write(name, lines, ending):
+            path = tmp_path / name
+            path.write_bytes("".join(line + ending for line in [header] + lines).encode())
+            return path
+
+        def lazy(path):
+            with open(path, newline="") as fh:
+                return list(parse_openface_lines(fh, source=str(path)))
+
+        want = ingest_openface_csv(write("lf.csv", lines, "\n"))
+        assert [f.line for f in want] == [2, 4, 6, 8, 10, 11]
+        path = write("of.csv", lines, ending)
+        assert_same_bits(ingest_openface_csv(path), want)
+        assert_same_bits(lazy(path), want)
+
+        lines[6] = with_cell(lines[6], names.index("AU12_r"), "1.5x")  # kept, line 8
+        path = write("bad.csv", lines, ending)
+        message = rf"^{re.escape(str(path))}:8: unparsable value for column 'AU12_r'$"
+        with pytest.raises(OpenFaceFormatError, match=message):
+            ingest_openface_csv(path)
+        with pytest.raises(OpenFaceFormatError, match=message):
+            lazy(path)
+
+    def test_each_header_gets_its_own_column_map(self, tmp_path):
+        # headers are mapped once each and remembered: files read back to
+        # back with other headers still get their own frames, and a missing
+        # column names the file it is missing from
+        header, *lines = openface_csv_text(self.rows()).splitlines()
+        table = [[c.strip() for c in line.split(",")] for line in [header] + lines]
+
+        def write(name, table, sep=","):
+            path = tmp_path / name
+            path.write_text("".join(sep.join(row) + "\n" for row in table))
+            return path
+
+        order = np.random.default_rng(42).permutation(len(table[0]))
+        gaze = [["gaze_0_x", "gaze_0_y"]] + [["0.1", "-0.2"]] * len(lines)
+        paths = [
+            write("tight.csv", table),
+            write("spaced.csv", table, ", "),  # OpenFace's leading spaces
+            write("reordered.csv", [[row[i] for i in order] for row in table]),
+            write("gaze.csv", [row[:3] + g + row[3:] for row, g in zip(table, gaze)]),
+        ]
+        want = ingest_openface_csv(paths[0])
+        for path in paths + paths[::-1]:
+            got = ingest_openface_csv(path)
+            assert_same_bits(got, want)
+            assert {f.source for f in got} == {str(path)}
+
+        without = [row[:-1] for row in table]
+        assert table[0][-1] == "AU45_r"
+        for name in ("no-au45.csv", "no-au45-again.csv"):
+            path = write(name, without)
+            message = rf"^{re.escape(str(path))}: missing required columns \['AU45_r'\]$"
+            with pytest.raises(OpenFaceFormatError, match=message):
+                ingest_openface_csv(path)
 
     def test_no_confident_rows_gives_no_frames_and_no_warning(self, tmp_path):
         rows = self.rows()
