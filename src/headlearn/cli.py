@@ -302,8 +302,9 @@ def _float_where(*checks):
     """An argparse type: a float for which each ``(ok, words)`` check holds
     in turn, the first that fails named by its ``words`` (a NaN threshold
     would keep or hold every row, a negative pruning threshold is no
-    correlation size, and a NaN or infinite ridge lambda gives NaN
-    weights)."""
+    correlation size, a NaN or infinite ridge lambda gives NaN weights, a
+    test split needs rows on both sides, and neutral frames cannot make up
+    the whole recording)."""
 
     def parse(text: str) -> float:
         try:
@@ -322,6 +323,8 @@ _A_NUMBER = (lambda v: v == v, "a number")
 _threshold = _float_where(_A_NUMBER)
 _prune_threshold = _float_where(_A_NUMBER, (lambda v: v >= 0, ">= 0"))
 _ridge_lambda = _float_where((lambda v: 0 <= v < math.inf, "finite and >= 0"))
+_fraction = _float_where((lambda v: 0 < v < 1, "in (0, 1)"))
+_fraction_or_zero = _float_where((lambda v: 0 <= v < 1, "in [0, 1)"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("collect", help="record a simulated dataset")
     sp.add_argument("--head", help="head config JSON (default: built-in)")
     sp.add_argument("--frames", type=_int_at_least(1), default=500)
-    sp.add_argument("--neutral", type=float, default=0.75)
+    sp.add_argument("--neutral", type=_fraction_or_zero, default=0.75)
     sp.add_argument("--interp", type=_int_at_least(0), default=4)
     sp.add_argument("--window", type=_int_at_least(1), default=7)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -349,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--regressor", choices=REGRESSORS, default="ols")
     sp.add_argument("--ridge-lambda", type=_ridge_lambda, default=1.0)
     sp.add_argument("--pca-k", type=_int_at_least(1), help="override the per-kind default")
-    sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION)
+    sp.add_argument("--test-fraction", type=_fraction, default=TEST_FRACTION)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_fit)
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("evaluate", help="evaluate a model on a dataset")
     sp.add_argument("--model", required=True)
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION,
+    sp.add_argument("--test-fraction", type=_fraction_or_zero, default=TEST_FRACTION,
                     help="evaluate on this seeded test split; 0 evaluates all rows")
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--out")
@@ -366,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compare", help="four-way representation comparison table")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
-    sp.add_argument("--test-fraction", type=float, default=TEST_FRACTION)
+    sp.add_argument("--test-fraction", type=_fraction, default=TEST_FRACTION)
     sp.add_argument("--epochs", type=_int_at_least(1), default=DEFAULT_EPOCHS)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_compare)

@@ -151,7 +151,7 @@ def choose_pca_dim(
     x_val: np.ndarray,
     y_val: np.ndarray,
     candidates: Sequence[int],
-) -> tuple[int, PcaDimReport]:
+) -> tuple[int, PcaDimReport, PcaModel, np.ndarray]:
     """Pick the smallest dimension whose downstream linear RMSE is near-optimal.
 
     Principal axes are nested, so one PCA fit on ``x_fit`` at the largest
@@ -160,22 +160,13 @@ def choose_pca_dim(
     rows.  The smallest candidate within ``PCA_DIM_REL_TOL`` of the best
     wins, so exact ties go to the smaller k.  The report's cumulative EVR
     comes from the same fit.
-    """
-    return _scan_pca_dims(x_fit, y_fit, x_val, y_val, candidates)[:2]
 
-
-def _scan_pca_dims(
-    x_fit: np.ndarray,
-    y_fit: np.ndarray,
-    x_val: np.ndarray,
-    y_val: np.ndarray,
-    candidates: Sequence[int],
-) -> tuple[int, PcaDimReport, PcaModel, np.ndarray]:
-    """:func:`choose_pca_dim`, also returning the scan's fit, at the largest
+    Returns ``(k, report, pca, z_fit)``: the scan's fit, at the largest
     candidate, and its projection of ``x_fit``.  By the nesting, their first
     k axes and columns are ``pca_fit(x_fit, k)`` and its projection (to
     rounding for one axis on the Gram route, and where BLAS takes another
-    kernel for fewer columns)."""
+    kernel for fewer columns).
+    """
     cands = sorted(set(int(k) for k in candidates))
     if not cands:
         raise ValueError("candidates must be nonempty")
@@ -311,25 +302,17 @@ def _activate(activation: str, z: np.ndarray) -> None:
         np.maximum(z, 0.0, out=z)
 
 
-def _forward(
-    weights: list[np.ndarray], biases: list[np.ndarray], activation: str, a: np.ndarray,
-    outs: list[np.ndarray],
-) -> list[np.ndarray]:
-    """Forward pass from the input ``a``: every layer's output, to the
-    (linear) network output, written into ``outs``."""
-    last = len(weights) - 1
-    for i, (w, b, z) in enumerate(zip(weights, biases, outs)):
-        np.matmul(a, w.T, out=z)
-        z += b
-        if i != last:
-            _activate(activation, z)
-        a = z
-    return outs
-
-
-def _layer_outputs(rows: tuple[int, ...], biases: list[np.ndarray]) -> list[np.ndarray]:
-    """An empty array per layer, shaped like its output for ``rows``."""
-    return [np.empty((*rows, len(b))) for b in biases]
+def run_layers(
+    layers: Sequence[tuple[np.ndarray, np.ndarray]], activation: str | None, a: np.ndarray
+) -> np.ndarray:
+    """The network of affine ``layers`` from the input ``a``: ``a @ w + b``
+    for each ``(w, b)``, with ``w`` of shape (inputs, outputs), and the
+    activation after every layer but the last."""
+    for w, b in layers[:-1]:
+        a = a @ w + b
+        _activate(activation, a)
+    w, b = layers[-1]
+    return a @ w + b
 
 
 @dataclass
@@ -379,15 +362,11 @@ class MlpModel:
     def n_params(self) -> int:
         return int(sum(w.size for w in self.weights) + sum(b.size for b in self.biases))
 
-    def forward_scaled(self, x: np.ndarray) -> np.ndarray:
-        """Network output on the internal [0, 1] target scale."""
-        a = (np.asarray(x, dtype=float) - self.input_mean) / self.input_scale
-        outs = _layer_outputs(a.shape[:-1], self.biases)
-        return _forward(self.weights, self.biases, self.activation, a, outs)[-1]
-
     @_one_row_as_batch
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_scaled(x) * TARGET_SCALE
+        a = (x - self.input_mean) / self.input_scale
+        layers = [(w.T, b) for w, b in zip(self.weights, self.biases)]
+        return run_layers(layers, self.activation, a) * TARGET_SCALE
 
 
 class _FlatNet:

@@ -48,7 +48,6 @@ from .features import (
     N_AUS,
     MinMaxStats,
     fit_minmax,
-    minmax_map,
 )
 from .geometry import (
     N_LANDMARKS,
@@ -63,7 +62,7 @@ from .learn import (
     LinearModel,
     MlpModel,
     PcaModel,
-    _scan_pca_dims,
+    TARGET_SCALE,
     choose_pca_dim,
     default_grid,
     grid_search,
@@ -73,6 +72,7 @@ from .learn import (
     pca_transform,
     ridge_fit,
     rmse,
+    run_layers,
     rung_epochs,
 )
 from .records import from_json, read_json, to_json
@@ -183,10 +183,12 @@ class PipelineModel:
     read).  No kind reads the tracked head pose: the alignment finds the
     best rotation itself.
 
-    A calibrated model with a linear regressor is affine from the tracked
-    features to raw commands, so it derives that map once, when it is
-    built: see :meth:`features_raw`.  ``calibrate_human`` builds a new model,
-    which derives its own; do not assign ``human_stats`` in place.
+    A calibrated model folds the human MinMax map, the PCA projection and
+    the regressor into one network when it is built (:meth:`features_raw`).
+    ``calibrate_human`` builds a new model, which folds its own; do not
+    assign ``human_stats`` in place.  The robot-side :meth:`predict_raw`,
+    which :func:`evaluate_pipeline` and :func:`express` call, keeps the
+    staged steps, whose outputs the fit and comparison pins hash.
     """
 
     TAG = ("schema", "pipeline-model/v1")
@@ -218,12 +220,14 @@ class PipelineModel:
             np.array([AU_INDEX[a] for a in self.au_ids_used])
             if self.feature_kind == "au" else None
         )
-        linear = isinstance(self.regressor, LinearModel)
-        self.affine = self._fold() if linear and self.human_stats is not None else None
+        self.folded = self._fold() if self.human_stats is not None else None
 
-    def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The MinMax map, the PCA projection and the linear regressor as
-        one map ``raw = (x - mins) @ weights + bias``: (mins, weights, bias).
+    def _fold(self) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], str | None]:
+        """The MinMax map, the PCA projection and the regressor as one
+        network ``raw = run_layers(layers, activation, x - mins)``:
+        (mins, layers, activation).  The map and the projection fold into
+        the first layer, with an MLP's input standardization; an MLP's
+        ``TARGET_SCALE`` folds into its last.  A linear model is one layer.
 
         The human minimum is subtracted first, as the MinMax map does: after
         a short calibration the human spans are tiny, and folding it into
@@ -237,9 +241,19 @@ class PipelineModel:
             degenerate, 0.0, (robot.maxs - robot.mins) / np.where(degenerate, 1.0, span)
         )
         base = np.where(degenerate, (robot.mins + robot.maxs) / 2.0, robot.mins)
-        projection = self.pca.components.T @ self.regressor.weights.T  # (d, 9)
-        bias = (base - self.pca.mean) @ projection + self.regressor.intercept
-        return human.mins, scale[:, None] * projection, bias
+        reg = self.regressor
+        if isinstance(reg, LinearModel):
+            layers, activation = [(reg.weights.T, reg.intercept)], None
+        else:
+            layers = [(w.T, b) for w, b in zip(reg.weights, reg.biases)]
+            activation = reg.activation
+            layers[-1] = layers[-1][0] * TARGET_SCALE, layers[-1][1] * TARGET_SCALE
+            w = layers[0][0] / reg.input_scale[:, None]
+            layers[0] = w, layers[0][1] - reg.input_mean @ w
+        w, b = layers[0]
+        projection = self.pca.components.T @ w  # (d, width)
+        layers[0] = scale[:, None] * projection, (base - self.pca.mean) @ projection + b
+        return human.mins, layers, activation
 
     def _check_widths(self) -> None:
         """Raise ConfigError unless the parts agree on their widths, so a
@@ -361,14 +375,12 @@ class PipelineModel:
     def features_raw(self, features: np.ndarray) -> np.ndarray:
         """Unrounded commands, (9,) or (n, 9), of a calibrated model for the
         features of a tracked frame, (d,), or of a stack, (n, d): MinMax-map
-        the human range onto the robot range, project by the PCA, regress.
-        A linear model makes the three steps one affine map (``affine``),
-        equal to the staged steps within 1e-9 relative; an MLP model takes
-        them one by one."""
-        if self.affine is not None:
-            mins, weights, bias = self.affine
-            return (features - mins) @ weights + bias
-        return self.predict_raw(minmax_map(features, self.human_stats, self.robot_stats))
+        the human range onto the robot range, project by the PCA, regress,
+        as one folded network (``folded``).  It equals the staged steps
+        within 1e-9 relative for a linear model, and within 1e-12 of a row's
+        largest value for an MLP."""
+        mins, layers, activation = self.folded
+        return run_layers(layers, activation, features - mins)
 
 
 def _first_false(ok: np.ndarray) -> int | None:
@@ -458,10 +470,10 @@ def fit_pipeline(
             if tune_dataset is None:
                 fit_idx, val_idx = split_indices(len(x), VALIDATION_FRACTION, seed + 1)
                 scan = x[fit_idx], y[fit_idx], x[val_idx], y[val_idx]
-                pca_k, _ = choose_pca_dim(*scan, pca_candidates)
+                pca_k = choose_pca_dim(*scan, pca_candidates)[0]
             else:  # the scan fits on x itself: its first pca_k axes are the pipeline's
                 scan = x, y, tune_dataset.features(kind), tune_dataset.commands
-                pca_k, _, pca, z = _scan_pca_dims(*scan, pca_candidates)
+                pca_k, _, pca, z = choose_pca_dim(*scan, pca_candidates)
                 pca = PcaModel(pca.mean, pca.components[:pca_k].copy(),
                                pca.explained_variance_ratio[:pca_k].copy())
                 z = np.ascontiguousarray(z[:, :pca_k])

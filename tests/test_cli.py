@@ -12,9 +12,10 @@ import pytest
 
 from headlearn import __version__
 from headlearn.cli import build_parser, main
-from headlearn.dataset import CollectionProtocol, collect, save_dataset
+from headlearn.dataset import CollectionProtocol, collect, load_dataset, save_dataset
 from headlearn.features import AU_INDEX
 from headlearn.records import to_json
+from headlearn.retarget import evaluate_pipeline, load_model
 from headlearn.simulator import CHANNELS, HeadConfig, random_command
 
 from conftest import frames_from_simulator, openface_csv_text, without_pose_columns
@@ -550,6 +551,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"headlearn {argv[0]}: error: argument {option}: must be >= 1, got 0\n" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (["collect"], "--neutral", "1.5"),
+        (["collect"], "--neutral", "1"),
+        (["collect"], "--neutral", "-0.1"),
+        (["fit", "--dataset", "ds", "--kind", "au"], "--test-fraction", "1.5"),
+        (["fit", "--dataset", "ds", "--kind", "au"], "--test-fraction", "0"),
+        (["compare", "--dataset", "ds"], "--test-fraction", "nan"),
+        (["compare", "--dataset", "ds"], "--test-fraction", "1"),
+        (["evaluate", "--model", "m.json", "--dataset", "ds"], "--test-fraction", "1"),
+        (["evaluate", "--model", "m.json", "--dataset", "ds"], "--test-fraction", "-inf"),
+        (["evaluate", "--model", "m.json", "--dataset", "ds"], "--test-fraction", "nan"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_fraction_out_of_range_is_usage_error_naming_the_option(
+        self, capsys, tmp_path, argv, option, value
+    ):
+        # a test split needs rows on both sides, except that evaluate reads
+        # 0 as all rows; neutral frames cannot be the whole recording
+        bounds = "(0, 1)" if option == "--test-fraction" and argv[0] != "evaluate" else "[0, 1)"
+        # these were data errors (exit 2) from CollectionProtocol and split
+        out = tmp_path / "out"
+        assert main(argv + [option, value, "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert (f"headlearn {argv[0]}: error: argument {option}: must be in {bounds}, "
+                f"got {float(value)}\n") in err
+        assert not out.exists()
+
+    def test_evaluate_test_fraction_zero_evaluates_all_rows(
+        self, dataset_dir, model_path, capsys
+    ):
+        assert main(["evaluate", "--model", str(model_path), "--dataset", str(dataset_dir),
+                     "--test-fraction", "0"]) == 0
+        per_channel = evaluate_pipeline(load_model(model_path), load_dataset(dataset_dir))
+        assert capsys.readouterr().out.endswith(f"mean: {float(np.mean(per_channel)):.3f}\n")
 
     @pytest.mark.parametrize("window", ["0", "-2"])
     def test_stream_window_below_one_is_usage_error(

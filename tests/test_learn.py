@@ -166,13 +166,13 @@ class TestChoosePcaDim:
     def test_known_answer(self):
         # five axes hold the four informative columns; three miss one
         for seed in range(8):
-            k, report = choose_pca_dim(*known_answer_data(seed), [3, 5, 7])
+            k, report, *_ = choose_pca_dim(*known_answer_data(seed), [3, 5, 7])
             assert k == report.chosen == 5
             assert report.rmses[0] > 2.0 * report.best_rmse
             assert report.cumulative_evr == sorted(report.cumulative_evr)
 
     def test_single_candidate_returned(self):
-        k, report = choose_pca_dim(*known_answer_data(10), [5])
+        k, report, *_ = choose_pca_dim(*known_answer_data(10), [5])
         assert k == 5
         assert report.candidates == [5]
 
@@ -180,7 +180,7 @@ class TestChoosePcaDim:
         # all-zero fit targets give exactly zero coefficients at every k, so
         # every candidate predicts zeros and scores the same RMSE
         x_fit, y_fit, x_val, y_val = known_answer_data(11)
-        k, report = choose_pca_dim(x_fit, np.zeros_like(y_fit), x_val, y_val, [7, 5, 3])
+        k, report, *_ = choose_pca_dim(x_fit, np.zeros_like(y_fit), x_val, y_val, [7, 5, 3])
         assert report.rmses[0] > 0.0
         assert report.rmses == [report.rmses[0]] * 3
         assert k == 3
@@ -190,7 +190,7 @@ class TestChoosePcaDim:
         # The best candidate itself passes at a zero gap, so an exact tie
         # goes to the smaller k by the same rule.
         for seed in (1, 2):
-            k, report = choose_pca_dim(*known_answer_data(seed), [7, 5, 3])
+            k, report, *_ = choose_pca_dim(*known_answer_data(seed), [7, 5, 3])
             rmses = dict(zip(report.candidates, report.rmses))
             assert report.best_rmse == rmses[7] < rmses[5]
             assert rmses[5] <= rmses[7] * (1.0 + PCA_DIM_REL_TOL)
@@ -206,13 +206,16 @@ class TestChoosePcaDim:
             ((x[:45], y[:45], x[45:], y[45:]), [3, 5, 7, 9, 11, 13]),
         ]
         for (x_fit, y_fit, x_val, y_val), cands in cases:
-            k, report = choose_pca_dim(x_fit, y_fit, x_val, y_val, cands)
+            k, report, pca, z_fit = choose_pca_dim(x_fit, y_fit, x_val, y_val, cands)
             ref = []
             for c in cands:
                 p = pca_fit(x_fit, c)
                 lin = ols_fit(pca_transform(p, x_fit), y_fit)
                 ref.append(float(np.mean(rmse(lin.predict(pca_transform(p, x_val)), y_val))))
             np.testing.assert_allclose(report.rmses, ref, rtol=1e-9, atol=0.0)
+            # the scan's one fit, at the largest candidate, and its projection
+            assert pca.k == max(cands)
+            assert np.array_equal(z_fit, pca_transform(pca, x_fit))
             best = min(ref)
             assert k == next(c for c, r in zip(cands, ref)
                              if r <= best * (1.0 + PCA_DIM_REL_TOL))

@@ -36,7 +36,7 @@ from headlearn.geometry import (
     pairwise_distances,
     procrustes_align,
 )
-from headlearn.learn import HyperGrid, ols_fit, pca_fit, pca_transform
+from headlearn.learn import HyperGrid, mlp_fit, ols_fit, pca_fit, pca_transform
 from headlearn.retarget import (
     EMOTIONS,
     calibrate_human,
@@ -379,8 +379,7 @@ class TestUnalignedDistances:
         aligned = aligned_distances(model, stack)
         # calibrated and retargeted on aligned landmarks, as older models were
         older = dataclasses.replace(model, human_stats=fit_minmax(aligned))
-        mins, weights, bias = older.affine
-        expected = command_from_raw((aligned - mins) @ weights + bias)
+        expected = command_from_raw(older.features_raw(aligned))
         new = calibrate_human(model, frames)
         assert np.array_equal(retarget_frame(new, stack), expected)
         assert [retarget_frame(new, f).as_array().tolist() for f in frames] == expected.tolist()
@@ -1227,6 +1226,22 @@ def assert_folded_equals_staged(model, frames):
     )
 
 
+# The folded map of an MLP model against its staged steps, relative to a
+# row's largest raw command
+MLP_FOLD_RTOL = 1e-12
+
+
+def assert_mlp_folded_equals_staged(model, frames):
+    """``human_raw`` equals the staged path within ``MLP_FOLD_RTOL`` of each
+    row's largest value, with equal commands, frame by frame and on the stack."""
+    for frame in frames + [HumanFrame.stack(frames)]:
+        folded = np.atleast_2d(human_raw(model, frame))
+        staged = np.atleast_2d(staged_raw(model, frame))
+        bound = MLP_FOLD_RTOL * np.abs(staged).max(axis=1, keepdims=True)
+        assert (np.abs(folded - staged) <= bound).all(), np.abs(folded - staged) / bound
+        assert np.array_equal(command_from_raw(folded), command_from_raw(staged))
+
+
 @pytest.fixture(scope="module")
 def linear_models(trained):
     """OLS and ridge models of all three kinds, by (kind, regressor)."""
@@ -1240,8 +1255,8 @@ def linear_models(trained):
 
 
 class TestFoldedMap:
-    """A calibrated linear model maps features to raw commands in one
-    affine step, equal to the staged path."""
+    """A calibrated model maps features to raw commands through one folded
+    network: a linear model in one affine step, equal to the staged path."""
 
     @pytest.fixture(scope="class")
     def frames(self, default_head):
@@ -1265,9 +1280,9 @@ class TestFoldedMap:
     @pytest.mark.parametrize("kind", ["au", "landmarks", "distances"])
     def test_equals_staged_path(self, linear_models, frames, others, kind, regressor):
         model = linear_models[kind, regressor]
-        assert model.affine is None  # no human stats yet
+        assert model.folded is None  # no human stats yet
         model = calibrate_human(model, frames)
-        assert model.affine is not None
+        assert model.folded is not None
         # the calibration frames, then frames outside their ranges
         assert_folded_equals_staged(model, frames)
         assert_folded_equals_staged(model, others)
@@ -1286,18 +1301,33 @@ class TestFoldedMap:
         for f in frames:
             np.testing.assert_allclose(human_raw(flat, f), midpoint, rtol=1e-9, atol=0.0)
 
-    def test_mlp_model_keeps_the_staged_path(self, persisted, calibrated):
-        model = persisted.models["au_mlp"]
-        assert model.affine is None
-        for f in calibrated.frames:
-            assert np.array_equal(human_raw(model, f), staged_raw(model, f))
-        stack = HumanFrame.stack(calibrated.frames)
-        assert np.array_equal(human_raw(model, stack), staged_raw(model, stack))
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("kind", ["au", "landmarks", "distances"])
+    def test_mlp_equals_staged_path(self, trained, frames, others, kind, activation, depth):
+        # the standardization and TARGET_SCALE fold into the network too,
+        # and the sums run in other orders, so the raw commands agree to a
+        # tolerance and the commands are equal.  The MLP trains on the test
+        # rows, whose mean is not the PCA's, so the standardization's mean
+        # folds into a bias of some size.
+        _, test, models = trained
+        model = models[kind]
+        z = pca_transform(model.pca, model.dataset_features(test))
+        mlp = mlp_fit(z, test.commands, [16] * depth, activation, epochs=40, seed=11)
+        model = calibrate_human(dataclasses.replace(model, regressor=mlp), frames)
+        assert np.ptp(human_raw(model, HumanFrame.stack(others)), axis=0).all()  # not constant
+        stats = model.human_stats
+        maxs = stats.maxs.copy()
+        maxs[::3] = stats.mins[::3]  # zero-span human dimensions
+        some = dataclasses.replace(model, human_stats=MinMaxStats(stats.mins, maxs))
+        for m in (model, some):
+            assert_mlp_folded_equals_staged(m, frames)
+            assert_mlp_folded_equals_staged(m, others)
 
     def test_recalibration_derives_a_new_map(self, linear_models, frames, others):
         first = calibrate_human(linear_models["distances", "ols"], frames)
         second = calibrate_human(first, others)
-        assert not np.array_equal(second.affine[1], first.affine[1])
+        assert not np.array_equal(second.folded[1][0][0], first.folded[1][0][0])
         assert_folded_equals_staged(second, others + frames)
         assert not np.allclose(human_raw(second, frames[0]), human_raw(first, frames[0]))
 
