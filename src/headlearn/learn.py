@@ -371,14 +371,15 @@ class MlpModel:
 
 class _FlatNet:
     """An MLP's parameters ``theta`` and their gradient ``grad``, each one
-    flat vector.  Each layer is one (fan_out, fan_in + 1) block ``[W | b]``:
-    its bias is the weight of a constant-1 input, so one matrix product
-    gives a layer's output with its bias, and one its weight and bias
-    gradients together.  ``layers`` are views of ``theta``, ``grads`` of
-    ``grad``; ``is_weight`` marks the entries of ``theta`` that l2 reads."""
+    flat vector.  Each layer is one C-ordered (fan_in + 1, fan_out) block
+    ``[Wᵀ; b]``: its bias is the weight of a constant-1 input, its last row,
+    so one matrix product gives a layer's output with its bias, reading the
+    block as stored, and one its weight and bias gradients together.
+    ``layers`` are views of ``theta``, ``grads`` of ``grad``; ``is_weight``
+    marks the entries of ``theta`` that l2 reads: all rows but the last."""
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray], activation: str):
-        blocks = [np.column_stack([w, b]) for w, b in zip(weights, biases)]
+        blocks = [np.vstack([w.T, b]) for w, b in zip(weights, biases)]
         self.theta = np.concatenate([block.ravel() for block in blocks], dtype=float)
         self.grad = np.zeros_like(self.theta)
         ends = list(itertools.accumulate(block.size for block in blocks))
@@ -386,14 +387,14 @@ class _FlatNet:
             [flat[end - block.size:end].reshape(block.shape) for block, end in zip(blocks, ends)]
             for flat in (self.theta, self.grad)
         )
-        self.is_weight = np.concatenate([np.tile(np.arange(cols) < cols - 1, rows)
-                                         for rows, cols in (block.shape for block in blocks)])
+        self.is_weight = np.concatenate([np.arange(block.size) < block.size - block.shape[1]
+                                         for block in blocks])
         self.activation = activation
 
     def work_arrays(self, n: int) -> list[np.ndarray]:
         """An empty array per layer for ``n`` rows: (n, fan_out + 1) under a
         hidden layer, its last column for the ones, and (n, outputs) last."""
-        *hidden, last = (w.shape[0] for w in self.layers)
+        *hidden, last = (wb.shape[1] for wb in self.layers)
         return [np.empty((n, h + 1)) for h in hidden] + [np.empty((n, last))]
 
     def loss_and_grads(self, l2: float, x: np.ndarray, y: np.ndarray, outs, deltas) -> float:
@@ -405,28 +406,29 @@ class _FlatNet:
         for i, wb in enumerate(layers):
             z = acts[i + 1]
             if i == last:
-                np.matmul(acts[i], wb.T, out=z)
+                np.matmul(acts[i], wb, out=z)
             else:  # activated in one contiguous pass, the ones column then reset
-                np.matmul(acts[i], wb.T, out=z[:, :-1])
+                np.matmul(acts[i], wb, out=z[:, :-1])
                 _activate(self.activation, z)
                 z[:, -1] = 1.0
         diff = np.subtract(outs[-1], y, out=outs[-1])
         loss = float(np.add.reduce(np.multiply(diff, diff, out=deltas[-1]), axis=None) / n)
         if l2 != 0.0:
-            loss += l2 * float(sum(np.add.reduce(wb[:, :-1] * wb[:, :-1], axis=None)
-                                   for wb in layers))
+            loss += l2 * float(sum(np.add.reduce(wb[:-1] * wb[:-1], axis=None) for wb in layers))
         np.multiply(diff, 2.0, out=deltas[-1])
         deltas[-1] /= n
         delta = deltas[-1]
         for i in range(last, -1, -1):
-            np.matmul(delta.T, acts[i], out=self.grads[i])
+            np.matmul(acts[i].T, delta, out=self.grads[i])
             if i > 0:  # the activation's derivative, written over the activation
                 a = acts[i]
                 if self.activation == "tanh":
                     np.subtract(1.0, np.multiply(a, a, out=a), out=a)
                 else:
                     np.greater(a, 0.0, out=a)  # a > 0 exactly where its pre-activation is
-                np.matmul(delta, layers[i], out=deltas[i - 1])
+                # BLAS runs this product faster on a C-ordered copy of the
+                # block's transpose than on the transposed view
+                np.matmul(delta, layers[i].T.copy(), out=deltas[i - 1])
                 deltas[i - 1] *= a
                 delta = deltas[i - 1][:, :-1]  # the ones column has no delta
         if l2 != 0.0:  # grad += 2 l2 theta on the weights: one pass over the whole vector
@@ -542,8 +544,8 @@ class MlpRun(_FlatNet):
     def model(self) -> MlpModel:
         """The network as trained so far, holding copies of the run's arrays."""
         return MlpModel(
-            weights=[wb[:, :-1].copy() for wb in self.layers],
-            biases=[wb[:, -1].copy() for wb in self.layers],
+            weights=[wb[:-1].T.copy() for wb in self.layers],
+            biases=[wb[-1].copy() for wb in self.layers],
             activation=self.activation,
             input_mean=self.input_mean,
             input_scale=self.input_scale,

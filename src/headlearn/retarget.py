@@ -252,7 +252,10 @@ class PipelineModel:
             layers[0] = w, layers[0][1] - reg.input_mean @ w
         w, b = layers[0]
         projection = self.pca.components.T @ w  # (d, width)
-        layers[0] = scale[:, None] * projection, (base - self.pca.mean) @ projection + b
+        # F-ordered, like every later layer's ``w.T``, so that one frame takes
+        # BLAS's matrix-vector path without a transpose
+        layers[0] = (np.asfortranarray(scale[:, None] * projection),
+                     (base - self.pca.mean) @ projection + b)
         return human.mins, layers, activation
 
     def _check_widths(self) -> None:
@@ -366,8 +369,8 @@ class PipelineModel:
         return self.regressor.predict(z)
 
     def _check_calibrated(self) -> None:
-        """Raise CalibrationRequiredError unless human stats are attached."""
-        if self.human_stats is None:
+        """Raise CalibrationRequiredError unless the model folded human stats."""
+        if self.folded is None:
             raise CalibrationRequiredError(
                 "model has no human MinMax stats; run calibrate_human first"
             )
@@ -378,7 +381,10 @@ class PipelineModel:
         the human range onto the robot range, project by the PCA, regress,
         as one folded network (``folded``).  It equals the staged steps
         within 1e-9 relative for a linear model, and within 1e-12 of a row's
-        largest value for an MLP."""
+        largest value for an MLP.  An uncalibrated model raises
+        CalibrationRequiredError."""
+        if self.folded is None:
+            self._check_calibrated()
         mins, layers, activation = self.folded
         return run_layers(layers, activation, features - mins)
 

@@ -445,7 +445,7 @@ OUT_DIGESTS = {
         "metrics.json": "d417740fcf463f940930cafc0973f1044248cfadac818e47706f9bc157852522",
     },
     "compare": {
-        "comparison.csv": "7b56dd2beedff0e1f06924d993d7d2e9382da6fa0cdb6e312b70cd375fa0f32f",
+        "comparison.csv": "b54cf4e46608f56f85990ca4720675763114a729804aa463e76068a5862c613d",
         "comparison.txt": "6b1c5541c59b2fd5b9b69073a7ff2cb21f3e734d92fa54ab4c06304e6c255634",
     },
     "correlate": {

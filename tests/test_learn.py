@@ -360,7 +360,7 @@ def loss_and_grads(weights, biases, activation, l2, x, y):
     net = _FlatNet(weights, biases, activation)
     outs, deltas = (net.work_arrays(len(x)) for _ in range(2))
     loss = net.loss_and_grads(l2, np.column_stack([x, np.ones(len(x))]), y, outs, deltas)
-    return loss, [g[:, :-1] for g in net.grads], [g[:, -1] for g in net.grads]
+    return loss, [g[:-1].T for g in net.grads], [g[-1] for g in net.grads]
 
 
 def central_difference_grads(weights, biases, activation, l2, x, y, eps=1e-6):
@@ -400,21 +400,21 @@ def pin_problem():
 # SHA-256 over the array_sha256 of every weight then every bias, and the
 # repr of final_train_loss, of mlp_fit on pin_problem() at 200 epochs.
 MLP_FIT_PINS = {
-    (1, "tanh", 0.0): ("97f02a764fbd6897549dd8e3d54b6221f5628b931380812f1401124002262445",
+    (1, "tanh", 0.0): ("4d62d373f6a654d90f3a66457c363de2f6d97690a309965d5820ef4abe998d6f",
                        "0.6921832969214338"),
-    (1, "tanh", 1e-3): ("cf600b1f9ec69bc06ffa05292b85352cf0861aaf020decce5ed08495e99f3812",
+    (1, "tanh", 1e-3): ("1a823b98ba3c9409ddefb1e0c3236c1c23539cf8556599e8db9f06bc99b9e7f7",
                         "0.7068827000643315"),
-    (1, "relu", 0.0): ("7fd8ea6fad97f81ed0bce307ceb39561a6d3b60bf6afa4132f1c137c39d99bab",
+    (1, "relu", 0.0): ("e76136224bf347d9449f50b862cdbdf25abeae81a6522f5db42ce5519091b9a6",
                        "0.7215229719377974"),
-    (1, "relu", 1e-3): ("ff3feba744d16f65829a7a5d6bdc4323287f9be7942563b939c44868274a2381",
+    (1, "relu", 1e-3): ("f2998c75dffeb15810a523f2bb746d70f1c5cbd86473222800f9b4ec1261973e",
                         "0.736251913895825"),
-    (2, "tanh", 0.0): ("be17cedc2f0a254d86803f8cf5085efc207db9015617d5d029756fe387469996",
+    (2, "tanh", 0.0): ("5339baebdd79786316860e97efbbb6c9a8221c576fc6603ea976c077b807726f",
                        "0.6693617669583005"),
-    (2, "tanh", 1e-3): ("6ac9acbf4c95837cdf5b07a8c4f641048ea6183f6807caddf8c04b9e4acf49ca",
+    (2, "tanh", 1e-3): ("148b488646b183f8870f09b2ecfc45a66b05ec5dff7fd1ae90d18beaf4dac256",
                         "0.7006521572508548"),
-    (2, "relu", 0.0): ("fbb61a6761400f6f3a164995ceb3bd22dfc3af08f8d1fb7e57aca5d6e3099023",
+    (2, "relu", 0.0): ("f431546ecd72279575b6b3ea86e02abf7c7451e27486bb0485235b8b9c9028f9",
                        "0.7470623919789837"),
-    (2, "relu", 1e-3): ("1c5284df64d08a04f954ab0c608250b70fb85b24658c9ed0e67e2b17b2825fcd",
+    (2, "relu", 1e-3): ("5fda55c6dd577b993ac39d2c47ee307a9ea11cdc86ad48c9b18bfa02c8b8fae6",
                         "0.84862462892817"),
 }
 
@@ -615,12 +615,13 @@ def with_ones(a):
 
 class FoldedLayerRun(PerLayerRun):
     """The per-layer loop with each bias folded into its weights, as MlpRun
-    folds it: one (fan_out, fan_in + 1) block ``[W | b]`` per layer, every
+    folds it: one (fan_in + 1, fan_out) block ``[Wᵀ; b]`` per layer, every
     layer's input with a ones column, fresh arrays every epoch."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.params = [np.column_stack([w, b]) for w, b in zip(self.weights, self.biases)]
+        self.params = [np.ascontiguousarray(np.vstack([w.T, b]))
+                       for w, b in zip(self.weights, self.biases)]
         self.velocity = [np.zeros_like(p) for p in self.params]
 
     def loss_and_grads(self):
@@ -628,7 +629,7 @@ class FoldedLayerRun(PerLayerRun):
         last = len(blocks) - 1
         acts = [with_ones(self.x)]
         for i, wb in enumerate(blocks):
-            z = acts[-1] @ wb.T
+            z = acts[-1] @ wb
             if i != last:
                 if activation == "tanh":
                     np.tanh(z, out=z)
@@ -640,17 +641,17 @@ class FoldedLayerRun(PerLayerRun):
         diff = acts[-1] - y
         loss = float(np.sum(diff ** 2) / n)
         if l2 != 0.0:
-            loss += l2 * float(sum(np.sum(wb[:, :-1] ** 2) for wb in blocks))
+            loss += l2 * float(sum(np.sum(wb[:-1] ** 2) for wb in blocks))
         grads = []
         delta = 2.0 * diff / n
         for i in range(last, -1, -1):
-            g = delta.T @ acts[i]
+            g = acts[i].T @ delta
             if l2 != 0.0:
-                g[:, :-1] += 2.0 * l2 * blocks[i][:, :-1]
+                g[:-1] += 2.0 * l2 * blocks[i][:-1]
             grads.append(g)
             if i > 0:
                 a = acts[i][:, :-1]
-                delta = (delta @ blocks[i])[:, :-1]
+                delta = (delta @ np.ascontiguousarray(blocks[i].T))[:, :-1]
                 if activation == "tanh":
                     delta *= 1.0 - a * a
                 else:
@@ -765,21 +766,23 @@ class TestFlatEpoch:
         x, y = pin_problem()
         run = MlpRun(x, y, [16, 8], "tanh", 1e-2, 1e-3, seed=3)
         assert run.theta.shape == run.velocity.shape == run.grad.shape == (run.model().n_params(),)
-        # each layer one [W | b] block, its bias the last column, in layer order
+        # each layer one [Wᵀ; b] block, its bias the last row, in layer order
         m = run.model()
-        blocks = [np.column_stack([w, b]) for w, b in zip(m.weights, m.biases)]
-        assert [b.shape for b in blocks] == [(16, 17), (8, 17), (9, 9)]
+        blocks = [np.vstack([w.T, b]) for w, b in zip(m.weights, m.biases)]
+        assert [b.shape for b in blocks] == [(17, 16), (17, 8), (9, 9)]
         assert np.concatenate([b.ravel() for b in blocks]).tobytes() == run.theta.tobytes()
         for views, flat in ((run.layers, run.theta), (run.grads, run.grad)):
             assert [v.shape for v in views] == [b.shape for b in blocks]
             assert all(np.shares_memory(v, flat) for v in views)
-        # l2 reads the weight columns only
+            assert all(v.flags.c_contiguous for v in views)
+        # l2 reads the weight rows only: all of a block but its last row
         assert run.theta[run.is_weight].tobytes() == np.concatenate(
-            [w.ravel() for w in m.weights]).tobytes()
+            [w.T.ravel() for w in m.weights]).tobytes()
         assert run.theta[~run.is_weight].tobytes() == np.concatenate(m.biases).tobytes()
         run.train(3)
-        assert np.array_equal(run.model().weights[1], run.layers[1][:, :16])
-        assert np.array_equal(run.model().biases[1], run.theta[16 * 17 + 16:][:8 * 17:17])
+        assert np.array_equal(run.model().weights[1], run.layers[1][:16].T)
+        assert np.array_equal(run.model().biases[1], run.theta[17 * 16 + 16 * 8:][:8])
+        assert all(w.flags.c_contiguous for w in run.model().weights)
 
     def test_diverged_grid_point_keeps_its_epochs(self):
         # the 1e2 point diverges part of the way to the first rung: its entry

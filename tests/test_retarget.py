@@ -1324,6 +1324,34 @@ class TestFoldedMap:
             assert_mlp_folded_equals_staged(m, frames)
             assert_mlp_folded_equals_staged(m, others)
 
+    @pytest.mark.parametrize("kind", ["au", "landmarks", "distances"])
+    def test_uncalibrated_model_raises(self, trained, frames, kind):
+        model = trained[2][kind]
+        for batch in (frames[0], HumanFrame.stack(frames)):
+            features = model.frame_features(batch)
+            with pytest.raises(CalibrationRequiredError, match="calibrate_human"):
+                model.features_raw(features)
+
+    @pytest.mark.parametrize("regressor", ["ols", "tanh", "relu"])
+    @pytest.mark.parametrize("kind", ["au", "landmarks", "distances"])
+    def test_folded_layers_are_column_ordered(self, trained, frames, others, kind, regressor):
+        # every folded weight is F-ordered, so a one-frame product reads its
+        # rows contiguously; one frame may then sum in another order than
+        # its row of the stack, within rounding, to the same command
+        _, test, models = trained
+        model = models[kind]
+        if regressor != "ols":
+            z = pca_transform(model.pca, model.dataset_features(test))
+            mlp = mlp_fit(z, test.commands, [16, 8], regressor, epochs=40, seed=11)
+            model = dataclasses.replace(model, regressor=mlp)
+        model = calibrate_human(model, frames)
+        assert all(w.flags.f_contiguous for w, _ in model.folded[1])
+        stack = human_raw(model, HumanFrame.stack(others))
+        for frame, row in zip(others, stack):
+            one = human_raw(model, frame)
+            assert np.abs(one - row).max() <= 1e-12 * np.abs(row).max()
+            assert np.array_equal(*command_from_raw(np.array([one, row])))
+
     def test_recalibration_derives_a_new_map(self, linear_models, frames, others):
         first = calibrate_human(linear_models["distances", "ols"], frames)
         second = calibrate_human(first, others)
