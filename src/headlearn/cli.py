@@ -36,12 +36,13 @@ from .dataset import (
     collect,
     ingest_openface_csv,
     load_dataset,
+    open_utf8,
     parse_openface_lines,
     save_dataset,
     split,
 )
 from .default_head import load_default_head
-from .errors import HeadLearnError
+from .errors import HeadLearnError, OpenFaceFormatError
 from .features import FEATURE_KINDS
 from .learn import DEFAULT_EPOCHS
 from .retarget import (
@@ -253,7 +254,8 @@ def cmd_retarget(args) -> int:
 
 def cmd_stream(args) -> int:
     model = load_model(args.model)
-    source = open(args.csv) if args.csv else contextlib.nullcontext(sys.stdin)
+    source = (open_utf8(args.csv, OpenFaceFormatError) if args.csv
+              else contextlib.nullcontext(sys.stdin))
     with source as fh:
         # rows are parsed as they arrive; every row stays in the stream, so
         # hold-last fills the low-confidence ones and each row gets a line

@@ -21,13 +21,14 @@ then the key path or the line.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -61,9 +62,13 @@ CONFIDENCE_THRESHOLD = 0.8
 
 # Frames :func:`collect` observes and aligns per step.  A (68, 3) frame is
 # 1.6 kB, so a block of 256 spreads numpy's per-call cost over frames that
-# still fit in cache; ``geometry.CHUNK`` (32) is sized for the 170 kB per
-# set that ``pairwise_distances`` takes instead.
+# still fit in cache; ``geometry.CHUNK`` (4) is sized for the 55 kB per set
+# that each temporary of ``pairwise_distances`` takes instead.
 COLLECT_BLOCK = 256
+
+# Rows :func:`save_dataset` converts and writes per step: a row's text is
+# about 4.2 kB, so a block's text and Python numbers stay under 1 MB.
+SAVE_BLOCK = 64
 
 
 @dataclass
@@ -340,12 +345,20 @@ def save_dataset(d: Dataset, path: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "metadata.json").write_text(json.dumps(d.meta, indent=2, sort_keys=True) + "\n")
     xyz = d.landmarks.reshape(len(d), N_LANDMARKS, 3).transpose(0, 2, 1)  # X_*, Y_*, Z_*: a view
+    frame_ids = d.frame_ids.tolist()
     with (out / "frames.csv").open("w", newline="") as fh:
         fh.write(",".join(_CSV_HEADER) + "\r\n")
-        for frame_id, command, lm, aus in zip(d.frame_ids.tolist(), d.commands, xyz, d.aus):
-            fh.write(",".join([str(frame_id), ROLE_TARGET, *map(str, command.astype(int).tolist()),
-                               *map(repr, lm.ravel().tolist()), *map(repr, aus.tolist())])
-                     + "\r\n")
+        # a block of rows at a time: one conversion of its cells to Python
+        # numbers and one write, without holding the whole file's text
+        for start in range(0, len(d), SAVE_BLOCK):
+            rows = slice(start, start + SAVE_BLOCK)
+            cells = np.concatenate([xyz[rows].reshape(-1, 3 * N_LANDMARKS), d.aus[rows]], axis=1)
+            fh.write("".join(
+                ",".join([str(frame_id), ROLE_TARGET, *map(str, command), *map(repr, values)])
+                + "\r\n"
+                for frame_id, command, values in zip(
+                    frame_ids[rows], d.commands[rows].astype(int).tolist(), cells.tolist())
+            ))
 
 
 def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
@@ -360,7 +373,8 @@ def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
     commands are read by ``int()``.  LF and CRLF files load alike.  The
     first faulty row, in line order, names its line: a truncated (or
     blank) row, or its first unparsable cell; then the row count is
-    checked, then the roles, the command range and finiteness.
+    checked, then the roles, the command range and finiteness.  A file
+    that is not UTF-8 text names the line of its first undecodable byte.
     """
     root = Path(path)
     meta_path = root / "metadata.json"
@@ -379,7 +393,7 @@ def load_dataset(path: str | Path, head: HeadConfig | None = None) -> Dataset:
             stacklevel=2,
         )
 
-    with csv_path.open() as fh:  # universal newlines: LF and CRLF read alike
+    with open_utf8(csv_path, DatasetCorruptError) as fh:  # LF and CRLF read alike
         header = next(fh, None)
         if header is None:
             raise DatasetCorruptError(f"{csv_path} is empty")
@@ -609,6 +623,8 @@ def _parse_rows(
 
     try:
         return _loadtxt(lines(), usecols), line_nos
+    except UnicodeDecodeError:  # the file is not text: no cell to name
+        raise
     except ValueError:
         for at in range(len(usecols)) if order is None else order:
             try:
@@ -686,14 +702,38 @@ def ingest_openface_csv(
 
     All kept rows are converted by one numpy parse; see
     :func:`parse_openface_lines` for the columns, the filtering and the
-    cell syntax, which are the same.  The file is read with translated
-    newlines: CR, LF and CRLF each end a line, as they do untranslated,
-    and each line then ends in LF, which Python reads about three times
-    faster than an untranslated line.
+    cell syntax, which are the same.  The file is read as UTF-8 text (an
+    undecodable byte names its line) with translated newlines: CR, LF and
+    CRLF each end a line, as they do untranslated, and each line then ends
+    in LF, which Python reads about three times faster than an
+    untranslated line.
     """
     _check_confidence_threshold(confidence_threshold)
     source = str(path)
-    with Path(path).open() as fh:
+    with open_utf8(path, OpenFaceFormatError) as fh:
         usecols = _openface_columns(fh, source)
         kept = _confident_rows(fh, usecols[_CONFIDENCE_AT], confidence_threshold)
         return _openface_frames(kept, usecols, source)
+
+
+@contextlib.contextmanager
+def open_utf8(path: str | Path, error: type[Exception]) -> Iterator[TextIO]:
+    """Open a file as UTF-8 text, with universal newlines.
+
+    A byte that does not decode raises ``error`` as ``<path>:<line>: not
+    UTF-8 text``.  Only then is the file read again, as bytes, to count the
+    lines before that byte as a text read counts them (LF, CR and CRLF each
+    end one).
+    """
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            # the byte after the prefix joins the prefix's last line, or starts one
+            line = len((data[:e.start] + b"x").splitlines())
+            raise error(f"{path}:{line}: not UTF-8 text") from None
+        raise error(f"{path}: not UTF-8 text") from None  # it changed since it was read

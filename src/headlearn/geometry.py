@@ -24,15 +24,19 @@ from .errors import AlignmentDegenerateError
 N_LANDMARKS = 68
 N_PAIRS = N_LANDMARKS * (N_LANDMARKS - 1) // 2  # 2278
 
-# Sets of a stack processed per array step by pairwise_distances:
-# enough to spread numpy's per-call cost, few enough that the temporaries
-# stay small (a 32-set step of pairwise distances takes about 5 MB).
-CHUNK = 32
+# Sets of a stack processed per array step by pairwise_distances: a
+# temporary of a 4-set step takes about 220 kB, so the step's working set
+# stays in L2 while it still spreads numpy's per-call cost (BENCH_31.json).
+CHUNK = 4
 
 # Upper-triangle indices in lexicographic (i, j) order, i < j.  This fixes
 # the element order of every pairwise-distance vector.
 _TRIU = np.triu_indices(N_LANDMARKS, k=1)
 PAIR_INDICES = np.stack(_TRIU, axis=1)
+# Pairs are in lexicographic order, so landmark i is the first endpoint of
+# the next 67 - i pairs: repeating each landmark that often gives the first
+# endpoints of all pairs
+_FIRST_REPEATS = np.arange(N_LANDMARKS - 1, -1, -1)
 # The same pairs as indices of cells in a flat (68, 3) set, (2, 3, 2278):
 # [first or second landmark, x y or z, pair]
 _TRIU_CELLS = np.stack([np.arange(3)[:, None] + 3 * i for i in _TRIU])
@@ -191,8 +195,8 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     Element order is lexicographic by (i, j) with i < j, matching
     ``PAIR_INDICES``.  Invariant under any rigid transform of the input.
     A stack of n sets gives an (n, 2278) array, measured ``CHUNK`` sets at
-    a time: the temporaries take about 170 kB per set, so they stay near
-    5 MB however long the stack.
+    a time: the temporaries take about 55 kB per set, so they stay near
+    220 kB each however long the stack.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 2:
@@ -207,7 +211,7 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     out = np.empty((len(pts), N_PAIRS))
     for start in range(0, len(pts), CHUNK):
         block = planes[:, start:start + CHUNK]
-        diff = block.take(_TRIU[0], axis=-1)
+        diff = block.repeat(_FIRST_REPEATS, axis=-1)
         diff -= block.take(_TRIU[1], axis=-1)
         diff *= diff
         out[start:start + CHUNK] = _lengths(*diff)

@@ -271,6 +271,22 @@ class TestHumanFlows:
         assert captured.out == ""
         assert "run calibrate_human first" in captured.err
 
+    def test_stream_names_the_line_of_an_undecodable_byte(
+        self, model_path, human_csv, tmp_path, capsys
+    ):
+        calibrated = tmp_path / "cal.json"
+        assert main(["calibrate-human", "--model", str(model_path), "--csv", str(human_csv),
+                     "--out", str(calibrated)]) == 0
+        lines = human_csv.read_bytes().splitlines(keepends=True)
+        lines[5] = lines[5].replace(b".", b"\xff", 1)  # line 6
+        csv = tmp_path / "bad.csv"
+        csv.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(["stream", "--model", str(calibrated), "--csv", str(csv)]) == 2
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) < 5  # at most the rows before it
+        assert err == f"headlearn: error: {csv}:6: not UTF-8 text\n"
+
     def test_nan_and_negative_confidences_are_held(
         self, model_path, default_head, tmp_path, capsys
     ):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from headlearn.dataset import (
     COLLECT_BLOCK,
+    SAVE_BLOCK,
     _neutral_block_sizes,
     _schedule,
     CONFIDENCE_THRESHOLD,
@@ -364,6 +365,23 @@ class TestPersistence:
         assert loaded.meta == small_dataset.meta
         assert np.array_equal(loaded.frame_ids, small_dataset.frame_ids)
 
+    @pytest.mark.parametrize("block", [7, SAVE_BLOCK])
+    def test_blocks_write_the_rows_of_the_row_by_row_loop(self, default_dataset, tmp_path, block):
+        # 500 rows: full blocks, then a partial one; each row's text as a
+        # loop over single rows writes it
+        d = default_dataset
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("headlearn.dataset.SAVE_BLOCK", block)
+            save_dataset(d, tmp_path / "d")
+        xyz = d.landmarks.reshape(len(d), N_LANDMARKS, 3).transpose(0, 2, 1)
+        rows = [
+            ",".join([str(frame_id), "target", *map(str, command.astype(int).tolist()),
+                      *map(repr, lm.ravel().tolist()), *map(repr, aus.tolist())])
+            for frame_id, command, lm, aus in zip(d.frame_ids.tolist(), d.commands, xyz, d.aus)
+        ]
+        with open(tmp_path / "d" / "frames.csv", newline="") as fh:
+            assert fh.read().split("\r\n")[1:] == rows + [""]
+
     def test_truncated_file_raises_corruption(self, small_dataset, tmp_path):
         save_dataset(small_dataset, tmp_path / "d")
         csv_path = tmp_path / "d" / "frames.csv"
@@ -610,6 +628,18 @@ class TestPersistence:
             warnings.simplefilter("error", ProvenanceWarning)
             load_dataset(tmp_path / "d", head=default_head)
 
+    @pytest.mark.parametrize("line_no", [2, 9])
+    def test_undecodable_byte_names_the_file_and_line(self, small_dataset, tmp_path, line_no):
+        # line 9 lies past the first block of text the reader decodes
+        save_dataset(small_dataset, tmp_path / "d")
+        csv_path = tmp_path / "d" / "frames.csv"
+        lines = csv_path.read_bytes().splitlines(keepends=True)
+        lines[line_no - 1] = lines[line_no - 1].replace(b".", b"\xff", 1)
+        csv_path.write_bytes(b"".join(lines))
+        with pytest.raises(DatasetCorruptError,
+                           match=f"^{re.escape(str(csv_path))}:{line_no}: not UTF-8 text$"):
+            load_dataset(tmp_path / "d")
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(DatasetCorruptError):
             load_dataset(tmp_path / "nope")
@@ -788,6 +818,16 @@ class TestOpenFaceIngestion:
     def test_short_row_names_the_first_missing_column(self, tmp_path):
         path = self.write_with_first_row(tmp_path, lambda cells, at: cells[:at("Y_11")])
         with pytest.raises(OpenFaceFormatError, match=r":2: unparsable value for column 'Y_11'"):
+            ingest_openface_csv(path)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_byte_names_the_file_and_line(self, tmp_path, ending):
+        lines = openface_csv_text(self.fixture_frames() * 3).splitlines()
+        lines[3] = lines[3].replace("0.0", "0.\udcff", 1)  # line 4
+        path = tmp_path / "of.csv"
+        path.write_bytes(ending.join(lines).encode("utf-8", "surrogateescape"))
+        with pytest.raises(OpenFaceFormatError,
+                           match=f"^{re.escape(str(path))}:4: not UTF-8 text$"):
             ingest_openface_csv(path)
 
     def test_empty_file(self, tmp_path):

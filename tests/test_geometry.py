@@ -263,8 +263,9 @@ class TestStackEqualsLoop:
         assert np.array_equal(stacked, np.array([pairwise_distances(p) for p in pts]))
 
     def test_pairwise_distances_over_chunks(self):
-        # 70 sets: two full chunks of CHUNK and a partial third
-        pts = np.random.default_rng(28).normal(scale=30.0, size=(70, N_LANDMARKS, 3))
+        # two full chunks of CHUNK and a partial third
+        n = 3 * CHUNK - 1
+        pts = np.random.default_rng(28).normal(scale=30.0, size=(n, N_LANDMARKS, 3))
         assert 2 * CHUNK < len(pts) < 3 * CHUNK
         stacked = pairwise_distances(pts)
         assert np.array_equal(stacked, np.array([pairwise_distances(p) for p in pts]))
