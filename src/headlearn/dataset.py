@@ -534,9 +534,9 @@ def _header_columns(raw_header: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
     return tuple(col[name] for name in _OPENFACE_VALUE_COLS), ()
 
 
-def _openface_columns(rows: Iterator[str], source: str) -> tuple[int, ...]:
+def _openface_columns(rows: Iterator[str], source: str) -> tuple[tuple[int, ...], int]:
     """Read the header line off ``rows``; return its column map
-    (:func:`_header_columns`), or raise naming ``source``."""
+    (:func:`_header_columns`) and its cell count, or raise naming ``source``."""
     try:
         raw_header = next(rows)
     except StopIteration:
@@ -544,7 +544,7 @@ def _openface_columns(rows: Iterator[str], source: str) -> tuple[int, ...]:
     usecols, missing = _header_columns(raw_header)
     if missing:
         raise OpenFaceFormatError(f"{source}: missing required columns {list(missing)}")
-    return usecols
+    return usecols, raw_header.count(",") + 1
 
 
 def _check_confidence_threshold(threshold: float) -> None:
@@ -556,13 +556,20 @@ def _check_confidence_threshold(threshold: float) -> None:
 
 
 def _confident_rows(
-    rows: Iterator[str], confidence_at: int, confidence_threshold: float
+    rows: Iterator[str],
+    confidence_at: int,
+    n_cells: int,
+    confidence_threshold: float,
+    source: str,
 ) -> Iterator[tuple[int, str]]:
     """``(line number, line)`` of each data row to convert.
 
     Only the confidence cell is read: a row under the threshold (NaN reads
-    as 0.0) and a blank row are skipped.  A row whose confidence cell is
-    not a number is kept, for the converter to name.
+    as 0.0) and a blank row are skipped, unchecked.  A row whose confidence
+    cell is not a number is kept, for the converter to name.  A kept row
+    must have ``n_cells`` cells, the header's count: a cell inserted or
+    dropped would shift every later column, so such a row raises
+    OpenFaceFormatError naming ``source`` and its line.
     """
     for line_no, line in enumerate(rows, start=2):
         try:
@@ -573,12 +580,16 @@ def _confident_rows(
             try:  # numpy also reads a number padded with \x1c-\x1f
                 confidence = float(_loadtxt([line], [confidence_at])[0, 0])
             except ValueError:
-                yield line_no, line
-                continue
+                confidence = confidence_threshold  # kept: the converter names the cell
         if confidence != confidence:  # NaN: the tracker has no confidence
             confidence = 0.0
         if confidence < confidence_threshold:
             continue
+        cells = line.count(",") + 1
+        if cells != n_cells:
+            raise OpenFaceFormatError(
+                f"{source}:{line_no}: {cells} cells, the header has {n_cells}"
+            )
         yield line_no, line
 
 
@@ -675,9 +686,11 @@ def parse_openface_lines(
 
     Requires 3D landmark columns (``X_0..Z_67``), the 17 AU intensity
     columns (``AU01_r..AU45_r``), timestamp and confidence.  Rows
-    under the confidence threshold are dropped; a NaN confidence reads as
-    0.0, a frame the tracker has no confidence in, and a NaN threshold
-    raises ValueError.  Header names may carry OpenFace's leading spaces.
+    under the confidence threshold are dropped unparsed and unchecked; a
+    NaN confidence reads as 0.0, a frame the tracker has no confidence in,
+    and a NaN threshold raises ValueError.  Every other row must have as
+    many cells as the header, or OpenFaceFormatError names its line and
+    both counts.  Header names may carry OpenFace's leading spaces.
     Each frame is yielded as soon as its line is read, with ``source`` and
     its line number; errors name both.
 
@@ -690,8 +703,10 @@ def parse_openface_lines(
     """
     _check_confidence_threshold(confidence_threshold)
     rows = iter(lines)
-    usecols = _openface_columns(rows, source)
-    for row in _confident_rows(rows, usecols[_CONFIDENCE_AT], confidence_threshold):
+    usecols, n_cells = _openface_columns(rows, source)
+    for row in _confident_rows(
+        rows, usecols[_CONFIDENCE_AT], n_cells, confidence_threshold, source
+    ):
         yield from _openface_frames([row], usecols, source)
 
 
@@ -701,18 +716,18 @@ def ingest_openface_csv(
     """Parse an OpenFace 2.0 FeatureExtraction CSV file into HumanFrames.
 
     All kept rows are converted by one numpy parse; see
-    :func:`parse_openface_lines` for the columns, the filtering and the
-    cell syntax, which are the same.  The file is read as UTF-8 text (an
-    undecodable byte names its line) with translated newlines: CR, LF and
-    CRLF each end a line, as they do untranslated, and each line then ends
-    in LF, which Python reads about three times faster than an
-    untranslated line.
+    :func:`parse_openface_lines` for the columns, the filtering, the cell
+    count and the cell syntax, which are the same.  The file is read as
+    UTF-8 text (an undecodable byte names its line) with translated
+    newlines: CR, LF and CRLF each end a line, as they do untranslated, and
+    each line then ends in LF, which Python reads about three times faster
+    than an untranslated line.
     """
     _check_confidence_threshold(confidence_threshold)
     source = str(path)
     with open_utf8(path, OpenFaceFormatError) as fh:
-        usecols = _openface_columns(fh, source)
-        kept = _confident_rows(fh, usecols[_CONFIDENCE_AT], confidence_threshold)
+        usecols, n_cells = _openface_columns(fh, source)
+        kept = _confident_rows(fh, usecols[_CONFIDENCE_AT], n_cells, confidence_threshold, source)
         return _openface_frames(kept, usecols, source)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import N_PAIRS, PAIR_INDICES, pair_distances, pair_index, pair_indices
+from .geometry import N_PAIRS, PAIR_INDICES, pair_distances, pair_index
 
 # The 17 AU intensity channels emitted by OpenFace 2.0, in fixed order.
 AU_IDS = (1, 2, 4, 5, 6, 7, 9, 10, 12, 14, 15, 17, 20, 23, 25, 26, 45)
@@ -76,12 +76,12 @@ class AUReadout:
         if missing:
             raise ConfigError(f"au_defs missing definitions for AUs {missing}")
         self.defs = [by_id[au] for au in AU_IDS]
-        ends = [end for d in self.defs for i, j, _ in d.weights for end in (i, j)]
-        read = pair_indices(*np.array(ends, dtype=int).reshape(-1, 2).T)
-        self.pairs = np.unique(read)
+        read = [[(pair_index(i, j), w) for i, j, w in d.weights] for d in self.defs]
+        pairs = sorted({p for terms in read for p, _ in terms})
+        column = {p: c for c, p in enumerate(pairs)}
+        self._terms = [[(column[p], w) for p, w in terms] for terms in read]
+        self.pairs = np.array(pairs, dtype=int)
         self._first, self._second = PAIR_INDICES[self.pairs].T
-        column = iter(np.searchsorted(self.pairs, read).tolist())
-        self._terms = [[(next(column), w) for _, _, w in d.weights] for d in self.defs]
         self._sigmas = np.array([d.noise_sigma for d in self.defs])
 
     def distances(self, landmarks: np.ndarray) -> np.ndarray:

@@ -95,12 +95,6 @@ _ELEMENTARY = np.array([
 ])
 
 
-def _wrap_angle(a: float) -> float:
-    """One angle wrapped into (-pi, pi], as :class:`Pose` wraps a stack."""
-    a = (a + math.pi) % (2.0 * math.pi) - math.pi
-    return math.pi if a == -math.pi else a
-
-
 @dataclass
 class Pose:
     """Rigid head pose: intrinsic X-Y-Z Euler angles (rad) + translation (mm).
@@ -112,27 +106,19 @@ class Pose:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
-        # wrap into (-pi, pi]; an infinite angle becomes NaN without a warning
         rot = np.asarray(self.rotation, dtype=float)
-        if rot.shape == (3,):
-            # one pose: Python's float % rounds as np.remainder does
-            self.rotation = np.array([_wrap_angle(a) for a in rot.tolist()])
-        else:
-            with np.errstate(invalid="ignore"):
-                rot = np.remainder(rot + math.pi, 2.0 * math.pi)
-            rot -= math.pi
-            rot[rot == -math.pi] = math.pi
-            self.rotation = rot
         self.translation = np.asarray(self.translation, dtype=float).copy()
-        if (
-            self.rotation.shape[-1:] != (3,)
-            or self.rotation.ndim > 2
-            or self.translation.shape != self.rotation.shape
-        ):
+        if rot.shape[-1:] != (3,) or rot.ndim > 2 or self.translation.shape != rot.shape:
             raise ValueError(
                 "pose needs 3 rotation angles and 3 translation values "
                 "(or (n, 3) arrays of each for a stack)"
             )
+        # wrap into (-pi, pi]; an infinite angle becomes NaN without a warning
+        with np.errstate(invalid="ignore"):
+            rot = np.remainder(rot + math.pi, 2.0 * math.pi)
+        rot -= math.pi
+        rot[rot == -math.pi] = math.pi
+        self.rotation = rot
 
     def matrix(self) -> np.ndarray:
         """Rotation matrix for the intrinsic X-Y-Z angles, (3, 3) or (n, 3, 3)."""
@@ -226,22 +212,6 @@ def pair_index(i: int, j: int) -> int:
         i, j = j, i
     if not 0 <= i < j < N_LANDMARKS:
         raise ValueError(f"landmark indices out of range: ({i}, {j})")
-    return _triu_offset(i, j)
-
-
-def pair_indices(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """:func:`pair_index` of each pair (``first[k]``, ``second[k]``) of two
-    int arrays; the first pair it would reject raises its error."""
-    lo, hi = np.minimum(first, second), np.maximum(first, second)
-    bad = (lo == hi) | (lo < 0) | (hi >= N_LANDMARKS)
-    if bad.any():
-        k = int(np.argmax(bad))
-        pair_index(int(first[k]), int(second[k]))
-    return _triu_offset(lo, hi)
-
-
-def _triu_offset(i, j):
-    """Flat index of pairs i < j: ints, or int arrays of equal shape."""
     # offset of row i in the upper triangle, then column offset
     return i * (2 * N_LANDMARKS - i - 1) // 2 + (j - i - 1)
 

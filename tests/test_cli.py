@@ -287,6 +287,39 @@ class TestHumanFlows:
         assert len(out.splitlines()) < 5  # at most the rows before it
         assert err == f"headlearn: error: {csv}:6: not UTF-8 text\n"
 
+    @pytest.mark.parametrize("edit", ["inserted", "dropped"])
+    @pytest.mark.parametrize("run", ["stream-csv", "stream-stdin", "retarget"])
+    def test_row_of_another_cell_count_names_its_line(
+        self, model_path, human_csv, tmp_path, capsys, monkeypatch, edit, run
+    ):
+        calibrated = tmp_path / "cal.json"
+        assert main(["calibrate-human", "--model", str(model_path), "--csv", str(human_csv),
+                     "--out", str(calibrated)]) == 0
+        header, *lines = human_csv.read_text().splitlines(keepends=True)
+        at = [c.strip() for c in header.split(",")].index("X_10")
+        cells = lines[4].split(",")  # line 6
+        if edit == "inserted":
+            cells.insert(at + 1, " 1.5")
+        else:
+            del cells[at]
+        lines[4] = ",".join(cells)
+        csv = tmp_path / "bad.csv"
+        csv.write_text(header + "".join(lines))
+        subcommand, _, source = run.partition("-")
+        args = [subcommand, "--model", str(calibrated)]
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(csv.read_text()))
+        else:
+            args += ["--csv", str(csv)]
+        capsys.readouterr()
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        # stream writes the commands of the rows before it, retarget none
+        assert len(out.splitlines()) == (4 if subcommand == "stream" else 0)
+        count = 231 if edit == "inserted" else 229
+        where = "<stdin>" if source == "stdin" else csv
+        assert err == f"headlearn: error: {where}:6: {count} cells, the header has 230\n"
+
     def test_nan_and_negative_confidences_are_held(
         self, model_path, default_head, tmp_path, capsys
     ):

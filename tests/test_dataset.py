@@ -815,9 +815,10 @@ class TestOpenFaceIngestion:
         with pytest.raises(OpenFaceFormatError, match=r":2: unparsable value for column 'X_5'"):
             ingest_openface_csv(path)
 
-    def test_short_row_names_the_first_missing_column(self, tmp_path):
+    def test_short_row_names_its_cell_count(self, tmp_path):
+        # the row lacks read columns from Y_11 on, and its count says so
         path = self.write_with_first_row(tmp_path, lambda cells, at: cells[:at("Y_11")])
-        with pytest.raises(OpenFaceFormatError, match=r":2: unparsable value for column 'Y_11'"):
+        with pytest.raises(OpenFaceFormatError, match=r":2: 88 cells, the header has 230$"):
             ingest_openface_csv(path)
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
@@ -933,11 +934,11 @@ class TestOpenFaceParsingRules:
         ]
         assert_same_frames(self.read(tmp_path, "\n".join(extra) + "\n"), self.read(tmp_path, text))
 
-    def test_short_row_names_its_line_and_first_missing_column(self, tmp_path):
+    def test_short_row_names_its_line_and_cell_count(self, tmp_path):
         lines = openface_csv_text(self.frames()).splitlines()
         names = [c.strip() for c in lines[0].split(",")]
         lines[2] = ",".join(lines[2].split(",")[:names.index("AU04_r")])
-        with pytest.raises(OpenFaceFormatError, match=r":3: unparsable value for column 'AU04_r'"):
+        with pytest.raises(OpenFaceFormatError, match=r":3: 215 cells, the header has 230$"):
             self.read(tmp_path, "\n".join(lines) + "\n")
 
     def test_quoted_numeric_cell_is_unparsable(self, tmp_path):
@@ -1125,6 +1126,31 @@ class TestOpenFaceBatching:
             ingest_openface_csv(path)
         with pytest.raises(OpenFaceFormatError, match=message):
             self.streamed(path)
+
+    @pytest.mark.parametrize("edit", ["inserted", "dropped"])
+    def test_row_with_a_cell_inserted_or_dropped_names_both_counts(self, tmp_path, edit):
+        # either edit shifts every later column; the kept row on line 5
+        # fails, the same edit on line 4 (confidence 0.5) is held unchecked
+        header, *lines = openface_csv_text(self.rows()).splitlines()
+        at = [c.strip() for c in header.split(",")].index("X_10")
+        for row in (2, 3):
+            cells = lines[row].split(",")
+            if edit == "inserted":
+                cells.insert(at + 1, " 1.5")
+            else:
+                del cells[at]
+            lines[row] = ",".join(cells)
+        path = tmp_path / "of.csv"
+        path.write_text("\n".join([header] + lines) + "\n", encoding="utf-8")
+        cells = 231 if edit == "inserted" else 229
+        message = rf"^{re.escape(str(path))}:5: {cells} cells, the header has 230$"
+        with pytest.raises(OpenFaceFormatError, match=message):
+            ingest_openface_csv(path)
+        with open(path, encoding="utf-8") as fh:
+            lazy = parse_openface_lines(fh, source=str(path))
+            assert [next(lazy).line, next(lazy).line] == [2, 3]
+            with pytest.raises(OpenFaceFormatError, match=message):
+                next(lazy)
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_line_endings_read_alike(self, tmp_path, ending):
